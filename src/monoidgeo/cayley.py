@@ -1,9 +1,13 @@
 """Word semimetrics and the continuous Cayley graph.
 
-``word_distance`` is a directed breadth-first search over right
-multiplication by generators, with horizon semantics: an answer is exact
-(finite, or infinite when the frontier empties or a structural fast path
-certifies it) or only known to exceed the horizon.
+``word_distance`` and ``shortest_word`` answer from a structural fast path
+when the oracle has one; otherwise they read the distance field of the
+source, one breadth-first search over right multiplication by generators
+per source element, grown lazily in whole levels and shared by every query
+and ball from that source.  Answers follow horizon semantics: exact (finite,
+or infinite when the field's frontier empties within the horizon or a fast
+path certifies it) or only known to exceed the horizon.  A witness word is
+the field's parent chain, the first shortest word in BFS order.
 
 ``gamma_distance`` evaluates the five-case distance on the point set
 M ∪ (M × S × (0,1)); ``gamma_set_distance`` computes exact infima between
@@ -14,80 +18,54 @@ in edge offsets between breakpoints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import HorizonTooSmall, InvalidElement, NoPath
-from .extnum import (
-    INF,
-    ZERO,
-    ExtNonNeg,
-    TruncatedDistance,
-    ext_min,
-    truncated_min,
-)
+from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance, truncated_min
 from .monoids import MonoidOracle, Word, format_word
 
 
 # ---------------------------------------------------------------------------
-# Word distance (directed BFS with horizon)
+# Word distance (structural fast path, else the source's distance field)
 # ---------------------------------------------------------------------------
 
 
-def _bfs(oracle: MonoidOracle, x: Word, y: Word, horizon: int):
-    """Returns (TruncatedDistance, witness word or None)."""
-    if x == y:
-        return TruncatedDistance.known(ZERO), ()
-    fast = oracle.exact_distance(x, y)
-    if fast is not None:
-        if fast.is_infinite:
-            return TruncatedDistance.known(INF), None
-        return TruncatedDistance.known(fast), oracle.exact_distance_witness(x, y)
-    parents: dict[Word, tuple[Word, str]] = {}
-    seen = {x}
-    frontier = [x]
-    for depth in range(1, horizon + 1):
-        next_frontier = []
-        for m in frontier:
-            for s in oracle.generators:
-                p = oracle.multiply(m, (s,))
-                if p in seen:
-                    continue
-                seen.add(p)
-                parents[p] = (m, s)
-                if p == y:
-                    word: list[str] = []
-                    cur = p
-                    while cur != x:
-                        cur, letter = parents[cur]
-                        word.append(letter)
-                    return TruncatedDistance.known(ExtNonNeg.finite(depth)), tuple(reversed(word))
-                next_frontier.append(p)
-        if not next_frontier:
-            # Reachable set exhausted without meeting y: certified infinite.
-            return TruncatedDistance.known(INF), None
-        frontier = next_frontier
-    return TruncatedDistance.unknown_above(ExtNonNeg.finite(horizon)), None
+@lru_cache(maxsize=None)
+def _known(depth: int) -> TruncatedDistance:
+    return TruncatedDistance.known(ExtNonNeg.finite(depth))
 
 
 def word_distance(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> TruncatedDistance:
-    # Set-distance and pipeline code re-asks the same vertex pairs heavily.
-    cache = getattr(oracle, "_wd_cache", None)
-    if cache is None:
-        cache = {}
-        oracle._wd_cache = cache
-    key = (x, y, horizon)
-    hit = cache.get(key)
+    # Set-distance and pipeline code re-ask the same vertex pairs heavily,
+    # so structural answers are memoized; field answers are lookups.
+    hit = oracle._exact_memo.get((x, y))
     if hit is None:
-        cache[key] = hit = _bfs(oracle, x, y, horizon)[0]
+        fast = ZERO if x == y else oracle.exact_distance(x, y)
+        if fast is None:
+            field = oracle.distance_field(x)
+            depth = field.depth(y, horizon)
+            if depth is not None:
+                return _known(depth)
+            if field.empty_level is not None and field.empty_level <= horizon:
+                return TruncatedDistance.known(INF)
+            return TruncatedDistance.unknown_above(ExtNonNeg.finite(horizon))
+        hit = oracle._exact_memo[x, y] = TruncatedDistance.known(fast)
     return hit
 
 
 def shortest_word(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> Word:
     """A witness word w of length d(x,y) with x*w = y; NoPath if none certified."""
-    dist, witness = _bfs(oracle, x, y, horizon)
+    if x == y:
+        return ()
+    fast = oracle.exact_distance(x, y)
+    if fast is None:
+        field = oracle.distance_field(x)
+        witness = field.word_to(y) if field.depth(y, horizon) is not None else None
+    else:
+        witness = oracle.exact_distance_witness(x, y) if fast.is_finite else None
     if witness is None:
         raise NoPath(f"no certified finite path from {format_word(x)} to {format_word(y)}")
     return witness
@@ -350,25 +328,15 @@ class GammaOracle:
         depth = int(radius)
         if depth > horizon:
             raise HorizonTooSmall(f"radius {radius} exceeds horizon {horizon}")
-        # BFS outward from the center: the BFS depth of m is d(center, m).
-        vertices = []
-        segments = []
-        dist_of = {center: 0}
-        frontier = [center]
-        for level in range(depth + 1):
-            next_frontier = []
-            for m in frontier:
-                room = radius - level
-                vertices.append(m)
-                if room > 0:
-                    hi = min(Fraction(1), room)
-                    for s in self.monoid.generators:
-                        segments.append(Segment(m, s, Fraction(0), hi))
-                        p = self.monoid.multiply(m, (s,))
-                        if p not in dist_of:
-                            dist_of[p] = level + 1
-                            next_frontier.append(p)
-            frontier = next_frontier
+        # The center's field holds d(center, m) for every m it reached.
+        field = self.monoid.distance_field(center)
+        vertices = field.elements_up_to(depth)
+        segments = [
+            Segment(m, s, Fraction(0), min(Fraction(1), radius - field.reached[m][0]))
+            for m in vertices
+            if field.reached[m][0] < radius
+            for s in self.monoid.generators
+        ]
         return CellSet(vertices, segments)
 
     def in_ball_cellset(self, center: Word, radius: Fraction, horizon: Optional[int] = None) -> CellSet:

@@ -17,11 +17,6 @@ from .errors import UndefinedProduct
 Rational = Union[int, Fraction]
 
 
-def as_fraction(x: Rational | str) -> Fraction:
-    f = Fraction(x)
-    return f
-
-
 def nonneg_fraction(x: Rational | str) -> Fraction:
     f = Fraction(x)
     if f < 0:

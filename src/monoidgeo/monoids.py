@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     SpecParseError,
     SpecValidationError,
 )
-from .extnum import INF, ExtNonNeg
+from .extnum import INF, ExtNonNeg, TruncatedDistance
 
 Word = tuple[str, ...]
 
@@ -29,6 +30,20 @@ EPSILON_DISPLAY = "ε"
 
 def format_word(word: Word) -> str:
     return EPSILON_DISPLAY if not word else "".join(word)
+
+
+def _tokenize(text: str, generators: Sequence[str], error: type) -> Word:
+    """`text` split greedily into generator names, longest name first."""
+    letters: list[str] = []
+    by_len = sorted(generators, key=len, reverse=True)
+    i = 0
+    while i < len(text):
+        g = next((g for g in by_len if text.startswith(g, i)), None)
+        if g is None:
+            raise error(f"cannot tokenize {text!r} at position {i} over {tuple(generators)}")
+        letters.append(g)
+        i += len(g)
+    return tuple(letters)
 
 
 class MonoidOracle:
@@ -65,67 +80,42 @@ class MonoidOracle:
         """A finite superset of {x : d(x, y) <= radius}, when enumerable."""
         return None
 
-    # -- ball enumeration --------------------------------------------------
+    # -- distance fields and ball enumeration -----------------------------
 
     def __init__(self):
-        self._levels: list[list[Word]] = [[self.identity]]
-        self._seen: set[Word] = {self.identity}
-        self._exhausted = False
+        # One BFS field per source, an intern table shared by the fields'
+        # elements, and a memo of the answers of exact_distance.
+        self._fields: dict[Word, DistanceField] = {}
+        self._interned: dict[Word, Word] = {}
+        self._exact_memo: dict[tuple[Word, Word], TruncatedDistance] = {}
 
-    def _grow_to(self, n: int) -> None:
-        while len(self._levels) <= n and not self._exhausted:
-            frontier = self._levels[-1]
-            new_level = []
-            for m in frontier:
-                for s in self.generators:
-                    p = self.multiply(m, (s,))
-                    if p not in self._seen:
-                        self._seen.add(p)
-                        new_level.append(p)
-            if new_level:
-                self._levels.append(new_level)
-            else:
-                self._exhausted = True
+    def distance_field(self, source: Word) -> "DistanceField":
+        """The lazily grown BFS field of right multiplication from `source`."""
+        field = self._fields.get(source)
+        if field is None:
+            source = self._interned.setdefault(source, source)
+            field = self._fields[source] = DistanceField(self, source)
+        return field
 
     def elements_up_to(self, n: int) -> list[Word]:
         """All elements at word distance <= n from the identity, BFS order."""
-        self._grow_to(n)
-        out: list[Word] = []
-        for level in self._levels[: n + 1]:
-            out.extend(level)
-        return out
+        return self.distance_field(self.identity).elements_up_to(n)
 
     def ball_exhausted(self, n: int) -> bool:
         """True when the ball of radius n is all of M (finite, saturated)."""
-        self._grow_to(n)
-        return self._exhausted and len(self._levels) - 1 <= n
+        field = self.distance_field(self.identity)
+        field.grow(n)
+        return field.empty_level is not None and field.empty_level <= n
 
     def depth_of(self, m: Word, horizon: int) -> Optional[int]:
-        self._grow_to(horizon)
-        for depth, level in enumerate(self._levels[: horizon + 1]):
-            if m in level:
-                return depth
-        return None
+        return self.distance_field(self.identity).depth(m, horizon)
 
     # -- word parsing ------------------------------------------------------
 
     def parse_word(self, text: str) -> Word:
-        if text in ("", EPSILON_DISPLAY, "e") and "e" not in self.generators:
+        if text in ("", EPSILON_DISPLAY) or (text == "e" and "e" not in self.generators):
             return ()
-        if text in ("", EPSILON_DISPLAY):
-            return ()
-        letters: list[str] = []
-        by_len = sorted(self.generators, key=len, reverse=True)
-        i = 0
-        while i < len(text):
-            for g in by_len:
-                if text.startswith(g, i):
-                    letters.append(g)
-                    i += len(g)
-                    break
-            else:
-                raise InvalidLetter(f"cannot tokenize {text!r} at position {i} over {self.generators}")
-        return self.normal_form(tuple(letters))
+        return self.normal_form(_tokenize(text, self.generators, InvalidLetter))
 
     def format_word(self, word: Word) -> str:
         return format_word(word)
@@ -134,6 +124,66 @@ class MonoidOracle:
         for letter in word:
             if letter not in self.generators:
                 raise InvalidLetter(f"unknown generator {letter!r}")
+
+
+class DistanceField:
+    """Breadth-first search over right multiplication by the generators from
+    one source element, grown lazily and only in whole levels.
+
+    ``reached`` maps every element found so far to (depth, parent, letter),
+    where parent*letter is the first product in BFS order that reached it;
+    its insertion order is BFS order.  ``sizes[d]`` counts the elements at
+    depth <= d, and ``empty_level`` is the first depth found empty, once the
+    reachable set is exhausted.
+    """
+
+    def __init__(self, oracle: MonoidOracle, source: Word):
+        self.oracle = oracle
+        self.reached: dict[Word, tuple] = {source: (0, None, None)}
+        self.frontier = [source]
+        self.sizes = [1]
+        self.empty_level: Optional[int] = None
+
+    def grow(self, depth: int, target: Optional[Word] = None) -> None:
+        """Add levels until level `depth` is built, `target` is reached or
+        the reachable set is exhausted."""
+        oracle, reached = self.oracle, self.reached
+        while len(self.sizes) <= depth and self.empty_level is None and target not in reached:
+            level = len(self.sizes)
+            frontier = []
+            for m in self.frontier:
+                for s in oracle.generators:
+                    p = oracle.multiply(m, (s,))
+                    if p not in reached:
+                        p = oracle._interned.setdefault(p, p)
+                        reached[p] = (level, m, s)
+                        frontier.append(p)
+            if frontier:
+                self.frontier = frontier
+                self.sizes.append(len(reached))
+            else:
+                self.empty_level = level
+
+    def depth(self, m: Word, horizon: int) -> Optional[int]:
+        """d(source, m) when it is at most `horizon`, else None."""
+        self.grow(horizon, m)
+        hit = self.reached.get(m)
+        return hit[0] if hit is not None and hit[0] <= horizon else None
+
+    def elements_up_to(self, n: int) -> list[Word]:
+        """The elements at depth <= n, BFS order."""
+        self.grow(n)
+        count = self.sizes[min(n, len(self.sizes) - 1)] if n >= 0 else 0
+        return list(islice(self.reached, count))
+
+    def word_to(self, m: Word) -> Word:
+        """The letters of the parent chain from the source to a reached m."""
+        letters = []
+        _, parent, letter = self.reached[m]
+        while parent is not None:
+            letters.append(letter)
+            _, parent, letter = self.reached[parent]
+        return tuple(reversed(letters))
 
 
 class FreeMonoid(MonoidOracle):
@@ -230,6 +280,7 @@ class TableMonoid(MonoidOracle):
             missing = [x for i, x in enumerate(self.element_names) if i not in canon]
             raise SpecValidationError(f"elements not generated by {self.generators}: {missing}")
         self._canon = canon
+        self._canon_index = {w: i for i, w in canon.items()}
         super().__init__()
 
     def name_index(self, name: str) -> int:
@@ -251,6 +302,12 @@ class TableMonoid(MonoidOracle):
 
     def normal_form(self, word: Sequence[str]) -> Word:
         return self._canon[self.index_of(tuple(word))]
+
+    def multiply(self, u: Word, v: Word) -> Word:
+        i, j = self._canon_index.get(u), self._canon_index.get(v)
+        if i is None or j is None:  # not canonical words: walk the letters
+            return super().multiply(u, v)
+        return self._canon[self.table[i][j]]
 
     def left_divisor_candidates(self, y: Word, radius: int) -> list[Word]:
         return list(self._canon.values())
@@ -470,6 +527,7 @@ class RewritingMonoid(MonoidOracle):
                 raise SpecValidationError(f"rule {lhs}->{rhs} is length-increasing")
             if len(rhs) == len(lhs) and rhs >= lhs:
                 raise SpecValidationError(f"length-preserving rule {lhs}->{rhs} needs a decreasing tie-break")
+        self._reach = max((len(lhs) for lhs, _ in self.rules), default=1) - 1
         self.step_cap = step_cap
         if fast_path not in (None, "bicyclic", "zero"):
             raise SpecValidationError(f"unknown fast_path {fast_path!r}")
@@ -483,19 +541,24 @@ class RewritingMonoid(MonoidOracle):
     def normal_form(self, word: Sequence[str]) -> Word:
         self.check_letters(word)
         w = list(word)
+        start = 0
         for _ in range(self.step_cap):
-            pos_rule = None
-            for i in range(len(w)):
-                for lhs, rhs in self.rules:
-                    if tuple(w[i : i + len(lhs)]) == lhs:
-                        pos_rule = (i, lhs, rhs)
-                        break
-                if pos_rule:
-                    break
-            if pos_rule is None:
+            redex = next(
+                (
+                    (i, lhs, rhs)
+                    for i in range(start, len(w))
+                    for lhs, rhs in self.rules
+                    if tuple(w[i : i + len(lhs)]) == lhs
+                ),
+                None,
+            )
+            if redex is None:
                 return tuple(w)
-            i, lhs, rhs = pos_rule
+            i, lhs, rhs = redex
             w[i : i + len(lhs)] = list(rhs)
+            # A rewrite at i changes nothing left of i, so no redex can start
+            # before i - (longest lhs - 1): the leftmost scan resumes there.
+            start = max(0, i - self._reach)
         raise NonTerminating(f"rewriting did not stabilize within {self.step_cap} steps")
 
     # Fast paths read the normal forms structurally: bicyclic normal forms
@@ -693,10 +756,7 @@ def check_finite_geometric_type(oracle: MonoidOracle, horizon: int, threshold: i
             c = oracle.multiply(a, b)
             if c in ball_set:
                 solutions.setdefault((b, c), []).append(a)
-    worst = None
     for (b, c), sols in solutions.items():
-        if worst is None or len(sols) > len(worst[2]):
-            worst = (b, c, sols)
         if len(sols) >= threshold:
             w = {
                 "b": format_word(b),
@@ -758,24 +818,8 @@ def from_spec_dict(doc: dict) -> MonoidOracle:
     if kind == "rewriting":
         if not doc.get("confluent", False):
             raise SpecValidationError("rewriting spec must assert confluence ('confluent': true)")
-        gens = list(doc["generators"])
-
-        def side(text) -> tuple[str, ...]:
-            # Rule sides are written as plain strings; tokenize greedily.
-            if not isinstance(text, str):
-                return tuple(text)
-            letters: list[str] = []
-            i = 0
-            by_len = sorted(gens, key=len, reverse=True)
-            while i < len(text):
-                for g in by_len:
-                    if text.startswith(g, i):
-                        letters.append(g)
-                        i += len(g)
-                        break
-                else:
-                    raise SpecParseError(f"cannot tokenize rule side {text!r} at position {i}")
-            return tuple(letters)
+        def side(t) -> Word:  # a plain string or a list of letters
+            return _tokenize(t, doc["generators"], SpecParseError) if isinstance(t, str) else tuple(t)
 
         rules = [(side(lhs), side(rhs)) for lhs, rhs in doc["rules"]]
         return RewritingMonoid(

@@ -60,20 +60,7 @@ class WordMetricSpace(SemimetricSpace):
         return word_distance(self.oracle, p, q, self.horizon)
 
     def enumerate_out(self, p: Word, radius: int) -> list[Word]:
-        out = [p]
-        seen = {p}
-        frontier = [p]
-        for _ in range(radius):
-            nxt = []
-            for m in frontier:
-                for s in self.oracle.generators:
-                    w = self.oracle.multiply(m, (s,))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        return self.oracle.distance_field(p).elements_up_to(radius)
 
     def enumerate_in(self, p: Word, radius: int) -> Optional[list[Word]]:
         candidates = self.oracle.left_divisor_candidates(p, radius)

@@ -1,0 +1,96 @@
+"""CLI reports compared byte for byte against committed golden files.
+
+Each PYTHONHASHSEED in SEEDS gets one child process that runs every command
+in CASES through ``monoidgeo.cli.main`` and prints the reports as one JSON
+document; the three children run side by side.  The golden files under
+``tests/golden/`` hold the expected stdout of each command.
+
+Regenerate them (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+SRC = os.path.join(os.path.dirname(HERE), "src")
+SEEDS = ("0", "1", "2")
+
+# name -> (fixture, CLI arguments after --monoid, expected exit code)
+CASES = {
+    "free2_svarc_milnor_h4": ("free2.json", ["--horizon", "4", "svarc-milnor", "-R", "1"], 0),
+    "fp_r1_z2_free_product_h4": ("fp_r1_z2.json", ["--horizon", "4", "free-product"], 0),
+    "z3_svarc_milnor": ("z3.json", ["svarc-milnor", "-R", "1"], 0),
+    "bicyclic_dist": ("bicyclic.json", ["dist", "q", "pp"], 0),
+    "bicyclic_check_axioms": ("bicyclic.json", ["check", "axioms"], 0),
+}
+
+CHILD = r"""
+import io, json, sys
+from contextlib import redirect_stdout
+from monoidgeo.cli import main
+
+out = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    out[name] = [code, buf.getvalue()]
+json.dump(out, sys.stdout)
+"""
+
+
+def _argvs() -> dict:
+    return {
+        name: ["--monoid", os.path.join(HERE, "fixtures", fixture)] + args
+        for name, (fixture, args, _) in CASES.items()
+    }
+
+
+def _start(seed: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+    return subprocess.Popen(
+        [sys.executable, "-c", CHILD, json.dumps(_argvs())],
+        stdout=subprocess.PIPE,
+        env=env,
+    )
+
+
+@pytest.fixture(scope="module")
+def reports():
+    children = {seed: _start(seed) for seed in SEEDS}
+    out = {}
+    for seed, child in children.items():
+        stdout, _ = child.communicate(timeout=120)
+        assert child.returncode == 0
+        out[seed] = json.loads(stdout)
+    return out
+
+
+def _golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(reports, name, seed):
+    code, text = reports[seed][name]
+    assert code == CASES[name][2]
+    assert text == _golden(name)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    os.makedirs(GOLDEN, exist_ok=True)
+    child = _start("0")
+    stdout, _ = child.communicate()
+    for name, (code, text) in json.loads(stdout).items():
+        assert code == CASES[name][2], (name, code)
+        with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as fh:
+            fh.write(text)

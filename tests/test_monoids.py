@@ -1,6 +1,7 @@
 """Monoid oracles: normal forms, fast paths, property checkers, spec parsing."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,11 @@ from monoidgeo import (
     FreeProductElem,
     FreeProductMonoid,
     InvalidLetter,
+    NonTerminating,
+    RewritingMonoid,
     SpecParseError,
     SpecValidationError,
+    TableMonoid,
     bicyclic_monoid,
     check_cancellative,
     check_finite_geometric_type,
@@ -193,6 +197,72 @@ def test_rewrite_normal_form_function():
     assert rewrite_normal_form([(("p", "q"), ())], ("p", "q", "p")) == ("p",)
 
 
+def naive_leftmost_rewrite(rules, word, step_cap):
+    """Rewrite the leftmost redex, rescanning from position 0 every step."""
+    w = list(word)
+    for _ in range(step_cap):
+        pos_rule = None
+        for i in range(len(w)):
+            for lhs, rhs in rules:
+                if tuple(w[i : i + len(lhs)]) == lhs:
+                    pos_rule = (i, lhs, rhs)
+                    break
+            if pos_rule:
+                break
+        if pos_rule is None:
+            return tuple(w)
+        i, lhs, rhs = pos_rule
+        w[i : i + len(lhs)] = list(rhs)
+    raise NonTerminating("step cap")
+
+
+def _random_rules(rng, letters):
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        lhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        rhs = tuple(rng.choice(letters) for _ in range(rng.randint(0, len(lhs))))
+        if len(rhs) == len(lhs) and rhs >= lhs:
+            rhs = rhs[:-1]
+        rules.append((lhs, rhs))
+    return rules
+
+
+@pytest.mark.parametrize("step_cap", [5, 10_000])
+def test_resumed_scan_matches_naive_leftmost_rewriting(step_cap):
+    # Random rule sets, confluent or not: the normal form, or the failure to
+    # reach one within the step cap, must be the naive rewriter's.
+    rng = random.Random(step_cap)
+    for _ in range(300):
+        letters = ["a", "b", "c"][: rng.randint(1, 3)]
+        rules = _random_rules(rng, letters)
+        m = RewritingMonoid(letters, rules, step_cap=step_cap)
+        for _ in range(20):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+            try:
+                expected = naive_leftmost_rewrite(m.rules, word, step_cap)
+            except NonTerminating:
+                with pytest.raises(NonTerminating):
+                    m.normal_form(word)
+            else:
+                assert m.normal_form(word) == expected, (rules, word)
+
+
+def test_table_multiply_matches_letter_walk():
+    # x*y = x on {a, b}: a non-commutative table, so argument order shows.
+    left_zero = TableMonoid(["e", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]], generators=["a", "b"])
+    z3 = cyclic_group(3)
+    for m in (left_zero, z3):
+        elements = m.elements_up_to(2)
+        for u in elements:
+            for v in elements:
+                assert m.multiply(u, v) == m.normal_form(u + v)
+    assert left_zero.multiply(("a",), ("b",)) == ("a",)
+    # Non-canonical words are walked letter by letter; unknown letters fail.
+    assert z3.multiply(("g", "g", "g"), ("g",)) == ("g",)
+    with pytest.raises(InvalidLetter):
+        z3.multiply(("x",), ("g",))
+
+
 def test_length_increasing_rule_rejected():
     with pytest.raises(SpecValidationError):
         from_spec_dict(
@@ -319,6 +389,10 @@ def test_spec_rewriting_string_rules():
         {"type": "rewriting", "generators": ["p", "q"], "rules": [["pq", ""]], "confluent": True}
     )
     assert m.normal_form(("p", "q", "p")) == ("p",)
+    with pytest.raises(SpecParseError):
+        from_spec_dict(
+            {"type": "rewriting", "generators": ["p", "q"], "rules": [["px", ""]], "confluent": True}
+        )
 
 
 def test_spec_rewriting_requires_confluence_flag():
