@@ -100,12 +100,17 @@ def check_isometric_embedding_action(
     """d(mp, mq) = d(p, q) for all sampled m and point pairs."""
     witnesses = []
     space = action.space
+    # d(p, q) does not depend on m; the first m asks for it in the same
+    # order as for d(mp, mq), so a HorizonTooSmall surfaces as before.
+    base: dict[tuple[int, int], ExtNonNeg] = {}
     for m in ms:
-        for p in points:
+        for i, p in enumerate(points):
             mp = action.apply(m, p)
-            for q in points:
+            for j, q in enumerate(points):
                 mq = action.apply(m, q)
-                d0 = space.known_distance(p, q)
+                d0 = base.get((i, j))
+                if d0 is None:
+                    d0 = base[i, j] = space.known_distance(p, q)
                 d1 = space.known_distance(mp, mq)
                 if d0 != d1:
                     witnesses.append(

@@ -11,9 +11,13 @@ the field's parent chain, the first shortest word in BFS order.
 
 ``gamma_distance`` evaluates the five-case distance on the point set
 M ∪ (M × S × (0,1)); ``gamma_set_distance`` computes exact infima between
-finitely described regions (cell sets) by evaluating the case formulas at
-closure extremes, which suffices because the distance is affine (or concave)
-in edge offsets between breakpoints.
+finitely described regions (cell sets).  The case formulas are affine in
+edge offsets between breakpoints, so closure extremes suffice, and each is
+a word distance between base vertices plus a rational offset; the infimum
+therefore takes one word distance per pair of base vertices, at the least
+offset each set reaches there.  Two points on one edge are |mu - nu| apart
+instead, so offsets from an edge where both sets have segments are never
+paired with each other; interval gaps cover those pairs.
 """
 
 from __future__ import annotations
@@ -269,25 +273,85 @@ def _interval_gap(a_lo, a_hi, b_lo, b_hi) -> Fraction:
 
 
 def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: int) -> TruncatedDistance:
-    """Exact inf { d(a,b) : a in closure(A), b in closure(B) }."""
+    """Exact inf { d(a,b) : a in closure(A), b in closure(B) }.
+
+    Between closure representatives p and q not on one edge, the five-case
+    distance is the least d(s, t) + a + b over the sources (s, a) of p and
+    the targets (t, b) of q: a vertex m is the source (m, 0), an edge point
+    (m, x, mu) the sources (m, mu) and (m·x, 1 - mu); a vertex n is the
+    target (n, 0), an edge point (n, y, nu) the target (n, nu).  Adding a
+    known finite offset keeps the order and kind of truncated distances, so
+    only the least offset at each base matters: a segment [lo, hi] gives the
+    sources (m, lo) and (m·x, 1 - hi) and the target (m, lo), and each pair
+    of bases costs one word distance.
+
+    Two points on one edge are |mu - nu| apart instead, which the interval
+    gaps bound from below.  So offsets from an edge on which both sets have
+    segments keep that edge, and are never paired with each other.
+    """
     if not A or not B:
         return TruncatedDistance.known(INF)
-    candidates: list[TruncatedDistance] = []
+    # Running minimum in truncated_min's order: least value first (None is
+    # infinity), and a known value before an unknown bound of the same size.
+    best: Optional[Fraction] = None
+    best_known = False
     # Same-edge overlaps need the interior: |mu - nu| is convex, so interval
     # intersection (distance 0) is not visible from endpoints alone.
     b_by_edge: dict[tuple[Word, str], list[Segment]] = {}
     for seg in B.segments:
         b_by_edge.setdefault((seg.element, seg.gen), []).append(seg)
+    shared = set()
     for seg in A.segments:
         for other in b_by_edge.get((seg.element, seg.gen), ()):
+            shared.add((seg.element, seg.gen))
             gap = _interval_gap(seg.lo, seg.hi, other.lo, other.hi)
-            candidates.append(TruncatedDistance.known(ExtNonNeg.of(gap)))
-    a_reps = A.closure_reps()
-    b_reps = B.closure_reps()
-    for p in a_reps:
-        for q in b_reps:
-            candidates.append(_ext_distance(oracle, p, q, horizon))
-    return truncated_min(candidates)
+            if best is None or gap < best:
+                best, best_known = gap, True
+
+    # base -> {edge or None: least offset}; only shared edges are kept apart.
+    sources: dict[Word, dict] = {}
+    targets: dict[Word, dict] = {}
+
+    def offer(bases: dict, base: Word, edge, offset: Fraction) -> None:
+        by_edge = bases.setdefault(base, {})
+        if edge not in by_edge or offset < by_edge[edge]:
+            by_edge[edge] = offset
+
+    for v in A.vertices:
+        offer(sources, v, None, Fraction(0))
+    for v in B.vertices:
+        offer(targets, v, None, Fraction(0))
+    for seg in A.segments:
+        edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
+        offer(sources, seg.element, edge, seg.lo)
+        offer(sources, oracle.multiply(seg.element, (seg.gen,)), edge, 1 - seg.hi)
+    for seg in B.segments:
+        edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
+        offer(targets, seg.element, edge, seg.lo)
+
+    for s, s_offsets in sources.items():
+        for t, t_offsets in targets.items():
+            offsets = [
+                a + b
+                for a_edge, a in s_offsets.items()
+                for b_edge, b in t_offsets.items()
+                if a_edge is None or a_edge != b_edge
+            ]
+            if not offsets:
+                continue
+            d = word_distance(oracle, s, t, horizon)
+            value = d.value.frac
+            if value is None:
+                # A known infinity; an unknown bound is always finite.
+                if best is None:
+                    best_known = True
+                continue
+            value += min(offsets)
+            if best is None or value < best or (value == best and d.is_known and not best_known):
+                best, best_known = value, d.is_known
+    if best_known:
+        return TruncatedDistance.known(INF if best is None else ExtNonNeg(best))
+    return TruncatedDistance.unknown_above(ExtNonNeg(best))
 
 
 # ---------------------------------------------------------------------------

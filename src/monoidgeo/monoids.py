@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -250,14 +251,20 @@ class TableMonoid(MonoidOracle):
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise SpecValidationError(f"{self.element_names[e]!r} is not a two-sided identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise SpecValidationError(
-                            "multiplication table is not associative at "
-                            f"({self.element_names[i]},{self.element_names[j]},{self.element_names[k]})"
-                        )
+        # Row (ij)k against row i(jk) for each (i, j): all n^3 triples, with
+        # k scanned only to name the first failure.  Row i(jk) is row i read
+        # at the entries of row j, one itemgetter call; a one-element table
+        # is associative, and its itemgetter would return a bare entry.
+        reads = [itemgetter(*row) for row in self.table] if n > 1 else []
+        for i, row_i in enumerate(self.table):
+            for j, (row_j, read) in enumerate(zip(self.table, reads)):
+                left = self.table[row_i[j]]
+                if left != read(row_i):
+                    k = next(k for k in range(n) if left[k] != row_i[row_j[k]])
+                    raise SpecValidationError(
+                        "multiplication table is not associative at "
+                        f"({self.element_names[i]},{self.element_names[j]},{self.element_names[k]})"
+                    )
         if generators is None:
             generators = [x for i, x in enumerate(self.element_names) if i != e]
         for g in generators:

@@ -18,11 +18,11 @@ from typing import Callable, Optional, Sequence
 from .actions import (
     ActionOracle,
     PropertyReport,
+    apply_translation,
     check_cobounded,
     check_idealistic,
     check_isometric_embedding_action,
     compute_contact_set,
-    translation_action,
 )
 from .cayley import (
     CellSet,
@@ -557,7 +557,7 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
     action = ActionOracle(
         monoid=M,
         space=gamma,
-        apply=lambda m, pt: translation_action(gamma).apply(m, pt),
+        apply=lambda m, pt: apply_translation(N, m, pt),
         basepoint=Vertex(N.identity),
     )
     # B must absorb P's displacement: radius 1 + max strong distance to P.

@@ -29,6 +29,7 @@ CASES = {
     "z3_svarc_milnor": ("z3.json", ["svarc-milnor", "-R", "1"], 0),
     "bicyclic_dist": ("bicyclic.json", ["dist", "q", "pp"], 0),
     "bicyclic_check_axioms": ("bicyclic.json", ["check", "axioms"], 0),
+    "fp_r2_z2_free_product_h3": ("fp_r2_z2.json", ["--horizon", "3", "free-product"], 0),
 }
 
 CHILD = r"""

@@ -91,6 +91,20 @@ def test_non_associative_table_rejected():
     from_spec_dict({"type": "table", "elements": ["e", "x"], "table": [[0, 1], [1, 1]], "identity": "e"})
 
 
+def test_non_associative_table_names_first_failing_triple():
+    # (b·a)·c = b·c = c but b·(a·c) = b·a = b.  No triple before (b, a, c)
+    # fails, and k = c is the last of its row, so the row test must scan k.
+    table = [[0, 1, 2, 3], [1, 1, 1, 1], [2, 2, 2, 3], [3, 3, 2, 1]]
+    first = next(
+        (i, j, k)
+        for i, j, k in itertools.product(range(4), repeat=3)
+        if table[table[i][j]][k] != table[i][table[j][k]]
+    )
+    assert first == (2, 1, 3)
+    with pytest.raises(SpecValidationError, match=r"not associative at \(b,a,c\)$"):
+        TableMonoid(["e", "a", "b", "c"], table)
+
+
 def test_non_group_rejected_as_group():
     # two-element semilattice: x has no inverse
     with pytest.raises(SpecValidationError):

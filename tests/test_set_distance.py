@@ -1,0 +1,128 @@
+"""Base-pair cell-set distances against the pairwise evaluation they replaced.
+
+``reference_set_distance`` is the former ``gamma_set_distance``: interval
+gaps between segments on a common edge plus the five-case distance of every
+pair of closure representatives, combined by ``truncated_min``.  It is kept
+here verbatim as the specification: ``gamma_set_distance`` must give the
+same answer, kind included, on every oracle of the distance-field tests at
+every horizon.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from monoidgeo import (
+    CellSet,
+    ExtNonNeg,
+    Segment,
+    TableMonoid,
+    TruncatedDistance,
+    cyclic_group,
+    gamma_set_distance,
+    truncated_min,
+)
+from monoidgeo.cayley import _ext_distance, _interval_gap
+from test_distance_field import FIELD_OUTCOMES, ORACLES, ReferenceBall, _outcome
+
+
+def reference_set_distance(oracle, A, B, horizon):
+    if not A or not B:
+        return TruncatedDistance.known(ExtNonNeg.infinite())
+    candidates = []
+    b_by_edge = {}
+    for seg in B.segments:
+        b_by_edge.setdefault((seg.element, seg.gen), []).append(seg)
+    for seg in A.segments:
+        for other in b_by_edge.get((seg.element, seg.gen), ()):
+            gap = _interval_gap(seg.lo, seg.hi, other.lo, other.hi)
+            candidates.append(TruncatedDistance.known(ExtNonNeg.of(gap)))
+    for p in A.closure_reps():
+        for q in B.closure_reps():
+            candidates.append(_ext_distance(oracle, p, q, horizon))
+    return truncated_min(candidates)
+
+
+OFFSETS = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1))
+CASES_PER_HORIZON = 24
+
+
+def _segment(rng, m, s):
+    lo, hi = sorted((rng.choice(OFFSETS), rng.choice(OFFSETS)))
+    return Segment(m, s, lo, hi)
+
+
+def _cellset(rng, elements, gens, edges=(), only_edges=False):
+    vertices = [] if only_edges else rng.sample(elements, min(len(elements), rng.randint(0, 3)))
+    pool = [(m, s) for m in elements for s in gens]
+    chosen = [] if only_edges else rng.sample(pool, min(len(pool), rng.randint(0, 3)))
+    return CellSet(vertices, [_segment(rng, m, s) for m, s in chosen + list(edges)])
+
+
+# How B relates to A: drawn independently; sharing A's edges besides its own
+# cells; or only segments on A's edges, with A only segments, so the
+# same-edge rule decides the answer.
+MODES = ("independent", "shared", "same-edge only")
+
+
+def _random_pair(rng, sources, targets, gens, mode):
+    if mode == "same-edge only":
+        pool = [(m, s) for m in sources for s in gens]
+        A = CellSet([], [_segment(rng, m, s) for m, s in rng.sample(pool, min(len(pool), rng.randint(1, 2)))])
+    else:
+        A = _cellset(rng, sources, gens)
+    if mode == "independent":
+        return A, _cellset(rng, targets, gens)
+    # Shared edges get one or two B segments, so several gaps per edge occur.
+    edges = [(seg.element, seg.gen) for seg in A.segments]
+    edges = edges + [e for e in edges if rng.random() < 0.5]
+    return A, _cellset(rng, targets, gens, edges, only_edges=mode == "same-edge only")
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_set_distance_matches_pairwise(name):
+    build, horizon, source_depth, target_depth = ORACLES[name]
+    oracle, plain = build(), build()
+    ball = ReferenceBall(build())
+    sources = ball.elements_up_to(source_depth)
+    targets = ball.elements_up_to(target_depth)
+    gens = list(oracle.generators)
+    rng = random.Random(f"set-distance-{name}")
+    outcomes = set()
+    for h in range(horizon + 1):
+        for i in range(CASES_PER_HORIZON):
+            A, B = _random_pair(rng, sources, targets, gens, MODES[i % len(MODES)])
+            expected = reference_set_distance(plain, A, B, h)
+            got = gamma_set_distance(oracle, A, B, h)
+            assert got == expected, (A.vertices, A.segments, B.vertices, B.segments, h)
+            outcomes.add(_outcome(got))
+    assert "known" in outcomes
+    if name in FIELD_OUTCOMES:
+        assert "unknown_above" in outcomes
+
+
+def test_same_edge_pairs_skip_the_generic_formula():
+    # Both sets lie on the edge (e, g) of Z5; every representative pair is a
+    # same-edge pair, so the answer is the interval gap 1/4.  The generic
+    # formula would pair the source (g, 0) with the target (e, 0) and, with
+    # d(g, e) = 4 past horizon 0, turn the answer into "unknown above 0".
+    z5 = cyclic_group(5)
+    A = CellSet([], [Segment((), "g", Fraction(1, 2), Fraction(1))])
+    B = CellSet([], [Segment((), "g", Fraction(0), Fraction(1, 4))])
+    expected = TruncatedDistance.known(ExtNonNeg.of(Fraction(1, 4)))
+    assert reference_set_distance(z5, A, B, 0) == expected
+    assert gamma_set_distance(z5, A, B, 0) == expected
+
+
+def test_same_edge_pairs_on_a_loop_edge():
+    # z*a = z: both ends of the edge (z, a) are z, so the generic formula
+    # would give d(z, z) + 0 + 0 = 0 where the same-edge gap is 1/2.
+    absorbing = TableMonoid(["e", "a", "z"], [[0, 1, 2], [1, 2, 2], [2, 2, 2]], generators=["a"])
+    z = ("a", "a")
+    A = CellSet([], [Segment(z, "a", Fraction(3, 4), Fraction(1))])
+    B = CellSet([], [Segment(z, "a", Fraction(0), Fraction(1, 4))])
+    expected = TruncatedDistance.known(ExtNonNeg.of(Fraction(1, 2)))
+    for h in range(3):
+        assert reference_set_distance(absorbing, A, B, h) == expected
+        assert gamma_set_distance(absorbing, A, B, h) == expected
