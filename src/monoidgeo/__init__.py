@@ -25,11 +25,8 @@ from .extnum import (
     ZERO,
     ExtNonNeg,
     TruncatedDistance,
-    ext_add,
-    ext_compare,
     ext_max,
     ext_min,
-    ext_scale,
     truncated_min,
 )
 from .monoids import (

@@ -9,15 +9,18 @@ or infinite when the field's frontier empties within the horizon or a fast
 path certifies it) or only known to exceed the horizon.  A witness word is
 the field's parent chain, the first shortest word in BFS order.
 
-``gamma_distance`` evaluates the five-case distance on the point set
-M ∪ (M × S × (0,1)); ``gamma_set_distance`` computes exact infima between
-finitely described regions (cell sets).  The case formulas are affine in
-edge offsets between breakpoints, so closure extremes suffice, and each is
-a word distance between base vertices plus a rational offset; the infimum
-therefore takes one word distance per pair of base vertices, at the least
-offset each set reaches there.  Two points on one edge are |mu - nu| apart
-instead, so offsets from an edge where both sets have segments are never
-paired with each other; interval gaps cover those pairs.
+The five-case distance on the point set M ∪ (M × S × (0,1)) has one
+evaluator, a reduction to base vertices that serves single points
+(``gamma_distance``) and finitely described regions (cell sets,
+``gamma_set_distance``) alike.  Each case is a word distance between base
+vertices plus a rational offset: a source point leaves from its vertex, or
+from either end of its edge, and a target point is reached at its vertex or
+at the start of its edge.  The case formulas are affine in edge offsets
+between breakpoints, so for a cell set closure extremes suffice, and the
+infimum takes one word distance per pair of base vertices, at the least
+offset each side reaches there.  Two points on one edge are |mu - nu| apart
+instead, so offsets from an edge both sides lie on are never paired with
+each other; interval gaps cover those pairs.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import HorizonTooSmall, InvalidElement, NoPath
-from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance, truncated_min
+from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance
 from .monoids import MonoidOracle, Word, format_word
+from .spaces import PathWitness, SemimetricSpace, Violation, ViolationReport
 
 
 # ---------------------------------------------------------------------------
@@ -124,46 +128,73 @@ def parse_point(oracle: MonoidOracle, text: str) -> CayleyPoint:
 # The five-case distance
 # ---------------------------------------------------------------------------
 
-# Internal extended points allow closed offsets 0 and 1 so that infima over
-# segment closures can be evaluated at interval endpoints.  An extended edge
-# point with offset 0 or 1 is *not* identified with a vertex: the case
-# formulas are evaluated literally, which yields the correct closure limits
-# in the directed setting.
+# Sources and targets map a base vertex to {edge or None: least offset}; an
+# offset carries its edge only when both sides lie on that edge.
 
-_ExtPoint = tuple  # ("v", m) | ("e", m, s, mu) with mu in [0, 1]
+_AT_VERTEX = Fraction(0)
 
 
-def _ext(p: CayleyPoint) -> _ExtPoint:
-    if isinstance(p, Vertex):
-        return ("v", p.element)
-    return ("e", p.element, p.gen, p.mu)
+def _offer(bases: dict, base: Word, edge, offset: Fraction) -> None:
+    by_edge = bases.setdefault(base, {})
+    if edge not in by_edge or offset < by_edge[edge]:
+        by_edge[edge] = offset
 
 
-def _ext_distance(
-    oracle: MonoidOracle, p: _ExtPoint, q: _ExtPoint, horizon: int
+def _base_pair_distance(
+    oracle: MonoidOracle, sources: dict, targets: dict, best: Optional[Fraction], horizon: int
 ) -> TruncatedDistance:
-    wd = lambda a, b: word_distance(oracle, a, b, horizon)
-    if p[0] == "v" and q[0] == "v":
-        return wd(p[1], q[1])
-    if p[0] == "v":
-        _, n, _y, nu = q
-        return wd(p[1], n).plus(ExtNonNeg.of(nu))
-    _, m, x, mu = p
-    mx = oracle.multiply(m, (x,))
-    if q[0] == "v":
-        n = q[1]
-        via_back = wd(m, n).plus(ExtNonNeg.of(mu))
-        via_forward = wd(mx, n).plus(ExtNonNeg.of(1 - mu))
-        return truncated_min([via_back, via_forward])
-    _, n, y, nu = q
-    if m == n and x == y:
-        return TruncatedDistance.known(ExtNonNeg.of(abs(mu - nu)))
-    to_base = _ext_distance(oracle, p, ("v", n), horizon)
-    return to_base.plus(ExtNonNeg.of(nu))
+    """The least of ``best`` and d(s, t) + a + b over sources (s, a) and
+    targets (t, b), never pairing two offsets that carry the same edge.
+
+    ``best`` is a known starting minimum (the same-edge gaps) or None.
+    Adding a known finite offset keeps the order and kind of truncated
+    distances, so each pair of bases costs one word distance, at the least
+    offset sum.
+    """
+    # Running minimum in truncated_min's order: least value first (None is
+    # infinity), and a known value before an unknown bound of the same size.
+    best_known = best is not None
+    for s, s_offsets in sources.items():
+        for t, t_offsets in targets.items():
+            offsets = [
+                a + b
+                for a_edge, a in s_offsets.items()
+                for b_edge, b in t_offsets.items()
+                if a_edge is None or a_edge != b_edge
+            ]
+            if not offsets:
+                continue
+            d = word_distance(oracle, s, t, horizon)
+            value = d.value.frac
+            if value is None:
+                # A known infinity; an unknown bound is always finite.
+                if best is None:
+                    best_known = True
+                continue
+            value += min(offsets)
+            if best is None or value < best or (value == best and d.is_known and not best_known):
+                best, best_known = value, d.is_known
+    if best_known:
+        return TruncatedDistance.known(INF if best is None else ExtNonNeg(best))
+    return TruncatedDistance.unknown_above(ExtNonNeg(best))
 
 
 def gamma_distance(oracle: MonoidOracle, p: CayleyPoint, q: CayleyPoint, horizon: int) -> TruncatedDistance:
-    return _ext_distance(oracle, _ext(p), _ext(q), horizon)
+    """d(p, q): a vertex m is the source (m, 0), an edge point (m, x, mu)
+    the sources (m, mu) and (m·x, 1 - mu); a vertex n is the target (n, 0),
+    an edge point (n, y, nu) the target (n, nu)."""
+    if isinstance(p, Vertex) and isinstance(q, Vertex):
+        return word_distance(oracle, p.element, q.element, horizon)
+    edge = gap = None
+    if isinstance(p, EdgePoint) and isinstance(q, EdgePoint) and (p.element, p.gen) == (q.element, q.gen):
+        edge, gap = (p.element, p.gen), abs(p.mu - q.mu)
+    if isinstance(p, Vertex):
+        sources = {p.element: {None: _AT_VERTEX}}
+    else:
+        sources = {p.element: {edge: p.mu}}
+        _offer(sources, oracle.multiply(p.element, (p.gen,)), edge, 1 - p.mu)
+    targets = {q.element: {None: _AT_VERTEX} if isinstance(q, Vertex) else {edge: q.mu}}
+    return _base_pair_distance(oracle, sources, targets, gap, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +253,6 @@ class CellSet:
             (Segment(oracle.multiply(m, s.element), s.gen, s.lo, s.hi) for s in self.segments),
         )
 
-    def closure_reps(self) -> list[_ExtPoint]:
-        reps: list[_ExtPoint] = [("v", v) for v in sorted(self.vertices)]
-        for seg in self.segments:
-            reps.append(("e", seg.element, seg.gen, seg.lo))
-            if seg.hi != seg.lo:
-                reps.append(("e", seg.element, seg.gen, seg.hi))
-        return reps
-
     def contains(self, p: CayleyPoint) -> bool:
         """Membership in the closed region (segment endpoints included)."""
         if isinstance(p, Vertex):
@@ -275,28 +298,17 @@ def _interval_gap(a_lo, a_hi, b_lo, b_hi) -> Fraction:
 def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: int) -> TruncatedDistance:
     """Exact inf { d(a,b) : a in closure(A), b in closure(B) }.
 
-    Between closure representatives p and q not on one edge, the five-case
-    distance is the least d(s, t) + a + b over the sources (s, a) of p and
-    the targets (t, b) of q: a vertex m is the source (m, 0), an edge point
-    (m, x, mu) the sources (m, mu) and (m·x, 1 - mu); a vertex n is the
-    target (n, 0), an edge point (n, y, nu) the target (n, nu).  Adding a
-    known finite offset keeps the order and kind of truncated distances, so
-    only the least offset at each base matters: a segment [lo, hi] gives the
-    sources (m, lo) and (m·x, 1 - hi) and the target (m, lo), and each pair
-    of bases costs one word distance.
-
-    Two points on one edge are |mu - nu| apart instead, which the interval
-    gaps bound from below.  So offsets from an edge on which both sets have
-    segments keep that edge, and are never paired with each other.
+    Only the least offset at each base matters, so a segment [lo, hi] on
+    the edge (m, x) gives the sources (m, lo) and (m·x, 1 - hi) and the
+    target (m, lo), as the points at its ends would.  Two points on one edge
+    are |mu - nu| apart instead, which the interval gaps bound from below;
+    so offsets from an edge on which both sets have segments keep that edge.
     """
     if not A or not B:
         return TruncatedDistance.known(INF)
-    # Running minimum in truncated_min's order: least value first (None is
-    # infinity), and a known value before an unknown bound of the same size.
-    best: Optional[Fraction] = None
-    best_known = False
     # Same-edge overlaps need the interior: |mu - nu| is convex, so interval
     # intersection (distance 0) is not visible from endpoints alone.
+    least_gap: Optional[Fraction] = None
     b_by_edge: dict[tuple[Word, str], list[Segment]] = {}
     for seg in B.segments:
         b_by_edge.setdefault((seg.element, seg.gen), []).append(seg)
@@ -305,53 +317,23 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
         for other in b_by_edge.get((seg.element, seg.gen), ()):
             shared.add((seg.element, seg.gen))
             gap = _interval_gap(seg.lo, seg.hi, other.lo, other.hi)
-            if best is None or gap < best:
-                best, best_known = gap, True
+            if least_gap is None or gap < least_gap:
+                least_gap = gap
 
-    # base -> {edge or None: least offset}; only shared edges are kept apart.
     sources: dict[Word, dict] = {}
     targets: dict[Word, dict] = {}
-
-    def offer(bases: dict, base: Word, edge, offset: Fraction) -> None:
-        by_edge = bases.setdefault(base, {})
-        if edge not in by_edge or offset < by_edge[edge]:
-            by_edge[edge] = offset
-
     for v in A.vertices:
-        offer(sources, v, None, Fraction(0))
+        _offer(sources, v, None, _AT_VERTEX)
     for v in B.vertices:
-        offer(targets, v, None, Fraction(0))
+        _offer(targets, v, None, _AT_VERTEX)
     for seg in A.segments:
         edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
-        offer(sources, seg.element, edge, seg.lo)
-        offer(sources, oracle.multiply(seg.element, (seg.gen,)), edge, 1 - seg.hi)
+        _offer(sources, seg.element, edge, seg.lo)
+        _offer(sources, oracle.multiply(seg.element, (seg.gen,)), edge, 1 - seg.hi)
     for seg in B.segments:
         edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
-        offer(targets, seg.element, edge, seg.lo)
-
-    for s, s_offsets in sources.items():
-        for t, t_offsets in targets.items():
-            offsets = [
-                a + b
-                for a_edge, a in s_offsets.items()
-                for b_edge, b in t_offsets.items()
-                if a_edge is None or a_edge != b_edge
-            ]
-            if not offsets:
-                continue
-            d = word_distance(oracle, s, t, horizon)
-            value = d.value.frac
-            if value is None:
-                # A known infinity; an unknown bound is always finite.
-                if best is None:
-                    best_known = True
-                continue
-            value += min(offsets)
-            if best is None or value < best or (value == best and d.is_known and not best_known):
-                best, best_known = value, d.is_known
-    if best_known:
-        return TruncatedDistance.known(INF if best is None else ExtNonNeg(best))
-    return TruncatedDistance.unknown_above(ExtNonNeg(best))
+        _offer(targets, seg.element, edge, seg.lo)
+    return _base_pair_distance(oracle, sources, targets, least_gap, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +341,7 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
 # ---------------------------------------------------------------------------
 
 
-class GammaOracle:
+class GammaOracle(SemimetricSpace):
     """Γ_S(M) with a fixed default horizon; restriction to vertices is d_S."""
 
     def __init__(self, monoid: MonoidOracle, horizon: int = 8):
@@ -367,27 +349,15 @@ class GammaOracle:
         self.horizon = horizon
 
     def distance(self, p: CayleyPoint, q: CayleyPoint, horizon: Optional[int] = None) -> TruncatedDistance:
-        return gamma_distance(self.monoid, p, q, horizon or self.horizon)
-
-    def known_distance(self, p: CayleyPoint, q: CayleyPoint) -> ExtNonNeg:
-        d = self.distance(p, q)
-        if not d.is_known:
-            raise HorizonTooSmall(f"d({p}, {q}) only known to exceed {d.value}")
-        return d.value
-
-    def points_equal(self, p: CayleyPoint, q: CayleyPoint) -> bool:
-        return p == q
+        return gamma_distance(self.monoid, p, q, self.horizon if horizon is None else horizon)
 
     def set_distance(self, A: CellSet, B: CellSet, horizon: Optional[int] = None) -> TruncatedDistance:
-        return gamma_set_distance(self.monoid, A, B, horizon or self.horizon)
-
-    def format_point(self, p: CayleyPoint) -> str:
-        return str(p)
+        return gamma_set_distance(self.monoid, A, B, self.horizon if horizon is None else horizon)
 
     # -- ball cell sets ----------------------------------------------------
 
     def out_ball_cellset(self, center: Word, radius: Fraction, horizon: Optional[int] = None) -> CellSet:
-        horizon = horizon or self.horizon
+        horizon = self.horizon if horizon is None else horizon
         radius = Fraction(radius)
         depth = int(radius)
         if depth > horizon:
@@ -404,7 +374,7 @@ class GammaOracle:
         return CellSet(vertices, segments)
 
     def in_ball_cellset(self, center: Word, radius: Fraction, horizon: Optional[int] = None) -> CellSet:
-        horizon = horizon or self.horizon
+        horizon = self.horizon if horizon is None else horizon
         radius = Fraction(radius)
         candidates = self.monoid.left_divisor_candidates(center, int(radius) + 1)
         if candidates is None:
@@ -482,8 +452,6 @@ class GammaOracle:
 
 def check_inclusion_qi(gamma: GammaOracle, horizon: int, sample_depth: Optional[int] = None):
     """Vertex distances in Γ agree with d_S; edge points sit in strong 1-balls."""
-    from .spaces import ViolationReport, Violation  # local import avoids a cycle
-
     monoid = gamma.monoid
     depth = min(horizon, sample_depth if sample_depth is not None else 4)
     ball = monoid.elements_up_to(depth)
@@ -526,8 +494,6 @@ def check_inclusion_qi(gamma: GammaOracle, horizon: int, sample_depth: Optional[
 
 def geodesic_witness(gamma: GammaOracle, x: Word, y: Word, horizon: int):
     """A vertex path witness along a shortest word from x to y."""
-    from .spaces import PathWitness
-
     monoid = gamma.monoid
     dist = word_distance(monoid, x, y, horizon)
     if not dist.is_known or dist.value.is_infinite:

@@ -140,19 +140,6 @@ def _coerce(x) -> ExtNonNeg:
     return ExtNonNeg.of(x)
 
 
-def ext_add(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
-    return a + b
-
-
-def ext_scale(c: Rational, d: ExtNonNeg) -> ExtNonNeg:
-    return d.scale(c)
-
-
-def ext_compare(a: ExtNonNeg, b: ExtNonNeg) -> str:
-    c = a.compare(b)
-    return "less" if c < 0 else "greater" if c > 0 else "equal"
-
-
 def ext_min(values: Iterable[ExtNonNeg]) -> ExtNonNeg:
     """Minimum, with the empty minimum being infinity (inf of the empty set)."""
     best = INF
@@ -200,11 +187,6 @@ class TruncatedDistance:
     @property
     def is_known(self) -> bool:
         return self.kind == "known"
-
-    def known_value(self) -> ExtNonNeg:
-        if self.kind != "known":
-            raise ValueError(f"distance only known to exceed {self.value}")
-        return self.value
 
     def plus(self, other: "TruncatedDistance | ExtNonNeg | Rational") -> "TruncatedDistance":
         if not isinstance(other, TruncatedDistance):

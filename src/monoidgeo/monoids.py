@@ -73,10 +73,6 @@ class MonoidOracle:
         """A shortest word w with x*w = y when exact_distance is finite."""
         return None
 
-    def certified_infinite(self, x: Word, y: Word) -> bool:
-        d = self.exact_distance(x, y)
-        return d is not None and d.is_infinite
-
     def left_divisor_candidates(self, y: Word, radius: int) -> Optional[list[Word]]:
         """A finite superset of {x : d(x, y) <= radius}, when enumerable."""
         return None
@@ -117,9 +113,6 @@ class MonoidOracle:
         if text in ("", EPSILON_DISPLAY) or (text == "e" and "e" not in self.generators):
             return ()
         return self.normal_form(_tokenize(text, self.generators, InvalidLetter))
-
-    def format_word(self, word: Word) -> str:
-        return format_word(word)
 
     def check_letters(self, word: Sequence[str]) -> None:
         for letter in word:
@@ -655,10 +648,9 @@ def rewrite_normal_form(
 
 @dataclass
 class SubmonoidSpec:
-    """A submonoid given by a membership predicate (plus optional generators)."""
+    """A submonoid given by a membership predicate."""
 
     membership: Callable[[Word], bool]
-    generators: Optional[list[Word]] = None
     name: str = "submonoid"
 
 

@@ -32,7 +32,6 @@ from .cayley import (
     shortest_word,
     word_distance,
 )
-from .cayley import _ext_distance  # closure-extreme distance evaluation
 from .errors import FactorizationFailed, HorizonTooSmall, HypothesisFailed
 from .extnum import INF, ZERO, ExtNonNeg, ext_max
 from .monoids import (
@@ -156,19 +155,16 @@ def extract_generators(inp: SmInput) -> SmReport:
     separations: dict[Word, ExtNonNeg] = contact.artifacts["separations"]
 
     # Q: separated translates that still touch the out-ball C of radius 5R.
+    # Every unknown bound is at least far > 5R, so d(x0, mB) is known and
+    # within 5R exactly when some point of mB is.
     five_R = 5 * R
+    center = CellSet([inp.basepoint])
     q_translates: list[tuple[Word, ExtNonNeg]] = []
     for m, sep in separations.items():
         if sep == ZERO or sep.is_infinite:
             continue
-        mB = B.translate(oracle, m)
-        touches = any(
-            (d := _ext_distance(gamma.monoid, ("v", inp.basepoint), p, far)).is_known
-            and not d.value.is_infinite
-            and d.value.finite_value() <= five_R
-            for p in mB.closure_reps()
-        )
-        if touches:
+        d = gamma_set_distance(gamma.monoid, center, B.translate(oracle, m), far)
+        if d.is_known and d.value <= five_R:
             q_translates.append((m, sep))
     min_q = min((sep.finite_value() for _, sep in q_translates), default=None)
     r = (R if min_q is None else min(R, min_q)) / 2
@@ -194,6 +190,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     depth = inp.claim2_depth if inp.claim2_depth is not None else horizon
     pair_ball = oracle.elements_up_to(min(depth, horizon))
     threshold = ExtNonNeg.of(2 * R + r)
+    translates = {m: B.translate(oracle, m) for m in pair_ball}
     c2_witnesses = []
     pairs_checked = 0
     for m in pair_ball:
@@ -206,7 +203,7 @@ def extract_generators(inp: SmInput) -> SmReport:
                 continue
             if not orbit.is_known and orbit.value >= threshold:
                 continue
-            d = gamma_set_distance(gamma.monoid, B.translate(oracle, m), B.translate(oracle, n), far)
+            d = gamma_set_distance(gamma.monoid, translates[m], translates[n], far)
             if not d.is_known:
                 raise HorizonTooSmall(f"d({format_word(m)}B, {format_word(n)}B) unknown")
             pairs_checked += 1

@@ -12,6 +12,7 @@ from monoidgeo import (
     ExtNonNeg,
     FreeMonoid,
     GammaOracle,
+    HorizonTooSmall,
     NoPath,
     Segment,
     Vertex,
@@ -327,6 +328,24 @@ def test_ball_kind_dispatch():
     assert g.ball_cellset((), Fraction(1), "out") == g.out_ball_cellset((), Fraction(1))
     with pytest.raises(ValueError):
         g.ball_cellset((), Fraction(1), "weird")
+
+
+def test_explicit_horizon_zero_is_not_the_default():
+    # At horizon 0 every nonzero distance in Z5 is only known to exceed 0:
+    # d(e, g) = 1 is unknown, no out-ball of radius 1 can be built, and the
+    # in-ball of e misses g^4, whose distance 1 to e is unknown too.
+    z5 = cyclic_group(5)
+    g = GammaOracle(z5, 8)
+    e, gen = Vertex(()), Vertex(("g",))
+    above_zero = gamma_distance(z5, e, gen, 0)
+    assert not above_zero.is_known and above_zero.value == ZERO
+    assert g.distance(e, gen, 0) == above_zero
+    assert g.set_distance(CellSet([()]), CellSet([("g",)]), 0) == above_zero
+    assert g.distance(e, gen) == gamma_distance(z5, e, gen, 8)
+    with pytest.raises(HorizonTooSmall):
+        g.out_ball_cellset((), Fraction(1), 0)
+    assert g.in_ball_cellset((), Fraction(1), 0).vertices == {()}
+    assert g.in_ball_cellset((), Fraction(1)).vertices == {(), ("g",) * 4}
 
 
 # -- inclusion QI and geodesics ---------------------------------------------
