@@ -48,7 +48,6 @@ from .monoids import (
     cyclic_group,
     ends_in_group_identity_submonoid,
     format_word,
-    free_product_normal_form,
     from_spec_dict,
     rewrite_normal_form,
     trivial_monoid,

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 from .cayley import CayleyPoint, CellSet, EdgePoint, GammaOracle, Vertex, word_distance
 from .errors import HorizonTooSmall
-from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance, ext_min
+from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance
 from .monoids import MonoidOracle, Word, format_word
 
 

@@ -1,13 +1,16 @@
 """Word semimetrics and the continuous Cayley graph.
 
-``word_distance`` and ``shortest_word`` answer from a structural fast path
-when the oracle has one; otherwise they read the distance field of the
-source, one breadth-first search over right multiplication by generators
-per source element, grown lazily in whole levels and shared by every query
-and ball from that source.  Answers follow horizon semantics: exact (finite,
-or infinite when the field's frontier empties within the horizon or a fast
-path certifies it) or only known to exceed the horizon.  A witness word is
-the field's parent chain, the first shortest word in BFS order.
+``word_distance`` and ``shortest_word`` read one answer.  When the oracle
+has a structural fast path, ``exact_quotient`` gives a shortest word w with
+x·w = y, or None when y is not in xM; the word is memoized, the distance is
+its length, and None is a known infinity.  Otherwise they read the distance
+field of the source, one breadth-first search over right multiplication by
+generators per source element, grown lazily in whole levels and shared by
+every query and ball from that source.  Answers follow horizon semantics:
+exact (finite, or infinite when the field's frontier empties within the
+horizon or the fast path finds no quotient) or only known to exceed the
+horizon.  A field's witness word is its parent chain, the first shortest
+word in BFS order.
 
 The five-case distance on the point set M ∪ (M × S × (0,1)) has one
 evaluator, a reduction to base vertices that serves single points
@@ -31,7 +34,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import HorizonTooSmall, InvalidElement, NoPath
-from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance
+from .extnum import INF, ExtNonNeg, TruncatedDistance
 from .monoids import MonoidOracle, Word, format_word
 from .spaces import PathWitness, SemimetricSpace, Violation, ViolationReport
 
@@ -46,37 +49,42 @@ def _known(depth: int) -> TruncatedDistance:
     return TruncatedDistance.known(ExtNonNeg.finite(depth))
 
 
+_KNOWN_INF = TruncatedDistance.known(INF)
+_UNSEEN = object()
+
+
 def word_distance(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> TruncatedDistance:
     # Set-distance and pipeline code re-ask the same vertex pairs heavily,
-    # so structural answers are memoized; field answers are lookups.
-    hit = oracle._exact_memo.get((x, y))
-    if hit is None:
-        fast = ZERO if x == y else oracle.exact_distance(x, y)
-        if fast is None:
+    # so structural quotients are memoized; field answers are lookups.
+    w = oracle._exact_memo.get((x, y), _UNSEEN)
+    if w is _UNSEEN:
+        w = () if x == y else oracle.exact_quotient(x, y)
+        if w is NotImplemented:
             field = oracle.distance_field(x)
             depth = field.depth(y, horizon)
             if depth is not None:
                 return _known(depth)
             if field.empty_level is not None and field.empty_level <= horizon:
-                return TruncatedDistance.known(INF)
+                return _KNOWN_INF
             return TruncatedDistance.unknown_above(ExtNonNeg.finite(horizon))
-        hit = oracle._exact_memo[x, y] = TruncatedDistance.known(fast)
-    return hit
+        oracle._exact_memo[x, y] = w
+    return _KNOWN_INF if w is None else _known(len(w))
 
 
 def shortest_word(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> Word:
     """A witness word w of length d(x,y) with x*w = y; NoPath if none certified."""
-    if x == y:
-        return ()
-    fast = oracle.exact_distance(x, y)
-    if fast is None:
-        field = oracle.distance_field(x)
-        witness = field.word_to(y) if field.depth(y, horizon) is not None else None
-    else:
-        witness = oracle.exact_distance_witness(x, y) if fast.is_finite else None
-    if witness is None:
+    # The same answer as word_distance's, read the same way.
+    w = oracle._exact_memo.get((x, y), _UNSEEN)
+    if w is _UNSEEN:
+        w = () if x == y else oracle.exact_quotient(x, y)
+        if w is NotImplemented:
+            field = oracle.distance_field(x)
+            w = field.word_to(y) if field.depth(y, horizon) is not None else None
+        else:
+            oracle._exact_memo[x, y] = w
+    if w is None:
         raise NoPath(f"no certified finite path from {format_word(x)} to {format_word(y)}")
-    return witness
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +384,21 @@ class GammaOracle(SemimetricSpace):
     def in_ball_cellset(self, center: Word, radius: Fraction, horizon: Optional[int] = None) -> CellSet:
         horizon = self.horizon if horizon is None else horizon
         radius = Fraction(radius)
-        candidates = self.monoid.left_divisor_candidates(center, int(radius) + 1)
+        candidates = self.monoid.in_ball_candidates(center, int(radius) + 1, horizon)
         if candidates is None:
-            if self.monoid.ball_exhausted(horizon):
-                candidates = self.monoid.elements_up_to(horizon)
-            else:
-                raise HorizonTooSmall(
-                    f"{self.monoid.name}: cannot enumerate in-ball candidates"
-                )
+            raise HorizonTooSmall(f"{self.monoid.name}: cannot enumerate in-ball candidates")
         vertices = []
         segments = []
-        wd = lambda a, b: word_distance(self.monoid, a, b, horizon)
-        dist_to_center: dict[Word, TruncatedDistance] = {}
-
-        def d_to_center(m: Word) -> TruncatedDistance:
-            if m not in dist_to_center:
-                dist_to_center[m] = wd(m, center)
-            return dist_to_center[m]
-
+        d_to_center = lambda m: word_distance(self.monoid, m, center, horizon)
         for m in candidates:
             d = d_to_center(m)
             if d.is_known and not d.value.is_infinite and d.value.finite_value() <= radius:
                 vertices.append(m)
         # Edge (m, s): offsets with min(mu + d(m,c), (1-mu) + d(ms,c)) <= radius.
-        edge_bases = set(candidates)
-        for m in list(edge_bases):
+        for m in set(candidates):
+            dm = d_to_center(m)
             for s in self.monoid.generators:
                 intervals = []
-                dm = d_to_center(m)
                 if dm.is_known and not dm.value.is_infinite:
                     room = radius - dm.value.finite_value()
                     if room > 0:

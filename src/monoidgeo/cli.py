@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .actions import check_action_laws, check_isometric_embedding_action, translation_action
-from .cayley import GammaOracle, Vertex, check_inclusion_qi, parse_point, word_distance, shortest_word
+from .cayley import GammaOracle, Vertex, check_inclusion_qi, word_distance, shortest_word
 from .errors import MonoidGeoError
 from .monoids import (
     FreeProductMonoid,

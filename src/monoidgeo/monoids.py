@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     InvalidElement,
@@ -22,7 +22,6 @@ from .errors import (
     SpecParseError,
     SpecValidationError,
 )
-from .extnum import INF, ExtNonNeg, TruncatedDistance
 
 Word = tuple[str, ...]
 
@@ -65,26 +64,36 @@ class MonoidOracle:
 
     # -- optional structural fast paths -----------------------------------
 
-    def exact_distance(self, x: Word, y: Word) -> Optional[ExtNonNeg]:
-        """Exact right-multiplication distance when structure permits, else None."""
-        return None
+    def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
+        """The structural fast path: a shortest word w with x*w = y, or None
+        when y is not in xM, read off the normal forms at any length.
 
-    def exact_distance_witness(self, x: Word, y: Word) -> Optional[Word]:
-        """A shortest word w with x*w = y when exact_distance is finite."""
-        return None
+        The base class has none and returns NotImplemented; distances and
+        witnesses then come from the distance field of x.
+        """
+        return NotImplemented
 
     def left_divisor_candidates(self, y: Word, radius: int) -> Optional[list[Word]]:
         """A finite superset of {x : d(x, y) <= radius}, when enumerable."""
         return None
 
+    def in_ball_candidates(self, y: Word, radius: int, horizon: int) -> Optional[list[Word]]:
+        """A finite superset of {x : d(x, y) <= radius}: the left-divisor
+        candidates, else the whole monoid when the horizon ball exhausts it,
+        else None."""
+        candidates = self.left_divisor_candidates(y, radius)
+        if candidates is None and self.ball_exhausted(horizon):
+            candidates = self.elements_up_to(horizon)
+        return candidates
+
     # -- distance fields and ball enumeration -----------------------------
 
     def __init__(self):
         # One BFS field per source, an intern table shared by the fields'
-        # elements, and a memo of the answers of exact_distance.
+        # elements, and a memo of the answers of exact_quotient.
         self._fields: dict[Word, DistanceField] = {}
         self._interned: dict[Word, Word] = {}
-        self._exact_memo: dict[tuple[Word, Word], TruncatedDistance] = {}
+        self._exact_memo: dict[tuple[Word, Word], Optional[Word]] = {}
 
     def distance_field(self, source: Word) -> "DistanceField":
         """The lazily grown BFS field of right multiplication from `source`."""
@@ -160,8 +169,10 @@ class DistanceField:
 
     def depth(self, m: Word, horizon: int) -> Optional[int]:
         """d(source, m) when it is at most `horizon`, else None."""
-        self.grow(horizon, m)
         hit = self.reached.get(m)
+        if hit is None:  # grow() would return at once for a reached m
+            self.grow(horizon, m)
+            hit = self.reached.get(m)
         return hit[0] if hit is not None and hit[0] <= horizon else None
 
     def elements_up_to(self, n: int) -> list[Word]:
@@ -198,12 +209,7 @@ class FreeMonoid(MonoidOracle):
         self.check_letters(word)
         return tuple(word)
 
-    def exact_distance(self, x: Word, y: Word) -> Optional[ExtNonNeg]:
-        if len(x) <= len(y) and y[: len(x)] == x:
-            return ExtNonNeg.finite(len(y) - len(x))
-        return INF
-
-    def exact_distance_witness(self, x: Word, y: Word) -> Optional[Word]:
+    def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
         if len(x) <= len(y) and y[: len(x)] == x:
             return y[len(x):]
         return None
@@ -239,8 +245,12 @@ class TableMonoid(MonoidOracle):
             for v in row:
                 if not (0 <= v < n):
                     raise SpecValidationError(f"table entry {v} out of range")
+        if isinstance(identity, str) and identity not in self.element_names:
+            raise SpecValidationError(f"identity {identity!r} is not an element")
         self.identity_idx = elements.index(identity) if isinstance(identity, str) else identity
         e = self.identity_idx
+        if not (0 <= e < n):
+            raise SpecValidationError(f"identity index {e} out of range")
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise SpecValidationError(f"{self.element_names[e]!r} is not a two-sided identity")
@@ -391,7 +401,6 @@ class FreeProductMonoid(MonoidOracle):
         # The geometry pipelines hammer these with repeated arguments.
         self._alt_cache: dict[Word, FreeProductElem] = {}
         self._mult_cache: dict[tuple[Word, Word], Word] = {}
-        self._quot_cache: dict[tuple[Word, Word], Optional[Word]] = {}
         super().__init__()
 
     # -- alternating forms -------------------------------------------------
@@ -446,15 +455,8 @@ class FreeProductMonoid(MonoidOracle):
 
     # -- distance fast path ------------------------------------------------
 
-    def _left_quotient(self, x: Word, y: Word) -> Optional[Word]:
+    def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
         """The unique w with x*w = y, or None when y is not in x*M."""
-        key = (x, y)
-        if key in self._quot_cache:
-            return self._quot_cache[key]
-        self._quot_cache[key] = w = self._left_quotient_raw(x, y)
-        return w
-
-    def _left_quotient_raw(self, x: Word, y: Word) -> Optional[Word]:
         a = self.to_alternating(x)
         b = self.to_alternating(y)
         m, n = len(a.free_parts), len(b.free_parts)
@@ -471,15 +473,6 @@ class FreeProductMonoid(MonoidOracle):
         frees = b.free_parts[m:]
         return self.from_alternating(FreeProductElem(groups, frees))
 
-    def exact_distance(self, x: Word, y: Word) -> Optional[ExtNonNeg]:
-        w = self._left_quotient(x, y)
-        if w is None:
-            return INF
-        return ExtNonNeg.finite(len(w))
-
-    def exact_distance_witness(self, x: Word, y: Word) -> Optional[Word]:
-        return self._left_quotient(x, y)
-
     def left_divisor_candidates(self, y: Word, radius: int) -> list[Word]:
         b = self.to_alternating(y)
         out: list[Word] = []
@@ -490,18 +483,14 @@ class FreeProductMonoid(MonoidOracle):
         return sorted(set(out))
 
 
-def free_product_normal_form(monoid: FreeProductMonoid, word: Sequence[str]) -> FreeProductElem:
-    """The unique alternating form of a word over the free letters and G."""
-    return monoid.to_alternating(word)
-
-
 class RewritingMonoid(MonoidOracle):
     """Monoid presented by a confluent, length-nonincreasing rewriting system.
 
     Normal forms are fixpoints of leftmost rewriting with a step cap; the
     user asserts confluence (a consistency sampler lives in the test suite).
-    Optional ``fast_path`` tags ("bicyclic", "zero") certify infinite
-    distances for the two stock infinite fixtures.
+    Optional ``fast_path`` tags ("bicyclic", "zero") read exact quotients,
+    infinite distances included, off the normal forms of the two stock
+    infinite fixtures.
     """
 
     def __init__(
@@ -572,25 +561,7 @@ class RewritingMonoid(MonoidOracle):
             a += 1
         return a, len(w) - a
 
-    def exact_distance(self, x: Word, y: Word) -> Optional[ExtNonNeg]:
-        if self.fast_path == "bicyclic":
-            a, b = self._bicyclic_exponents(x)
-            c, d = self._bicyclic_exponents(y)
-            if c < a:
-                return INF
-            if c == a:
-                return ExtNonNeg.finite(d - b if d >= b else b - d)
-            return ExtNonNeg.finite(b + (c - a) + d)
-        if self.fast_path == "zero":
-            _, z = self.generators
-            if x == (z,):
-                return ExtNonNeg.finite(0) if y == (z,) else INF
-            if y == (z,):
-                return ExtNonNeg.finite(1)
-            return ExtNonNeg.finite(len(y) - len(x)) if len(y) >= len(x) else INF
-        return None
-
-    def exact_distance_witness(self, x: Word, y: Word) -> Optional[Word]:
+    def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
         if self.fast_path == "bicyclic":
             p, q = self.generators
             a, b = self._bicyclic_exponents(x)
@@ -607,7 +578,7 @@ class RewritingMonoid(MonoidOracle):
             if y == (z,):
                 return (z,)
             return (a_,) * (len(y) - len(x)) if len(y) >= len(x) else None
-        return None
+        return NotImplemented
 
     def left_divisor_candidates(self, y: Word, radius: int) -> Optional[list[Word]]:
         if self.fast_path == "bicyclic":
@@ -666,7 +637,10 @@ class SubmonoidOracle(MonoidOracle):
         self.spec = spec
         self.name = f"{spec.name}<{parent.name}"
         self.generators = parent.generators
-        super().__init__()
+        # Same generators and products as the parent, so the same distance
+        # fields and fast-path answers: share them instead of a second copy.
+        self._fields, self._interned = parent._fields, parent._interned
+        self._exact_memo = parent._exact_memo
 
     def normal_form(self, word: Sequence[str]) -> Word:
         return self.parent.normal_form(word)
@@ -674,20 +648,14 @@ class SubmonoidOracle(MonoidOracle):
     def multiply(self, u: Word, v: Word) -> Word:
         return self.parent.multiply(u, v)
 
-    def exact_distance(self, x: Word, y: Word):
-        return self.parent.exact_distance(x, y)
-
-    def exact_distance_witness(self, x: Word, y: Word):
-        return self.parent.exact_distance_witness(x, y)
+    def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
+        return self.parent.exact_quotient(x, y)
 
     def contains(self, m: Word) -> bool:
         return self.spec.membership(m)
 
     def elements_up_to(self, n: int) -> list[Word]:
         return [m for m in self.parent.elements_up_to(n) if self.contains(m)]
-
-    def ball_exhausted(self, n: int) -> bool:
-        return self.parent.ball_exhausted(n)
 
 
 def ends_in_group_identity_submonoid(monoid: FreeProductMonoid) -> SubmonoidSpec:
@@ -788,10 +756,43 @@ def check_left_unitary(oracle: MonoidOracle, sub: SubmonoidSpec, horizon: int) -
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list(v, item=lambda x: isinstance(x, str)) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+def _is_side(v) -> bool:
+    return isinstance(v, str) or _is_list(v)
+
+
+# Spec key -> (type test, what its value must be).  Null stands for a left-out
+# key only where the key is optional and has a default.
+_SPEC_TYPES = {
+    "rank": (_is_int, "an integer"),
+    "free_rank": (_is_int, "an integer"),
+    "step_cap": (_is_int, "an integer"),
+    "identity": (lambda v: isinstance(v, str) or _is_int(v), "an element name or index"),
+    "elements": (_is_list, "a list of strings"),
+    "alphabet": (lambda v: v is None or _is_list(v), "a list of strings"),
+    "generators": (lambda v: v is None or _is_list(v), "a list of strings"),
+    "table": (lambda v: _is_list(v, lambda row: _is_list(row, _is_int)), "a list of rows of integers"),
+    "rules": (
+        lambda v: _is_list(v, lambda r: _is_list(r, _is_side) and len(r) == 2),
+        "a list of [lhs, rhs] pairs, each side a string or a list of letters",
+    ),
+}
+
+
 def from_spec_dict(doc: dict) -> MonoidOracle:
     """Build an oracle from a monoid spec document (see README for the schema)."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise SpecParseError("monoid spec must be an object with a 'type' field")
+    for key, (ok, what) in _SPEC_TYPES.items():
+        if key in doc and not ok(doc[key]):
+            raise SpecValidationError(f"{key!r} must be {what}")
     kind = doc["type"]
     if kind == "free":
         return FreeMonoid(doc["rank"], alphabet=doc.get("alphabet"))
@@ -817,6 +818,8 @@ def from_spec_dict(doc: dict) -> MonoidOracle:
     if kind == "rewriting":
         if not doc.get("confluent", False):
             raise SpecValidationError("rewriting spec must assert confluence ('confluent': true)")
+        if doc["generators"] is None:
+            raise SpecValidationError("'generators' must be a list of strings")
         def side(t) -> Word:  # a plain string or a list of letters
             return _tokenize(t, doc["generators"], SpecParseError) if isinstance(t, str) else tuple(t)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import HorizonTooSmall
 from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance, ext_min, nonneg_fraction
@@ -63,12 +63,9 @@ class WordMetricSpace(SemimetricSpace):
         return self.oracle.distance_field(p).elements_up_to(radius)
 
     def enumerate_in(self, p: Word, radius: int) -> Optional[list[Word]]:
-        candidates = self.oracle.left_divisor_candidates(p, radius)
+        candidates = self.oracle.in_ball_candidates(p, radius, self.horizon)
         if candidates is None:
-            if self.oracle.ball_exhausted(self.horizon):
-                candidates = self.oracle.elements_up_to(self.horizon)
-            else:
-                return None
+            return None
         result = []
         for m in candidates:
             d = self.distance(m, p)

@@ -11,9 +11,9 @@ relative to the stated horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .actions import (
     ActionOracle,
@@ -33,7 +33,7 @@ from .cayley import (
     word_distance,
 )
 from .errors import FactorizationFailed, HorizonTooSmall, HypothesisFailed
-from .extnum import INF, ZERO, ExtNonNeg, ext_max
+from .extnum import ZERO, ExtNonNeg, ext_max
 from .monoids import (
     FiniteGroup,
     FreeMonoid,
@@ -41,7 +41,6 @@ from .monoids import (
     MonoidOracle,
     SubmonoidOracle,
     SubmonoidSpec,
-    Verdict,
     Word,
     check_left_unitary,
     ends_in_group_identity_submonoid,
@@ -64,6 +63,11 @@ class SmInput:
             raise ValueError("ball radius must be positive")
         if self.radius > self.horizon:
             raise ValueError("require radius <= horizon")
+
+    @property
+    def far(self) -> int:
+        """The horizon of extraction's distance queries, which may need to see past 5R."""
+        return max(self.horizon, int(5 * self.radius) + 1)
 
 
 @dataclass
@@ -117,8 +121,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     gamma = _gamma_of(action)
     R = inp.radius
     horizon = inp.horizon
-    # Distance queries during extraction may need to see past 5R.
-    far = max(horizon, int(5 * R) + 1)
+    far = inp.far
     x0 = Vertex(inp.basepoint)
     B = gamma.strong_ball_cellset(inp.basepoint, R, far)
     if not B.contains(x0):
@@ -268,7 +271,7 @@ def factor_over_generators(
     gamma = _gamma_of(inp.action)
     x0 = inp.basepoint
     target = oracle.multiply(m, x0)
-    far = max(inp.horizon, int(5 * inp.radius) + 1)
+    far = inp.far
     dist = gamma.known_distance(Vertex(x0), Vertex(target))
     if dist.is_infinite:
         raise FactorizationFailed(format_word(m), 0, "basepoint orbit distance is infinite")
@@ -386,7 +389,7 @@ def verify_qi_bounds(report: SmReport, inp: SmInput) -> PropertyReport:
     oracle = action.monoid
     gamma = _gamma_of(inp.action)
     x0 = inp.basepoint
-    far = max(inp.horizon, int(5 * inp.radius) + 1)
+    far = inp.far
     l, lam = report.l, report.lam
     witnesses = []
     ball = oracle.elements_up_to(inp.horizon)
@@ -669,8 +672,8 @@ def run_free_product(inp: FreeProductInput) -> PropertyReport:
     pairs = list(images.items())  # (image in N, basis word)
     for img1, b1 in pairs:
         for img2, b2 in pairs:
-            d_free = free_model.exact_distance(b1, b2)
-            d_N = N.exact_distance(img1, img2)
+            d_free = word_distance(free_model, b1, b2, horizon).value
+            d_N = word_distance(N, img1, img2, horizon).value
             if d_free.is_infinite != d_N.is_infinite:
                 witnesses.append(
                     {"reason": "finiteness mismatch",

@@ -113,11 +113,8 @@ def test_bfs_matches_fast_path_on_free_product():
     m = FreeProductMonoid(1, cyclic_group(2))
 
     class NoFast(FreeProductMonoid):
-        def exact_distance(self, x, y):
-            return None
-
-        def exact_distance_witness(self, x, y):
-            return None
+        def exact_quotient(self, x, y):
+            return NotImplemented
 
     plain = NoFast(1, cyclic_group(2))
     ball = m.elements_up_to(3)

@@ -133,10 +133,33 @@ def test_free_product_pipeline():
 
 
 def test_bad_spec_errors_exit_2(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"type": "unknown"}')
-    code, doc, text = run_cli("--monoid", str(bad), "dist", "a", "b")
-    assert code == 2 and text == ""
+    z2 = {"type": "finite_group", "elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
+    a = {"type": "rewriting", "generators": ["a"], "confluent": True}
+    bad_docs = [
+        {"type": "unknown"},
+        # Values of the wrong type, each once a TypeError traceback.
+        {"type": "free", "rank": "2"},
+        {"type": "free", "rank": None},
+        {"type": "free", "rank": 2, "alphabet": 5},
+        {"type": "free_product", "free_rank": "1", "group": z2},
+        {"type": "table", "elements": 3, "table": [[0]]},
+        {"type": "table", "elements": ["e", 1], "table": [[0, 1], [1, 0]]},
+        {"type": "table", "elements": ["e", "a"], "table": [[0, 1], [1, 0]], "generators": 5},
+        {"type": "table", "elements": ["e"], "table": 0},
+        {"type": "table", "elements": ["e"], "table": [[None]]},
+        {"type": "table", "elements": ["e"], "table": [[0]], "identity": 7},
+        {**z2, "identity": [0]},
+        {**a, "generators": 2, "rules": []},
+        {**a, "rules": 7},
+        {**a, "rules": [5]},
+        {**a, "rules": [["aa", 1]]},
+        {**a, "rules": [["aa", "a"]], "step_cap": "9"},
+    ]
+    for i, spec in enumerate(bad_docs):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(spec))
+        code, doc, text = run_cli("--monoid", str(bad), "dist", "a", "b")
+        assert code == 2 and text == "", spec
     missing = tmp_path / "missing.json"
     code, _, _ = run_cli("--monoid", str(missing), "dist", "a", "b")
     assert code == 2

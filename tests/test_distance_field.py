@@ -19,15 +19,20 @@ from monoidgeo import (
     ZERO,
     ExtNonNeg,
     FiniteGroup,
+    FreeMonoid,
     FreeProductMonoid,
     NoPath,
     RewritingMonoid,
+    SubmonoidOracle,
     TableMonoid,
     TruncatedDistance,
+    bicyclic_monoid,
     cyclic_group,
+    ends_in_group_identity_submonoid,
     from_spec_dict,
     shortest_word,
     word_distance,
+    zero_monoid,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -37,11 +42,11 @@ def reference_bfs(oracle, x, y, horizon):
     """Returns (TruncatedDistance, witness word or None)."""
     if x == y:
         return TruncatedDistance.known(ZERO), ()
-    fast = oracle.exact_distance(x, y)
-    if fast is not None:
-        if fast.is_infinite:
+    fast = oracle.exact_quotient(x, y)
+    if fast is not NotImplemented:
+        if fast is None:
             return TruncatedDistance.known(INF), None
-        return TruncatedDistance.known(fast), oracle.exact_distance_witness(x, y)
+        return TruncatedDistance.known(ExtNonNeg.finite(len(fast))), fast
     parents = {}
     seen = {x}
     frontier = [x]
@@ -116,11 +121,8 @@ class ReferenceBall:
 
 
 class NoFastFreeProduct(FreeProductMonoid):
-    def exact_distance(self, x, y):
-        return None
-
-    def exact_distance_witness(self, x, y):
-        return None
+    def exact_quotient(self, x, y):
+        return NotImplemented
 
 
 def _compose(p, q):
@@ -248,3 +250,58 @@ def test_fields_share_interned_elements():
     for field in oracle._fields.values():
         for m in field.reached:
             assert by_value.setdefault(m, m) is m
+
+
+# -- structural fast paths against the fields -------------------------------
+
+
+def _ends_in_e_submonoid():
+    parent = FreeProductMonoid(1, cyclic_group(2))
+    return SubmonoidOracle(parent, ends_in_group_identity_submonoid(parent))
+
+
+FAST_PATHS = {
+    "free2": lambda: FreeMonoid(2, ["a", "b"]),
+    "F1*Z2": lambda: FreeProductMonoid(1, cyclic_group(2)),
+    "bicyclic": bicyclic_monoid,
+    "zero": zero_monoid,
+    "ends_in_e<F1*Z2": _ends_in_e_submonoid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATHS))
+def test_fast_path_matches_field_and_witness_lengths(name):
+    fast, plain = FAST_PATHS[name](), FAST_PATHS[name]()
+    plain.exact_quotient = lambda x, y: NotImplemented
+    ball = fast.elements_up_to(3)
+    outcomes = set()
+    for x in ball:
+        for y in ball:
+            # Horizon 0: only the fast path can know a nonzero distance.
+            got = word_distance(fast, x, y, 0)
+            assert got.is_known, (x, y)
+            expected = word_distance(plain, x, y, 8)
+            if expected.is_known:
+                assert got == expected, (x, y)
+            else:
+                assert got.value > expected.value, (x, y)
+            outcomes.add(_outcome(expected))
+            if got.value.is_infinite:
+                with pytest.raises(NoPath):
+                    shortest_word(fast, x, y, 0)
+            else:
+                w = shortest_word(fast, x, y, 0)
+                assert fast.multiply(x, w) == y, (x, y, w)
+                assert len(w) == got.value.finite_value(), (x, y, w)
+    assert "known" in outcomes
+    if name == "zero":
+        assert "infinite" in outcomes
+
+
+def test_submonoid_shares_the_parent_fields_and_memo():
+    sub = _ends_in_e_submonoid()
+    parent = sub.parent
+    assert sub._exact_memo is parent._exact_memo
+    assert sub._fields is parent._fields
+    word_distance(sub, ("f",), ("f", "g", "f"), 4)
+    assert parent._exact_memo[("f",), ("f", "g", "f")] == ("g", "f")

@@ -1,6 +1,7 @@
 """Monoid oracles: normal forms, fast paths, property checkers, spec parsing."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from monoidgeo import (
     FreeProductElem,
     FreeProductMonoid,
     InvalidLetter,
+    MonoidGeoError,
     NonTerminating,
     RewritingMonoid,
     SpecParseError,
@@ -28,12 +30,21 @@ from monoidgeo import (
     from_spec_dict,
     rewrite_normal_form,
     trivial_monoid,
+    word_distance,
     zero_monoid,
 )
 
 
 def fp_z2(rank=1):
     return FreeProductMonoid(rank, cyclic_group(2))
+
+
+def exact(m, x, y):
+    """d(x, y) as word_distance gives it at horizon 0, so only a structural
+    fast path can know it."""
+    d = word_distance(m, x, y, 0)
+    assert d.is_known, (x, y)
+    return d.value
 
 
 # -- free monoids -----------------------------------------------------------
@@ -47,9 +58,9 @@ def test_free_monoid_normal_form_is_identity():
 
 def test_free_monoid_prefix_distance():
     f2 = FreeMonoid(2, ["a", "b"])
-    assert f2.exact_distance((), ("a", "b")) == ExtNonNeg.of(2)
-    assert f2.exact_distance(("a",), ("b",)) == INF
-    assert f2.exact_distance_witness(("a",), ("a", "b", "b")) == ("b", "b")
+    assert exact(f2, (), ("a", "b")) == ExtNonNeg.of(2)
+    assert exact(f2, ("a",), ("b",)) == INF
+    assert f2.exact_quotient(("a",), ("a", "b", "b")) == ("b", "b")
 
 
 def test_free_monoid_ball_growth():
@@ -105,6 +116,14 @@ def test_non_associative_table_names_first_failing_triple():
         TableMonoid(["e", "a", "b", "c"], table)
 
 
+def test_identity_must_name_or_index_an_element():
+    table = [[0, 1], [1, 0]]
+    with pytest.raises(SpecValidationError, match="identity 'x' is not an element"):
+        TableMonoid(["e", "a"], table, identity="x")
+    with pytest.raises(SpecValidationError, match="identity index 2 out of range"):
+        TableMonoid(["e", "a"], table, identity=2)
+
+
 def test_non_group_rejected_as_group():
     # two-element semilattice: x has no inverse
     with pytest.raises(SpecValidationError):
@@ -148,12 +167,12 @@ def test_free_product_alternating_round_trip():
 def test_free_product_quotient_distance():
     m = fp_z2()
     # ε -> gf has distance 2, f -> gf is impossible
-    assert m.exact_distance((), ("g", "f")) == ExtNonNeg.of(2)
-    assert m.exact_distance(("f",), ("g", "f")) == INF
+    assert exact(m, (), ("g", "f")) == ExtNonNeg.of(2)
+    assert exact(m, ("f",), ("g", "f")) == INF
     # x = g, y = g f g: quotient f g
-    assert m.exact_distance_witness(("g",), ("g", "f", "g")) == ("f", "g")
+    assert m.exact_quotient(("g",), ("g", "f", "g")) == ("f", "g")
     # ending group letter can be corrected: g -> ε via g
-    assert m.exact_distance_witness(("g",), ()) == ("g",)
+    assert m.exact_quotient(("g",), ()) == ("g",)
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,11 +187,11 @@ def test_free_product_quotient_consistent_with_multiply():
     ball = m.elements_up_to(4)
     for x in ball:
         for y in ball:
-            w = m.exact_distance_witness(x, y)
+            w = m.exact_quotient(x, y)
             if w is not None:
                 assert m.multiply(x, w) == y
             else:
-                assert m.exact_distance(x, y) == INF
+                assert exact(m, x, y) == INF
 
 
 @pytest.mark.parametrize("rank,order", [(1, 2), (1, 3), (2, 2), (2, 3)])
@@ -187,7 +206,7 @@ def test_left_divisor_candidates_cover_divisors():
     y = ("g", "f", "f", "g")
     cands = m.left_divisor_candidates(y, 4)
     for x in m.elements_up_to(4):
-        if not m.exact_distance(x, y).is_infinite:
+        if not exact(m, x, y).is_infinite:
             assert x in cands
 
 
@@ -298,16 +317,16 @@ def test_rewriting_consistency_sampler(w, v):
 def test_bicyclic_distance_fast_path_vs_structure():
     b = bicyclic_monoid()
     # q^a p^b; reachability requires c >= a
-    assert b.exact_distance(("q",), ()) == INF
-    assert b.exact_distance((), ("q", "q", "p")) == ExtNonNeg.of(3)
-    assert b.exact_distance(("p",), ("p", "p")) == ExtNonNeg.of(1)
+    assert exact(b, ("q",), ()) == INF
+    assert exact(b, (), ("q", "q", "p")) == ExtNonNeg.of(3)
+    assert exact(b, ("p",), ("p", "p")) == ExtNonNeg.of(1)
     # x = q p, y = q q: witness q p? check via multiply
     for x in b.elements_up_to(3):
         for y in b.elements_up_to(3):
-            w = b.exact_distance_witness(x, y)
+            w = b.exact_quotient(x, y)
             if w is not None:
                 assert b.multiply(x, w) == y
-                assert len(w) == b.exact_distance(x, y).finite_value()
+                assert len(w) == exact(b, x, y).finite_value()
 
 
 def test_bicyclic_not_left_cancellative():
@@ -417,6 +436,34 @@ def test_spec_rewriting_requires_confluence_flag():
 def test_spec_unknown_type():
     with pytest.raises(SpecParseError):
         from_spec_dict({"type": "unknown"})
+
+
+_SPECS = [
+    {"type": "free", "rank": 2, "alphabet": ["a", "b"]},
+    {"type": "table", "elements": ["e", "a"], "table": [[0, 1], [1, 0]], "identity": "e", "generators": ["a"]},
+    {"type": "free_product", "free_rank": 1,
+     "group": {"type": "finite_group", "elements": ["e", "g"], "table": [[0, 1], [1, 0]], "identity": 0}},
+    {"type": "rewriting", "generators": ["a", "b"], "rules": [["ba", "ab"], [["b", "b"], []]],
+     "confluent": True, "step_cap": 50},
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False) | st.text("abeg", max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=1), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SPECS), st.data())
+def test_spec_values_of_any_json_shape_fail_cleanly(spec, data):
+    # The CLI maps exactly these exceptions to exit 2; any other is a traceback.
+    doc = json.loads(json.dumps(spec))
+    target = doc["group"] if "group" in doc and data.draw(st.booleans()) else doc
+    target[data.draw(st.sampled_from(sorted(target)))] = data.draw(_JSON)
+    try:
+        from_spec_dict(doc)
+    except (MonoidGeoError, KeyError, ValueError):
+        pass
 
 
 def test_parse_word_and_unknown_letter():
