@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cayley import CayleyPoint, CellSet, EdgePoint, GammaOracle, Vertex, word_distance
+from .cayley import CayleyPoint, CellSet, EdgePoint, GammaOracle, Translates, Vertex, word_distance
 from .errors import HorizonTooSmall
 from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance
 from .monoids import MonoidOracle, Word, format_word
@@ -127,31 +127,39 @@ def check_isometric_embedding_action(
 
 
 def check_cobounded(
-    action: ActionOracle, B: CellSet, ambient_sample: Sequence[CayleyPoint], horizon: int
+    action: ActionOracle, B: CellSet, ambient_sample: Sequence[CayleyPoint], horizon: int,
+    translates: Optional[Translates] = None,
 ) -> PropertyReport:
-    """Every sampled point lies in some translate mB with |m| <= horizon."""
+    """Every sampled point lies in some translate mB with |m| <= horizon.
+
+    `translates` is a run's cache of the translates of B, shared with the
+    checks that follow; a fresh one is made when none is given."""
     oracle = action.monoid
-    translates = [(m, B.translate(oracle, m)) for m in oracle.elements_up_to(horizon)]
+    translates = Translates(oracle, B) if translates is None else translates
+    covers = [translates[m] for m in oracle.elements_up_to(horizon)]
     uncovered = []
     for x in ambient_sample:
-        if not any(t.contains(x) for _, t in translates):
+        if not any(t.contains(x) for t in covers):
             uncovered.append(str(x))
     verdict = "fail" if uncovered else "pass"
     return PropertyReport("cobounded", verdict, horizon, uncovered)
 
 
-def compute_contact_set(action: ActionOracle, B: CellSet, horizon: int) -> PropertyReport:
+def compute_contact_set(
+    action: ActionOracle, B: CellSet, horizon: int, translates: Optional[Translates] = None
+) -> PropertyReport:
     """The set {m : d(B, mB) = 0} over the horizon ball, with the least
-    positive separation seen (which feeds the constant r downstream)."""
+    positive separation seen (which feeds the constant r downstream).
+    `translates` is as in check_cobounded."""
     oracle = action.monoid
     gamma: GammaOracle = action.space
+    translates = Translates(oracle, B) if translates is None else translates
     contact = []
     min_positive: Optional[ExtNonNeg] = None
     separations = {}
     boundary_depth = None
     for m in oracle.elements_up_to(horizon):
-        mB = B.translate(oracle, m)
-        d = gamma.set_distance(B, mB, horizon)
+        d = gamma.set_distance(B, translates[m], horizon)
         if not d.is_known:
             raise HorizonTooSmall(f"d(B, {format_word(m)}B) not known at horizon {horizon}")
         separations[m] = d.value

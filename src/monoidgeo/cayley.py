@@ -295,6 +295,18 @@ class CellSet:
         }
 
 
+class Translates(dict):
+    """The translates mB of one cell set B, keyed by m, each built on first use."""
+
+    def __init__(self, oracle: MonoidOracle, B: CellSet):
+        super().__init__()
+        self.oracle, self.B = oracle, B
+
+    def __missing__(self, m: Word) -> CellSet:
+        mB = self[m] = self.B.translate(self.oracle, m)
+        return mB
+
+
 def _interval_gap(a_lo, a_hi, b_lo, b_hi) -> Fraction:
     if a_hi < b_lo:
         return b_lo - a_hi

@@ -520,10 +520,15 @@ class RewritingMonoid(MonoidOracle):
         self.step_cap = step_cap
         if fast_path not in (None, "bicyclic", "zero"):
             raise SpecValidationError(f"unknown fast_path {fast_path!r}")
-        if fast_path == "bicyclic" and len(self.generators) != 2:
-            raise SpecValidationError("bicyclic fast path expects generators (p, q)")
-        if fast_path == "zero" and len(self.generators) != 2:
-            raise SpecValidationError("zero-monoid fast path expects generators (a, z)")
+        # A tag's closed forms hold only for the stock presentation, so the
+        # rules must be exactly it, read with the generators in tag order.
+        if fast_path is not None and (
+            len(self.generators) != 2 or set(self.rules) != _stock_rules(fast_path, *self.generators)
+        ):
+            expected = {"bicyclic": "pq -> ε over (p, q)", "zero": "az -> z, za -> z, zz -> z over (a, z)"}
+            raise SpecValidationError(
+                f"fast_path {fast_path!r} needs exactly the rules {expected[fast_path]}"
+            )
         self.fast_path = fast_path
         super().__init__()
 
@@ -598,12 +603,21 @@ class RewritingMonoid(MonoidOracle):
         return None
 
 
+def _stock_rules(fast_path: str, x: str, y: str) -> set[tuple[Word, Word]]:
+    """The stock presentation of a fast_path tag over generators (x, y):
+    bicyclic xy -> ε; zero xy -> y, yx -> y, yy -> y."""
+    if fast_path == "bicyclic":
+        return {((x, y), ())}
+    return {((x, y), (y,)), ((y, x), (y,)), ((y, y), (y,))}
+
+
 def bicyclic_monoid() -> RewritingMonoid:
-    return RewritingMonoid(["p", "q"], [(("p", "q"), ())], fast_path="bicyclic", name="bicyclic")
+    rules = sorted(_stock_rules("bicyclic", "p", "q"))
+    return RewritingMonoid(["p", "q"], rules, fast_path="bicyclic", name="bicyclic")
 
 
 def zero_monoid() -> RewritingMonoid:
-    rules = [(("a", "z"), ("z",)), (("z", "a"), ("z",)), (("z", "z"), ("z",))]
+    rules = sorted(_stock_rules("zero", "a", "z"))
     return RewritingMonoid(["a", "z"], rules, fast_path="zero", name="zero")
 
 
@@ -690,12 +704,16 @@ class Verdict:
         return doc
 
 
-def check_cancellative(oracle: MonoidOracle, side: str, horizon: int) -> Verdict:
-    """Search the horizon ball for a cancellation failure on the given side."""
+def check_cancellative(
+    oracle: MonoidOracle, side: str, horizon: int, multipliers: Optional[Sequence[Word]] = None
+) -> Verdict:
+    """Search the horizon ball for a cancellation failure on the given side:
+    some m of `multipliers` (default: the ball) and a != b in the ball with
+    m*a = m*b (left) or a*m = b*m (right)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     ball = oracle.elements_up_to(horizon)
-    for m in ball:
+    for m in ball if multipliers is None else multipliers:
         seen: dict[Word, Word] = {}
         for a in ball:
             prod = oracle.multiply(m, a) if side == "left" else oracle.multiply(a, m)

@@ -21,12 +21,13 @@ from .actions import (
     apply_translation,
     check_cobounded,
     check_idealistic,
-    check_isometric_embedding_action,
     compute_contact_set,
 )
 from .cayley import (
+    CayleyPoint,
     CellSet,
     GammaOracle,
+    Translates,
     Vertex,
     gamma_set_distance,
     shortest_word,
@@ -42,6 +43,7 @@ from .monoids import (
     SubmonoidOracle,
     SubmonoidSpec,
     Word,
+    check_cancellative,
     check_left_unitary,
     ends_in_group_identity_submonoid,
     format_word,
@@ -85,6 +87,7 @@ class SmReport:
     claim2: PropertyReport
     hypotheses: dict
     contact: PropertyReport
+    translates: Translates  # the run's translates mB, shared by every later check
 
     def to_json(self, oracle: MonoidOracle) -> dict:
         return {
@@ -115,7 +118,30 @@ def _gamma_of(action: ActionOracle) -> GammaOracle:
     return space
 
 
+def _hypothesis_sample(inp: SmInput, B: CellSet) -> tuple[list[Word], list[CayleyPoint]]:
+    """The multipliers m (depth <= 3) and the points (those of B and of the
+    depth-3 out-ball, without repeats) the hypothesis pre-checks range over."""
+    gamma = _gamma_of(inp.action)
+    depth = min(inp.horizon, 3)
+    ambient = gamma.out_ball_cellset(inp.basepoint, Fraction(depth), inp.far).sample_points()
+    return inp.action.monoid.elements_up_to(depth), list(dict.fromkeys(B.sample_points() + ambient))
+
+
 def extract_generators(inp: SmInput) -> SmReport:
+    """The contact set S of the strong ball B, the constants r, l and lambda,
+    the translates Q, and claims 1 and 2, after the hypothesis pre-checks.
+
+    The action must be left translation on Gamma, the continuous Cayley
+    graph of the space's monoid N: every translate mB is read through
+    CellSet.translate.  Then x -> m*x is an isometric embedding of Gamma
+    exactly when m is left-cancellable.  A path from p labelled w maps to
+    one from m*p labelled w, so d(mp, mq) <= d(p, q); if m*x*w = m*y forces
+    x*w = y, equality holds on vertices, and on edge points too, since
+    translation keeps edges and offsets; if m*a = m*b with a != b, then
+    d(ma, mb) = 0 < d(a, b).  So the hypothesis is checked exactly: each
+    multiplier (the acting monoid's members of depth <= 3) must be
+    injective on the horizon ball of N.
+    """
     action = inp.action
     oracle = action.monoid
     gamma = _gamma_of(action)
@@ -126,25 +152,22 @@ def extract_generators(inp: SmInput) -> SmReport:
     B = gamma.strong_ball_cellset(inp.basepoint, R, far)
     if not B.contains(x0):
         raise HypothesisFailed("ball", "B must contain its basepoint")
+    translates = Translates(oracle, B)
 
-    # Hypothesis pre-checks (samplers, not proofs).
-    sample_depth = min(horizon, 3)
-    ms = oracle.elements_up_to(min(horizon, 3))
-    ambient = gamma.out_ball_cellset(inp.basepoint, Fraction(sample_depth), far).sample_points()
-    points = list(B.sample_points()) + ambient
-    seen = set()
-    points = [p for p in points if not (p in seen or seen.add(p))]
-    # The isometry sampler is quadratic in the point sample; thin it when the
-    # ambient ball is large so the extraction stays fast on big fixtures.
-    if len(points) > 60:
-        stride = (len(points) + 59) // 60
-        points = points[::stride]
-    hypotheses = {}
-    iso = check_isometric_embedding_action(action, ms, points, horizon)
-    hypotheses["isometric_embedding"] = iso
-    if not iso.passed:
-        raise HypothesisFailed("isometric_embedding", f"{len(iso.witnesses)} witnesses")
-    cob = check_cobounded(action, B, points, horizon)
+    # Hypothesis pre-checks.  isometric_embedding is exact on the horizon
+    # ball, by the theorem above; cobounded and idealistic are samplers.
+    ms, points = _hypothesis_sample(inp, B)
+    canc = check_cancellative(gamma.monoid, "left", horizon, ms)
+    if not canc.holds:
+        w = canc.witness
+        raise HypothesisFailed(
+            "isometric_embedding",
+            f"{w['m']} is not left-cancellable: {w['m']}·{w['a']} = {w['m']}·{w['b']} = {w['product']}",
+        )
+    hypotheses = {
+        "isometric_embedding": PropertyReport("isometric_embedding_action", "holds_at_horizon", horizon, [])
+    }
+    cob = check_cobounded(action, B, points, horizon, translates)
     hypotheses["cobounded"] = cob
     if not cob.passed:
         raise HypothesisFailed("cobounded", f"uncovered: {cob.witnesses[:3]}")
@@ -153,7 +176,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     if not ide.passed:
         raise HypothesisFailed("idealistic", f"{len(ide.witnesses)} witnesses")
 
-    contact = compute_contact_set(action, B, horizon)
+    contact = compute_contact_set(action, B, horizon, translates)
     S: list[Word] = contact.artifacts["contact_elements"]
     separations: dict[Word, ExtNonNeg] = contact.artifacts["separations"]
 
@@ -166,7 +189,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     for m, sep in separations.items():
         if sep == ZERO or sep.is_infinite:
             continue
-        d = gamma_set_distance(gamma.monoid, center, B.translate(oracle, m), far)
+        d = gamma_set_distance(gamma.monoid, center, translates[m], far)
         if d.is_known and d.value <= five_R:
             q_translates.append((m, sep))
     min_q = min((sep.finite_value() for _, sep in q_translates), default=None)
@@ -193,7 +216,6 @@ def extract_generators(inp: SmInput) -> SmReport:
     depth = inp.claim2_depth if inp.claim2_depth is not None else horizon
     pair_ball = oracle.elements_up_to(min(depth, horizon))
     threshold = ExtNonNeg.of(2 * R + r)
-    translates = {m: B.translate(oracle, m) for m in pair_ball}
     c2_witnesses = []
     pairs_checked = 0
     for m in pair_ball:
@@ -234,11 +256,12 @@ def extract_generators(inp: SmInput) -> SmReport:
         claim2=claim2,
         hypotheses=hypotheses,
         contact=contact,
+        translates=translates,
     )
 
 
 def _covering_translate(
-    inp: SmInput, B: CellSet, v: Word, cache: Optional[dict] = None
+    inp: SmInput, translates: Translates, v: Word, cache: Optional[dict] = None
 ) -> Optional[Word]:
     """A monoid element whose B-translate covers the vertex v."""
     if cache is not None and v in cache:
@@ -249,7 +272,7 @@ def _covering_translate(
     for m in candidates:
         if isinstance(oracle, SubmonoidOracle) and not oracle.contains(m):
             continue
-        if B.translate(oracle, m).contains(Vertex(v)):
+        if translates[m].contains(Vertex(v)):
             found = m
             break
     if cache is not None:
@@ -295,7 +318,7 @@ def factor_over_generators(
         offset = t - idx
         snapped = idx if offset <= Fraction(1, 2) else idx + 1
         snapped = min(snapped, len(prefixes) - 1)
-        cover = _covering_translate(inp, report.ball, prefixes[snapped], cover_cache)
+        cover = _covering_translate(inp, report.translates, prefixes[snapped], cover_cache)
         if cover is None:
             raise FactorizationFailed(format_word(m), i, "no covering translate for sample vertex")
         chain.append(cover)
@@ -462,7 +485,7 @@ def verify_qi_bounds(report: SmReport, inp: SmInput) -> PropertyReport:
         for h in candidates:
             if isinstance(oracle, SubmonoidOracle) and not oracle.contains(h):
                 continue
-            if not report.ball.translate(oracle, h).contains(x):
+            if not report.translates[h].contains(x):
                 continue
             fh = Vertex(oracle.multiply(h, x0))
             if gamma.known_distance(fh, x) <= R and gamma.known_distance(x, fh) <= R:

@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from monoidgeo.cayley import shortest_word, word_distance
 from monoidgeo.cli import main, parse_monoid_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -108,6 +109,46 @@ def test_check_action():
     assert code == 1
     code, doc, _ = run_cli("--monoid", fx("free2.json"), "check", "action", "--depth", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("name", ["zero", "bicyclic"])
+def test_svarc_milnor_rejects_non_cancellative_fixtures(name, capsys):
+    code, _, text = run_cli("--monoid", fx(f"{name}.json"), "svarc-milnor", "-R", "1")
+    assert code == 2 and text == ""
+    assert "hypothesis failed: isometric_embedding" in capsys.readouterr().err
+
+
+def test_fast_path_tag_off_the_stock_presentation_exits_2(tmp_path):
+    # With these rules p*q is pq, not ε, yet the bicyclic closed form answered
+    # `dist p ε` with distance 1 and witness q.
+    spec = {"type": "rewriting", "generators": ["p", "q"], "rules": [["pp", ""]],
+            "confluent": True, "fast_path": "bicyclic"}
+    path = tmp_path / "pp.json"
+    path.write_text(json.dumps(spec))
+    code, _, text = run_cli("--monoid", str(path), "dist", "p", "ε")
+    assert code == 2 and text == ""
+    del spec["fast_path"]
+    path.write_text(json.dumps(spec))
+    code, doc, _ = run_cli("--monoid", str(path), "dist", "p", "ε")
+    assert code == 0 and doc["result"]["witness"] == "p"
+
+
+def test_tagged_fixture_witnesses_remultiply():
+    tagged = 0
+    for name in sorted(os.listdir(FIXTURES)):
+        oracle, doc = parse_monoid_spec(fx(name))
+        if "fast_path" not in doc:
+            continue
+        tagged += 1
+        ball = oracle.elements_up_to(4)
+        for x in ball:
+            for y in ball:
+                d = word_distance(oracle, x, y, 8)
+                assert d.is_known, (name, x, y)
+                if d.value.is_finite:
+                    w = shortest_word(oracle, x, y, 8)
+                    assert oracle.multiply(x, w) == y and len(w) == d.value.finite_value(), (name, x, y)
+    assert tagged == 2
 
 
 def test_svarc_milnor_f1():

@@ -30,6 +30,7 @@ CASES = {
     "bicyclic_dist": ("bicyclic.json", ["dist", "q", "pp"], 0),
     "bicyclic_check_axioms": ("bicyclic.json", ["check", "axioms"], 0),
     "fp_r2_z2_free_product_h3": ("fp_r2_z2.json", ["--horizon", "3", "free-product"], 0),
+    "fp_r2_z2_free_product_h5": ("fp_r2_z2.json", ["--horizon", "5", "free-product"], 0),
     "z3_check_axioms": ("z3.json", ["check", "axioms"], 0),
     "zero_check_axioms": ("zero.json", ["check", "axioms"], 0),
 }

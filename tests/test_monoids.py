@@ -438,6 +438,33 @@ def test_spec_unknown_type():
         from_spec_dict({"type": "unknown"})
 
 
+def test_fast_path_tag_needs_the_stock_presentation():
+    rewriting = {"type": "rewriting", "confluent": True}
+    off_stock = [
+        {"generators": ["p", "q"], "rules": [["pp", ""]], "fast_path": "bicyclic"},
+        {"generators": ["p", "q"], "rules": [["qp", ""]], "fast_path": "bicyclic"},
+        {"generators": ["p", "q"], "rules": [["pq", ""], ["qq", "q"]], "fast_path": "bicyclic"},
+        {"generators": ["p", "q", "r"], "rules": [["pq", ""]], "fast_path": "bicyclic"},
+        {"generators": ["p", "q"], "rules": [["pq", ""]], "fast_path": "zero"},
+        {"generators": ["a", "z"], "rules": [["az", "z"], ["za", "z"]], "fast_path": "zero"},
+        {"generators": ["z", "a"], "rules": [["az", "z"], ["za", "z"], ["zz", "z"]], "fast_path": "zero"},
+    ]
+    for doc in off_stock:
+        with pytest.raises(SpecValidationError):
+            from_spec_dict({**rewriting, **doc})
+    # The stock rules, in any order and over any generator names.
+    m = from_spec_dict(
+        {**rewriting, "generators": ["x", "y"], "rules": [["xy", ""]], "fast_path": "bicyclic"}
+    )
+    assert m.exact_quotient(("x",), ()) == ("y",)
+    m = from_spec_dict(
+        {**rewriting, "generators": ["u", "o"], "rules": [["oo", "o"], ["uo", "o"], ["ou", "o"]],
+         "fast_path": "zero"}
+    )
+    assert m.exact_quotient(("u",), ("o",)) == ("o",)
+    assert m.exact_quotient(("o",), ("u",)) is None
+
+
 _SPECS = [
     {"type": "free", "rank": 2, "alphabet": ["a", "b"]},
     {"type": "table", "elements": ["e", "a"], "table": [[0, 1], [1, 0]], "identity": "e", "generators": ["a"]},

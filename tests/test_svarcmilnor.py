@@ -5,15 +5,21 @@ from fractions import Fraction
 import pytest
 
 from monoidgeo import (
+    ActionOracle,
     ExtNonNeg,
     FreeMonoid,
     FreeProductInput,
     FreeProductMonoid,
     GammaOracle,
+    HorizonTooSmall,
     HypothesisFailed,
     SmInput,
     SubmonoidInput,
+    SubmonoidOracle,
     Vertex,
+    apply_translation,
+    check_cancellative,
+    check_isometric_embedding_action,
     cyclic_group,
     ends_in_group_identity_submonoid,
     extract_generators,
@@ -27,6 +33,8 @@ from monoidgeo import (
     verify_qi_bounds,
     zero_monoid,
 )
+from monoidgeo.svarcmilnor import _hypothesis_sample
+from test_distance_field import ORACLES
 
 F1 = FreeMonoid(1, ["a"])
 
@@ -121,6 +129,60 @@ def test_extraction_rejects_non_isometric_action():
     with pytest.raises(HypothesisFailed) as exc:
         extract_generators(make_input(zero_monoid(), horizon=5))
     assert exc.value.hypothesis == "isometric_embedding"
+
+
+# The sampler cannot decide these: with no fast path an infinite distance is
+# never certified, so it stops at the first unreachable pair.
+SAMPLER_UNDECIDED = {"F1*Z2 no fast path", "bicyclic no fast path", "zero no fast path"}
+
+
+def _hypothesis_case(name):
+    """(the acting monoid's oracle, SmInput) as the pipelines build them: the
+    translation action at radius 1, or for the submonoid of F1*Z2 its action
+    on the ambient graph at the submonoid pipeline's radius 2."""
+    if name == "ends_in_e<F1*Z2":
+        n = FreeProductMonoid(1, cyclic_group(2))
+        gamma = GammaOracle(n, 8)
+        m = SubmonoidOracle(n, ends_in_group_identity_submonoid(n))
+        action = ActionOracle(m, gamma, lambda u, pt: apply_translation(n, u, pt), Vertex(()))
+        return n, SmInput(action=action, basepoint=(), radius=Fraction(2), horizon=4)
+    build, horizon, _, _ = ORACLES[name]
+    oracle = build()
+    return oracle, make_input(oracle, horizon=horizon)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES) + ["ends_in_e<F1*Z2"])
+def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
+    n, inp = _hypothesis_case(name)
+    gamma = inp.action.space
+    try:
+        B = gamma.strong_ball_cellset(inp.basepoint, inp.radius, inp.far)
+    except HorizonTooSmall:
+        B = None  # the pipeline stops here, before any hypothesis
+    if B is not None:
+        ms, points = _hypothesis_sample(inp, B)
+    else:
+        ms = inp.action.monoid.elements_up_to(min(inp.horizon, 3))
+    canc = check_cancellative(n, "left", inp.horizon, ms)
+    if name in SAMPLER_UNDECIDED:
+        if B is not None:
+            with pytest.raises(HorizonTooSmall):
+                check_isometric_embedding_action(inp.action, ms, points, inp.horizon)
+    else:
+        iso = check_isometric_embedding_action(inp.action, ms, points, inp.horizon)
+        assert canc.holds == iso.passed
+    if not canc.holds:
+        w = canc.witness
+        m, a, b = (n.parse_word(w[k]) for k in ("m", "a", "b"))
+        ma, mb = n.multiply(m, a), n.multiply(m, b)
+        assert a != b and ma == mb and format_word(ma) == w["product"]
+        assert gamma.distance(Vertex(ma), Vertex(mb)).value == ExtNonNeg.of(0)
+        assert gamma.distance(Vertex(a), Vertex(b)).value > ExtNonNeg.of(0)
+        if B is not None:
+            with pytest.raises(HypothesisFailed) as exc:
+                extract_generators(inp)
+            assert exc.value.hypothesis == "isometric_embedding"
+            assert f"{w['m']}·{w['a']} = {w['m']}·{w['b']}" in str(exc.value)
 
 
 def test_radius_must_be_positive_and_within_horizon():
