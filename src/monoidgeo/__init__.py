@@ -45,12 +45,9 @@ from .monoids import (
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,
-    cyclic_group,
     ends_in_group_identity_submonoid,
     format_word,
     from_spec_dict,
-    rewrite_normal_form,
-    trivial_monoid,
     zero_monoid,
 )
 from .cayley import (
@@ -63,26 +60,16 @@ from .cayley import (
     check_inclusion_qi,
     gamma_distance,
     gamma_set_distance,
-    geodesic_witness,
-    parse_point,
     shortest_word,
     word_distance,
 )
 from .spaces import (
-    PathWitness,
-    QiParams,
     SemimetricSpace,
     Violation,
     ViolationReport,
     WordMetricSpace,
-    ball,
     check_axioms,
-    check_qi_embedding,
-    check_quasi_dense,
     check_quasi_metric,
-    is_geodesic_witness,
-    set_distance,
-    validate_path_witness,
 )
 from .actions import (
     ActionOracle,

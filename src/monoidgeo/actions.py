@@ -23,12 +23,11 @@ def apply_translation(oracle: MonoidOracle, m: Word, p: CayleyPoint) -> CayleyPo
 
 @dataclass
 class ActionOracle:
-    """A monoid acting on a semimetric space, with a designated basepoint."""
+    """A monoid acting on a semimetric space."""
 
     monoid: MonoidOracle
-    space: object  # duck-typed: known_distance / distance / format_point
+    space: object  # duck-typed: known_distance / distance(p, q, horizon) / format_point
     apply: Callable[[Word, object], object]
-    basepoint: object
 
 
 def translation_action(gamma: GammaOracle) -> ActionOracle:
@@ -37,14 +36,13 @@ def translation_action(gamma: GammaOracle) -> ActionOracle:
         monoid=oracle,
         space=gamma,
         apply=lambda m, p: apply_translation(oracle, m, p),
-        basepoint=Vertex(oracle.identity),
     )
 
 
 @dataclass
 class PropertyReport:
     property: str
-    verdict: str  # "pass" | "fail" | "holds_at_horizon" | "suspect"
+    verdict: str  # "pass" | "fail" | "holds_at_horizon" | "suspect" | "unknown"
     horizon: int
     witnesses: list = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
@@ -189,22 +187,25 @@ def compute_contact_set(
     )
 
 
-def check_idealistic(action: ActionOracle, x0, horizon: int) -> PropertyReport:
-    """Finite orbit distance d(m x0, n x0) must force n into mM.
+def check_idealistic(action: ActionOracle, x0, depth: int, horizon: int) -> PropertyReport:
+    """Finite orbit distance d(m x0, n x0) must force n into mM, for m and n
+    in the depth ball.
 
     n in mM is equivalent to nM ⊆ mM (right-ideal containment), which makes
-    the condition a single reachability query in the monoid.
+    the condition a single reachability query in the monoid.  Both queries
+    are asked at `horizon`; a pair that either leaves undecided is
+    unresolved, and any unresolved pair makes the verdict unknown.
     """
     oracle = action.monoid
     space = action.space
     witnesses = []
     unresolved = 0
-    ball = oracle.elements_up_to(horizon)
+    ball = oracle.elements_up_to(depth)
     for m in ball:
         mx = action.apply(m, x0)
         for n in ball:
             nx = action.apply(n, x0)
-            d = space.distance(mx, nx)
+            d = space.distance(mx, nx, horizon)
             if not d.is_known:
                 unresolved += 1
                 continue
@@ -222,11 +223,11 @@ def check_idealistic(action: ActionOracle, x0, horizon: int) -> PropertyReport:
                 )
             elif not reach.is_known:
                 unresolved += 1
-    verdict = "fail" if witnesses else "holds_at_horizon"
+    verdict = "fail" if witnesses else "unknown" if unresolved else "holds_at_horizon"
     return PropertyReport(
         "idealistic",
         verdict,
-        horizon,
+        depth,
         witnesses,
         artifacts={"unresolved_pairs": unresolved, "basepoint": str(x0)},
     )

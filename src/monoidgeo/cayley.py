@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import HorizonTooSmall, InvalidElement, NoPath
 from .extnum import INF, ExtNonNeg, TruncatedDistance
 from .monoids import MonoidOracle, Word, format_word
-from .spaces import PathWitness, SemimetricSpace, Violation, ViolationReport
+from .spaces import SemimetricSpace, Violation, ViolationReport
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +117,6 @@ class EdgePoint:
 
 
 CayleyPoint = Union[Vertex, EdgePoint]
-
-
-def parse_point(oracle: MonoidOracle, text: str) -> CayleyPoint:
-    if text.startswith("v:"):
-        return Vertex(oracle.parse_word(text[2:]))
-    if text.startswith("e:"):
-        try:
-            _, word, gen, frac = text.split(":")
-        except ValueError:
-            raise InvalidElement(f"bad edge point {text!r}") from None
-        return EdgePoint(oracle.parse_word(word), gen, Fraction(frac))
-    # Bare words denote vertices.
-    return Vertex(oracle.parse_word(text))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +267,7 @@ class CellSet:
                     points.append(EdgePoint(seg.element, seg.gen, mu))
         return points
 
-    def to_json(self, oracle: MonoidOracle) -> dict:
+    def to_json(self) -> dict:
         return {
             "vertices": sorted(f"v:{format_word(v)}" for v in self.vertices),
             "segments": [
@@ -453,32 +440,25 @@ class GammaOracle(SemimetricSpace):
 
 
 # ---------------------------------------------------------------------------
-# Inclusion quasi-isometry and geodesics
+# Inclusion quasi-isometry
 # ---------------------------------------------------------------------------
 
 
 def check_inclusion_qi(gamma: GammaOracle, horizon: int, sample_depth: Optional[int] = None):
-    """Vertex distances in Γ agree with d_S; edge points sit in strong 1-balls."""
+    """Edge points sit in strong 1-balls of their base vertices.
+
+    On vertices, Γ's distance is d_S by definition (gamma_distance returns
+    word_distance's answer), so that half of the inclusion needs no check;
+    the sampled vertex pairs must still be known at the horizon."""
     monoid = gamma.monoid
     depth = min(horizon, sample_depth if sample_depth is not None else 4)
     ball = monoid.elements_up_to(depth)
     violations = []
     for x in ball:
         for y in ball:
-            via_words = word_distance(monoid, x, y, horizon)
-            via_gamma = gamma_distance(monoid, Vertex(x), Vertex(y), horizon)
-            if not via_words.is_known or not via_gamma.is_known:
+            if not word_distance(monoid, x, y, horizon).is_known:
                 raise HorizonTooSmall(
                     f"d({format_word(x)}, {format_word(y)}) not known at horizon {horizon}"
-                )
-            if via_words.value != via_gamma.value:
-                violations.append(
-                    Violation(
-                        points=(f"v:{format_word(x)}", f"v:{format_word(y)}"),
-                        inequality="gamma restriction equals word distance",
-                        lhs=via_gamma.value,
-                        rhs=via_words.value,
-                    )
                 )
     one = ExtNonNeg.finite(1)
     for m in ball:
@@ -497,18 +477,3 @@ def check_inclusion_qi(gamma: GammaOracle, horizon: int, sample_depth: Optional[
                         )
                     )
     return ViolationReport("inclusion_qi", violations)
-
-
-def geodesic_witness(gamma: GammaOracle, x: Word, y: Word, horizon: int):
-    """A vertex path witness along a shortest word from x to y."""
-    monoid = gamma.monoid
-    dist = word_distance(monoid, x, y, horizon)
-    if not dist.is_known or dist.value.is_infinite:
-        raise NoPath(f"distance from {format_word(x)} to {format_word(y)} is {dist}")
-    w = shortest_word(monoid, x, y, horizon)
-    steps = [(Fraction(0), Vertex(x))]
-    cur = x
-    for i, letter in enumerate(w, start=1):
-        cur = monoid.multiply(cur, (letter,))
-        steps.append((Fraction(i), Vertex(cur)))
-    return PathWitness(tuple(steps))

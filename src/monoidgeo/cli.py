@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .actions import check_action_laws, check_isometric_embedding_action, translation_action
-from .cayley import GammaOracle, Vertex, check_inclusion_qi, word_distance, shortest_word
+from .cayley import EdgePoint, GammaOracle, Vertex, check_inclusion_qi, word_distance, shortest_word
 from .errors import MonoidGeoError
 from .monoids import (
     FreeProductMonoid,
@@ -85,9 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sample_for_axioms(oracle: MonoidOracle, gamma: GammaOracle, depth: int):
-    from .cayley import EdgePoint
-
+def _sample_for_axioms(oracle: MonoidOracle, depth: int):
     vertices = oracle.elements_up_to(depth)
     points = [Vertex(m) for m in vertices]
     for m in oracle.elements_up_to(max(depth - 1, 0)):
@@ -120,13 +118,13 @@ def _run(args) -> tuple[int, dict]:
             "center": format_word(center),
             "radius": [args.radius.numerator, args.radius.denominator],
             "kind": args.kind,
-            "ball": cells.to_json(oracle),
+            "ball": cells.to_json(),
         }
 
     elif args.command == "check":
         depth = args.depth if args.depth is not None else min(horizon, 4)
         if args.what == "axioms":
-            vertices, points = _sample_for_axioms(oracle, gamma, depth)
+            vertices, points = _sample_for_axioms(oracle, depth)
             word_report = check_axioms(WordMetricSpace(oracle, horizon), vertices)
             gamma_report = check_axioms(gamma, points)
             result = {"word_metric": word_report.to_json(), "gamma": gamma_report.to_json()}
@@ -165,9 +163,7 @@ def _run(args) -> tuple[int, dict]:
 
     elif args.command == "svarc-milnor":
         action = translation_action(gamma)
-        out = run_pipeline(
-            SmInput(action=action, basepoint=oracle.identity, radius=args.radius, horizon=horizon)
-        )
+        out = run_pipeline(SmInput(action=action, radius=args.radius, horizon=horizon))
         report = out["report"]
         ok = (
             report.claim1.passed
@@ -176,7 +172,7 @@ def _run(args) -> tuple[int, dict]:
             and out["qi"].passed
         )
         result = {
-            "extraction": report.to_json(oracle),
+            "extraction": report.to_json(),
             "generation": out["generation"].to_json(),
             "qi": out["qi"].to_json(),
         }

@@ -48,10 +48,6 @@ class ExtNonNeg:
     def finite(num: int, den: int = 1) -> "ExtNonNeg":
         return ExtNonNeg(nonneg_fraction(Fraction(num, den)))
 
-    @staticmethod
-    def infinite() -> "ExtNonNeg":
-        return INF
-
     # -- predicates / accessors -------------------------------------------
 
     @property
@@ -116,15 +112,6 @@ class ExtNonNeg:
         if self.frac is None:
             return {"kind": "infinite"}
         return {"kind": "exact", "num": self.frac.numerator, "den": self.frac.denominator}
-
-    @staticmethod
-    def from_json(doc: dict) -> "ExtNonNeg":
-        kind = doc.get("kind")
-        if kind == "infinite":
-            return INF
-        if kind == "exact":
-            return ExtNonNeg.finite(doc["num"], doc["den"])
-        raise ValueError(f"not an ExtNonNeg document: {doc!r}")
 
     def __str__(self) -> str:
         return "inf" if self.frac is None else str(self.frac)
@@ -204,12 +191,6 @@ class TruncatedDistance:
             return self.value.to_json()
         f = self.value.finite_value()
         return {"kind": "unknown_above", "num": f.numerator, "den": f.denominator}
-
-    @staticmethod
-    def from_json(doc: dict) -> "TruncatedDistance":
-        if doc.get("kind") == "unknown_above":
-            return TruncatedDistance.unknown_above(ExtNonNeg.finite(doc["num"], doc["den"]))
-        return TruncatedDistance.known(ExtNonNeg.from_json(doc))
 
     def __str__(self) -> str:
         if self.kind == "known":

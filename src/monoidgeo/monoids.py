@@ -338,23 +338,6 @@ class FiniteGroup(TableMonoid):
             inverse[i] = inv[0]
         self.inverse_idx = inverse
 
-    def inverse_word(self, w: Word) -> Word:
-        return self._canon[self.inverse_idx[self.index_of(w)]]
-
-
-def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:
-    """Z/n with the single generator `gen`; element names e, g, g2, ..."""
-    if n < 1:
-        raise SpecValidationError("cyclic group order must be >= 1")
-    names = ["e"] + ([gen] if n > 1 else []) + [f"{gen}{k}" for k in range(2, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    gens = [gen] if n > 1 else []
-    return FiniteGroup(names, table, identity="e", generators=gens, name=f"Z{n}")
-
-
-def trivial_monoid() -> TableMonoid:
-    return TableMonoid(["e"], [[0]], identity="e", generators=[], name="trivial")
-
 
 @dataclass(frozen=True)
 class FreeProductElem:
@@ -621,16 +604,6 @@ def zero_monoid() -> RewritingMonoid:
     return RewritingMonoid(["a", "z"], rules, fast_path="zero", name="zero")
 
 
-def rewrite_normal_form(
-    rules: Sequence[tuple[Sequence[str], Sequence[str]]],
-    word: Sequence[str],
-    step_cap: int = 10_000,
-) -> Word:
-    """Fixpoint of leftmost rewriting of `word` under `rules`."""
-    letters = sorted({l for lhs, rhs in rules for l in tuple(lhs) + tuple(rhs)} | set(word))
-    return RewritingMonoid(letters, rules, step_cap=step_cap).normal_form(tuple(word))
-
-
 @dataclass
 class SubmonoidSpec:
     """A submonoid given by a membership predicate."""
@@ -778,7 +751,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_list(v, item=lambda x: isinstance(x, str)) -> bool:
+def _is_list(v, item=lambda x: isinstance(x, str) and x != "") -> bool:
     return isinstance(v, (list, tuple)) and all(map(item, v))
 
 
@@ -793,13 +766,13 @@ _SPEC_TYPES = {
     "free_rank": (_is_int, "an integer"),
     "step_cap": (_is_int, "an integer"),
     "identity": (lambda v: isinstance(v, str) or _is_int(v), "an element name or index"),
-    "elements": (_is_list, "a list of strings"),
-    "alphabet": (lambda v: v is None or _is_list(v), "a list of strings"),
-    "generators": (lambda v: v is None or _is_list(v), "a list of strings"),
+    "elements": (_is_list, "a list of nonempty strings"),
+    "alphabet": (lambda v: v is None or _is_list(v), "a list of nonempty strings"),
+    "generators": (lambda v: v is None or _is_list(v), "a list of nonempty strings"),
     "table": (lambda v: _is_list(v, lambda row: _is_list(row, _is_int)), "a list of rows of integers"),
     "rules": (
         lambda v: _is_list(v, lambda r: _is_list(r, _is_side) and len(r) == 2),
-        "a list of [lhs, rhs] pairs, each side a string or a list of letters",
+        "a list of [lhs, rhs] pairs, each side a string or a list of nonempty letters",
     ),
 }
 
@@ -837,7 +810,7 @@ def from_spec_dict(doc: dict) -> MonoidOracle:
         if not doc.get("confluent", False):
             raise SpecValidationError("rewriting spec must assert confluence ('confluent': true)")
         if doc["generators"] is None:
-            raise SpecValidationError("'generators' must be a list of strings")
+            raise SpecValidationError("'generators' must be a list of nonempty strings")
         def side(t) -> Word:  # a plain string or a list of letters
             return _tokenize(t, doc["generators"], SpecParseError) if isinstance(t, str) else tuple(t)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .actions import (
     ActionOracle,
@@ -52,8 +52,7 @@ from .monoids import (
 
 @dataclass
 class SmInput:
-    action: ActionOracle  # space must be a GammaOracle
-    basepoint: Word
+    action: ActionOracle  # space must be a GammaOracle; the basepoint is the identity vertex
     radius: Fraction
     horizon: int
     claim2_depth: Optional[int] = None
@@ -89,10 +88,10 @@ class SmReport:
     contact: PropertyReport
     translates: Translates  # the run's translates mB, shared by every later check
 
-    def to_json(self, oracle: MonoidOracle) -> dict:
+    def to_json(self) -> dict:
         return {
             "S": [format_word(s) for s in self.generators],
-            "B": self.ball.to_json(oracle),
+            "B": self.ball.to_json(),
             "R": [self.ball_radius.numerator, self.ball_radius.denominator],
             "C": {
                 "kind": "out_ball",
@@ -123,7 +122,7 @@ def _hypothesis_sample(inp: SmInput, B: CellSet) -> tuple[list[Word], list[Cayle
     depth-3 out-ball, without repeats) the hypothesis pre-checks range over."""
     gamma = _gamma_of(inp.action)
     depth = min(inp.horizon, 3)
-    ambient = gamma.out_ball_cellset(inp.basepoint, Fraction(depth), inp.far).sample_points()
+    ambient = gamma.out_ball_cellset(gamma.monoid.identity, Fraction(depth), inp.far).sample_points()
     return inp.action.monoid.elements_up_to(depth), list(dict.fromkeys(B.sample_points() + ambient))
 
 
@@ -148,14 +147,17 @@ def extract_generators(inp: SmInput) -> SmReport:
     R = inp.radius
     horizon = inp.horizon
     far = inp.far
-    x0 = Vertex(inp.basepoint)
-    B = gamma.strong_ball_cellset(inp.basepoint, R, far)
+    e = oracle.identity
+    x0 = Vertex(e)
+    B = gamma.strong_ball_cellset(e, R, far)
     if not B.contains(x0):
         raise HypothesisFailed("ball", "B must contain its basepoint")
     translates = Translates(oracle, B)
 
     # Hypothesis pre-checks.  isometric_embedding is exact on the horizon
     # ball, by the theorem above; cobounded and idealistic are samplers.
+    # idealistic asks both of its questions at far, where the QI check
+    # will ask them, and a pair it cannot decide there stops the run.
     ms, points = _hypothesis_sample(inp, B)
     canc = check_cancellative(gamma.monoid, "left", horizon, ms)
     if not canc.holds:
@@ -171,8 +173,12 @@ def extract_generators(inp: SmInput) -> SmReport:
     hypotheses["cobounded"] = cob
     if not cob.passed:
         raise HypothesisFailed("cobounded", f"uncovered: {cob.witnesses[:3]}")
-    ide = check_idealistic(action, x0, min(horizon, 4))
+    ide = check_idealistic(action, x0, min(horizon, 4), far)
     hypotheses["idealistic"] = ide
+    if ide.verdict == "unknown":
+        raise HorizonTooSmall(
+            f"idealistic: {ide.artifacts['unresolved_pairs']} pairs unresolved at horizon {far}"
+        )
     if not ide.passed:
         raise HypothesisFailed("idealistic", f"{len(ide.witnesses)} witnesses")
 
@@ -184,7 +190,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     # Every unknown bound is at least far > 5R, so d(x0, mB) is known and
     # within 5R exactly when some point of mB is.
     five_R = 5 * R
-    center = CellSet([inp.basepoint])
+    center = CellSet([e])
     q_translates: list[tuple[Word, ExtNonNeg]] = []
     for m, sep in separations.items():
         if sep == ZERO or sep.is_infinite:
@@ -196,9 +202,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     r = (R if min_q is None else min(R, min_q)) / 2
     l = r / 2
 
-    lam = ext_max(
-        gamma.known_distance(x0, Vertex(oracle.multiply(s, inp.basepoint))) for s in S
-    )
+    lam = ext_max(gamma.known_distance(x0, Vertex(s)) for s in S)
     if lam.is_infinite:
         raise HypothesisFailed("lambda", "basepoint displacement of a contact element is infinite")
 
@@ -222,8 +226,7 @@ def extract_generators(inp: SmInput) -> SmReport:
         for n in pair_ball:
             # d(mB, nB) >= d(m x0, n x0) - 2R, so far-apart orbit points
             # certify the gap without a set-distance computation.
-            orbit = gamma.distance(Vertex(oracle.multiply(m, inp.basepoint)),
-                                   Vertex(oracle.multiply(n, inp.basepoint)), far)
+            orbit = gamma.distance(Vertex(m), Vertex(n), far)
             if orbit.is_known and (orbit.value.is_infinite or orbit.value >= threshold):
                 continue
             if not orbit.is_known and orbit.value >= threshold:
@@ -260,21 +263,25 @@ def extract_generators(inp: SmInput) -> SmReport:
     )
 
 
+def _covering_elements(inp: SmInput, translates: Translates, x: CayleyPoint) -> Iterator[Word]:
+    """The covering candidates of x's base vertex, in order, that lie in the
+    acting monoid and whose B-translate contains x."""
+    oracle = inp.action.monoid
+    v = x.element
+    for m in inp.covering_candidates(v) if inp.covering_candidates else [v]:
+        if isinstance(oracle, SubmonoidOracle) and not oracle.contains(m):
+            continue
+        if translates[m].contains(x):
+            yield m
+
+
 def _covering_translate(
     inp: SmInput, translates: Translates, v: Word, cache: Optional[dict] = None
 ) -> Optional[Word]:
     """A monoid element whose B-translate covers the vertex v."""
     if cache is not None and v in cache:
         return cache[v]
-    oracle = inp.action.monoid
-    candidates = inp.covering_candidates(v) if inp.covering_candidates else [v]
-    found = None
-    for m in candidates:
-        if isinstance(oracle, SubmonoidOracle) and not oracle.contains(m):
-            continue
-        if translates[m].contains(Vertex(v)):
-            found = m
-            break
+    found = next(_covering_elements(inp, translates, Vertex(v)), None)
     if cache is not None:
         cache[v] = found
     return found
@@ -285,22 +292,21 @@ def factor_over_generators(
 ) -> list[Word]:
     """The proof's geodesic-subdivision factorization of m over S.
 
-    Samples the geodesic from the basepoint to m*x0 at time steps l, snaps
+    Samples the geodesic from the identity to m at time steps l, snaps
     edge-interior samples to the covering translate of the nearer vertex,
     and reads off one contact element per step.
     """
     action = inp.action
     oracle = action.monoid
     gamma = _gamma_of(inp.action)
-    x0 = inp.basepoint
-    target = oracle.multiply(m, x0)
+    e = oracle.identity
     far = inp.far
-    dist = gamma.known_distance(Vertex(x0), Vertex(target))
+    dist = gamma.known_distance(Vertex(e), Vertex(m))
     if dist.is_infinite:
         raise FactorizationFailed(format_word(m), 0, "basepoint orbit distance is infinite")
     D = dist.finite_value()
-    w = shortest_word(gamma.monoid, x0, target, far)
-    prefixes = [x0]
+    w = shortest_word(gamma.monoid, e, m, far)
+    prefixes = [e]
     for letter in w:
         prefixes.append(gamma.monoid.multiply(prefixes[-1], (letter,)))
     l = report.l
@@ -341,7 +347,7 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
     action = inp.action
     oracle = action.monoid
     gamma = _gamma_of(inp.action)
-    x0 = inp.basepoint
+    x0 = Vertex(oracle.identity)
     witnesses = []
     factorizations = {}
     l = report.l
@@ -351,7 +357,7 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
         product = oracle.identity
         for u in letters:
             product = oracle.multiply(product, u)
-        D = gamma.known_distance(Vertex(x0), Vertex(oracle.multiply(m, x0))).finite_value()
+        D = gamma.known_distance(x0, Vertex(m)).finite_value()
         bound = D / l + 1
         ok = product == m and Fraction(len(letters)) <= bound
         factorizations[format_word(m)] = {
@@ -407,48 +413,32 @@ def _distances_over_generators(
 
 
 def verify_qi_bounds(report: SmReport, inp: SmInput) -> PropertyReport:
-    """The two quasi-isometry inequalities for f(m) = m*x0, plus coverage."""
+    """The two quasi-isometry inequalities for f(m) = m*x0, plus coverage.
+
+    x0 is the identity vertex, so f(m) is the vertex m and the orbit
+    distance d(f(m1), f(m2)) is the word distance from m1 to m2."""
     action = inp.action
     oracle = action.monoid
     gamma = _gamma_of(inp.action)
-    x0 = inp.basepoint
+    x0 = Vertex(oracle.identity)
     far = inp.far
     l, lam = report.l, report.lam
     witnesses = []
     ball = oracle.elements_up_to(inp.horizon)
     max_depth = max(
-        (
-            gamma.known_distance(Vertex(x0), Vertex(oracle.multiply(m, x0))).finite_value()
-            for m in ball
-        ),
+        (gamma.known_distance(x0, Vertex(m)).finite_value() for m in ball),
         default=Fraction(0),
     )
     cap = int(max_depth / l) + 1
     dS_from_e = _distances_over_generators(report, inp, cap)
-    trivial_basepoint = x0 == oracle.identity
     for m1 in ball:
-        f1 = Vertex(oracle.multiply(m1, x0))
         for m2 in ball:
-            f2 = Vertex(oracle.multiply(m2, x0))
-            reach = word_distance(oracle, m1, m2, far)
-            # With the identity basepoint the orbit map is the identity on
-            # vertices, so the two distance queries coincide.
-            orbit = reach if trivial_basepoint else gamma.distance(f1, f2, far)
+            orbit = word_distance(oracle, m1, m2, far)
             if not orbit.is_known:
                 raise HorizonTooSmall(f"d(f({format_word(m1)}), f({format_word(m2)})) unknown")
             if orbit.value.is_infinite:
-                # The proof's infinite branch: idealistic forces d_S = inf too.
-                if not (reach.is_known and reach.value.is_infinite):
-                    witnesses.append(
-                        {"m1": format_word(m1), "m2": format_word(m2),
-                         "reason": "orbit distance infinite but m2 reachable from m1"}
-                    )
-                continue
-            if not (reach.is_known and not reach.value.is_infinite):
-                witnesses.append(
-                    {"m1": format_word(m1), "m2": format_word(m2),
-                     "reason": "orbit distance finite but no certified quotient"}
-                )
+                # m2 is not in m1*N, so not in m1*M either: d_S is infinite
+                # too, and both inequalities hold.
                 continue
             # Finite branch: d_S(m1, m2) = d_S(e, n) for the quotient n.
             quotient = shortest_word(oracle, m1, m2, far)
@@ -476,22 +466,13 @@ def verify_qi_bounds(report: SmReport, inp: SmInput) -> PropertyReport:
     # Coverage: every sampled point is within R of the orbit of its covering
     # translate, in both directions.
     coverage_failures = []
-    sample = gamma.out_ball_cellset(x0, Fraction(min(inp.horizon, 3)), far).sample_points()
+    sample = gamma.out_ball_cellset(oracle.identity, Fraction(min(inp.horizon, 3)), far).sample_points()
     R = ExtNonNeg.of(inp.radius)
     for x in sample:
-        covered = False
-        base = x.element if isinstance(x, Vertex) else x.element
-        candidates = (inp.covering_candidates(base) if inp.covering_candidates else [base])
-        for h in candidates:
-            if isinstance(oracle, SubmonoidOracle) and not oracle.contains(h):
-                continue
-            if not report.translates[h].contains(x):
-                continue
-            fh = Vertex(oracle.multiply(h, x0))
-            if gamma.known_distance(fh, x) <= R and gamma.known_distance(x, fh) <= R:
-                covered = True
-                break
-        if not covered:
+        if not any(
+            gamma.known_distance(Vertex(h), x) <= R and gamma.known_distance(x, Vertex(h)) <= R
+            for h in _covering_elements(inp, report.translates, x)
+        ):
             coverage_failures.append(str(x))
     if coverage_failures:
         witnesses.append({"reason": "coverage", "points": coverage_failures})
@@ -553,20 +534,13 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
     member = inp.submonoid.membership
     mp_witnesses = {}
     for n in N.elements_up_to(horizon):
+        # m*p = n with p*q = e forces m = n*q, so one candidate per p suffices.
         found = None
         for p in P:
             m = N.multiply(n, inverses[p])
             if member(m) and N.multiply(m, p) == n:
                 found = (m, p)
                 break
-        if found is None:
-            for p in P:
-                for m in N.elements_up_to(horizon):
-                    if member(m) and N.multiply(m, p) == n:
-                        found = (m, p)
-                        break
-                if found:
-                    break
         if found is None:
             raise HypothesisFailed("MP=N", f"no factorization m*p = {format_word(n)}")
         mp_witnesses[format_word(n)] = (format_word(found[0]), format_word(found[1]))
@@ -581,7 +555,6 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
         monoid=M,
         space=gamma,
         apply=lambda m, pt: apply_translation(N, m, pt),
-        basepoint=Vertex(N.identity),
     )
     # B must absorb P's displacement: radius 1 + max strong distance to P.
     disp = ext_max(
@@ -599,7 +572,6 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
 
     sm_inp = SmInput(
         action=action,
-        basepoint=N.identity,
         radius=radius,
         horizon=horizon,
         claim2_depth=min(horizon, 4),
@@ -621,7 +593,7 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
         artifacts={
             "P": [format_word(p) for p in P],
             "MP_factorizations": mp_witnesses,
-            "sm_report": report.to_json(M),
+            "sm_report": report.to_json(),
             "generation": result["generation"].to_json(),
             "qi": result["qi"].to_json(),
             "S": [format_word(s) for s in report.generators],

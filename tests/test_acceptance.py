@@ -29,7 +29,6 @@ from monoidgeo import (
     check_inclusion_qi,
     check_isometric_embedding_action,
     check_quasi_metric,
-    cyclic_group,
     format_word,
     run_free_product,
     run_pipeline,
@@ -38,6 +37,7 @@ from monoidgeo import (
     zero_monoid,
 )
 from monoidgeo.cli import main as cli_main
+from builders import cyclic_group
 
 ZERO = ExtNonNeg.finite(0)
 
@@ -106,6 +106,14 @@ def _isometric_verdict(oracle, horizon):
     return check_isometric_embedding_action(action, ms, points, horizon)
 
 
+def _parse_point(oracle, text):
+    """A Cayley point from its printed form, v:<word> or e:<word>:<gen>:<num>/<den>."""
+    if text.startswith("e:"):
+        _, word, gen, frac = text.split(":")
+        return EdgePoint(oracle.parse_word(word), gen, Fraction(frac))
+    return Vertex(oracle.parse_word(text[2:]))
+
+
 def test_criterion_3_cancellative_iff_isometric():
     ok = True
     detail = []
@@ -136,10 +144,8 @@ def test_criterion_3_cancellative_iff_isometric():
         w = iso.witnesses[0]
         gamma = GammaOracle(z, 6)
         m = z.parse_word(w["m"])
-        from monoidgeo.cayley import parse_point
-
-        p = parse_point(z, w["p"])
-        q = parse_point(z, w["q"])
+        p = _parse_point(z, w["p"])
+        q = _parse_point(z, w["q"])
         mp = translation_action(gamma).apply(m, p)
         mq = translation_action(gamma).apply(m, q)
         if gamma.known_distance(p, q) == gamma.known_distance(mp, mq):
@@ -220,7 +226,7 @@ def test_criterion_4_extraction_with_independent_oracle():
     detail = []
     gamma = GammaOracle(FreeMonoid(1, ["a"]), 8)
     out = run_pipeline(
-        SmInput(action=translation_action(gamma), basepoint=(), radius=Fraction(1), horizon=8)
+        SmInput(action=translation_action(gamma), radius=Fraction(1), horizon=8)
     )
     rep = out["report"]
     oracle_vals = _f1_brute_force_constants()
@@ -250,7 +256,7 @@ def test_criterion_4_extraction_with_independent_oracle():
     for name, oracle in (("Z/3", cyclic_group(3)), ("F2", FreeMonoid(2, ["a", "b"]))):
         g = GammaOracle(oracle, 8)
         res = run_pipeline(
-            SmInput(action=translation_action(g), basepoint=(), radius=Fraction(1), horizon=8)
+            SmInput(action=translation_action(g), radius=Fraction(1), horizon=8)
         )
         if not all(p.passed for p in (res["report"].claim1, res["report"].claim2, res["generation"], res["qi"])):
             ok = False

@@ -13,6 +13,7 @@ from monoidgeo import (
     GammaOracle,
     INF,
     SemimetricSpace,
+    TableMonoid,
     TruncatedDistance,
     Vertex,
     apply_translation,
@@ -23,10 +24,10 @@ from monoidgeo import (
     check_idealistic,
     check_isometric_embedding_action,
     compute_contact_set,
-    cyclic_group,
     translation_action,
     zero_monoid,
 )
+from builders import cyclic_group
 
 F1 = FreeMonoid(1, ["a"])
 F2 = FreeMonoid(2, ["a", "b"])
@@ -133,9 +134,7 @@ def test_contact_set_z3():
 
 
 def test_contact_set_trivial():
-    from monoidgeo import trivial_monoid
-
-    t = trivial_monoid()
+    t = TableMonoid(["e"], [[0]], identity="e", generators=[], name="trivial")
     gamma = GammaOracle(t, 4)
     action = translation_action(gamma)
     B = gamma.strong_ball_cellset((), Fraction(1))
@@ -158,7 +157,7 @@ def test_contact_set_contains_identity_always():
 def test_idealistic_translation_actions(name, oracle):
     gamma = GammaOracle(oracle, 8)
     action = translation_action(gamma)
-    assert check_idealistic(action, Vertex(()), 4).passed
+    assert check_idealistic(action, Vertex(()), 4, 8).passed
 
 
 class FreeGroupSpace(SemimetricSpace):
@@ -177,7 +176,7 @@ class FreeGroupSpace(SemimetricSpace):
                 out.append(c)
         return tuple(out)
 
-    def distance(self, p, q):
+    def distance(self, p, q, horizon=None):
         inv = {"a": "A", "A": "a", "b": "B", "B": "b"}
         p_inv = tuple(inv[c] for c in reversed(p))
         return TruncatedDistance.known(ExtNonNeg.of(len(self._reduce(p_inv + q))))
@@ -191,9 +190,8 @@ def test_idealistic_fails_for_free_monoid_in_free_group():
         monoid=F2,
         space=space,
         apply=lambda m, p: space._reduce(tuple(m) + tuple(p)),
-        basepoint=(),
     )
-    report = check_idealistic(action, (), 4)
+    report = check_idealistic(action, (), 4, 4)
     assert not report.passed
     assert any(w["m"] == "a" and w["n"] == "b" for w in report.witnesses)
 

@@ -18,17 +18,14 @@ from monoidgeo import (
     Vertex,
     bicyclic_monoid,
     check_inclusion_qi,
-    cyclic_group,
     FreeProductMonoid,
     gamma_distance,
     gamma_set_distance,
-    geodesic_witness,
-    is_geodesic_witness,
-    parse_point,
     shortest_word,
     word_distance,
     zero_monoid,
 )
+from builders import cyclic_group
 
 F1 = FreeMonoid(1, ["a"])
 F2 = FreeMonoid(2, ["a", "b"])
@@ -127,16 +124,6 @@ def test_bfs_matches_fast_path_on_free_product():
 
 
 # -- cayley points and the 5-case distance ---------------------------------
-
-
-def test_point_text_round_trip():
-    p = parse_point(F2, "e:ab:a:1/3")
-    assert p == EdgePoint(("a", "b"), "a", Fraction(1, 3))
-    assert str(p) == "e:ab:a:1/3"
-    v = parse_point(F2, "v:ab")
-    assert v == Vertex(("a", "b"))
-    assert parse_point(F2, "ab") == v
-    assert parse_point(F2, "v:ε") == Vertex(())
 
 
 def test_edge_offset_strictly_interior():
@@ -357,17 +344,3 @@ def test_inclusion_qi_fixtures(oracle):
     g = GammaOracle(oracle, 8)
     report = check_inclusion_qi(g, 8, sample_depth=3)
     assert report.passed, report.to_json()
-
-
-def test_geodesic_witness_validates():
-    g = GammaOracle(F2, 8)
-    w = geodesic_witness(g, ("a",), ("a", "b", "b"), 8)
-    assert is_geodesic_witness(g, w)
-    assert w.steps[0] == (Fraction(0), Vertex(("a",)))
-    assert w.steps[-1][0] == Fraction(2)
-
-
-def test_geodesic_witness_no_path():
-    g = GammaOracle(F1, 8)
-    with pytest.raises(NoPath):
-        geodesic_witness(g, ("a",), (), 8)

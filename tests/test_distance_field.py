@@ -27,13 +27,13 @@ from monoidgeo import (
     TableMonoid,
     TruncatedDistance,
     bicyclic_monoid,
-    cyclic_group,
     ends_in_group_identity_submonoid,
     from_spec_dict,
     shortest_word,
     word_distance,
     zero_monoid,
 )
+from builders import cyclic_group
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

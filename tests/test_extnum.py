@@ -67,11 +67,6 @@ def test_total_order(a, b, c):
     assert a <= b or b <= a
 
 
-@given(ext_values)
-def test_json_round_trip(a):
-    assert ExtNonNeg.from_json(a.to_json()) == a
-
-
 def test_infinite_above_everything():
     assert ExtNonNeg.of(10**30) < INF
     assert ext_min([INF, ExtNonNeg.of(3)]) == ExtNonNeg.of(3)
@@ -130,12 +125,3 @@ def test_truncated_min_stays_unknown_when_bound_below_known():
 def test_truncated_min_empty_is_infinite():
     out = truncated_min([])
     assert out.is_known and out.value == INF
-
-
-def test_truncated_json_round_trip():
-    for d in (
-        TruncatedDistance.known(ExtNonNeg.of(Fraction(5, 3))),
-        TruncatedDistance.known(INF),
-        TruncatedDistance.unknown_above(ExtNonNeg.of(8)),
-    ):
-        assert TruncatedDistance.from_json(d.to_json()) == d

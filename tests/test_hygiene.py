@@ -1,0 +1,78 @@
+"""Source hygiene: the benchmark's per-layer spans resolve, no import is unused.
+
+The traced benchmark wraps every public function and public method of the
+``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
+incorrect when a per-layer metric in ``BENCHMARK.json`` names a span that is
+not a wrapped function.  So a public definition the metrics name must not be
+deleted or made private, even when no command reaches it.
+"""
+
+import ast
+import importlib
+import inspect
+import json
+import os
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+PACKAGE = os.path.join(ROOT, "src", "monoidgeo")
+SPAN_QUANTITIES = ("calls", "self_s", "maxrss_growth_mb")
+
+
+def _spans() -> list[str]:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    spans = set()
+    for name in names:
+        span, _, quantity = name.rpartition(".")
+        if quantity in SPAN_QUANTITIES:
+            spans.add(span)
+    return sorted(spans)
+
+
+def _public_callables(mod) -> set[str]:
+    """The names the tracer wraps in `mod`: public functions defined there and
+    public methods (plain or static) of the classes defined there."""
+    out = set()
+    for attr, value in vars(mod).items():
+        if attr.startswith("_"):
+            continue
+        if inspect.isfunction(value) and value.__module__ == mod.__name__:
+            out.add(attr)
+        elif inspect.isclass(value) and value.__module__ == mod.__name__:
+            for cattr, raw in vars(value).items():
+                if not cattr.startswith("_") and (inspect.isfunction(raw) or isinstance(raw, staticmethod)):
+                    out.add(cattr)
+    return out
+
+
+@pytest.mark.parametrize("span", _spans())
+def test_per_layer_span_is_a_public_callable(span):
+    module, name = span.split(".")
+    mod = importlib.import_module(f"monoidgeo.{module}")
+    assert name in _public_callables(mod), f"{span} names no public function or method in src/"
+
+
+def _unused_imports(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
+)
+def test_no_unused_import(module):
+    # __init__.py is exempt: its imports are the package's public names.
+    assert _unused_imports(os.path.join(PACKAGE, module)) == []

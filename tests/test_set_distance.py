@@ -19,19 +19,20 @@ from monoidgeo import (
     CayleyPoint,
     CellSet,
     EdgePoint,
+    INF,
     ExtNonNeg,
     MonoidOracle,
     Segment,
     TableMonoid,
     TruncatedDistance,
     Vertex,
-    cyclic_group,
     gamma_distance,
     gamma_set_distance,
     truncated_min,
     word_distance,
 )
 from monoidgeo.cayley import _interval_gap
+from builders import cyclic_group
 from test_distance_field import FIELD_OUTCOMES, ORACLES, ReferenceBall, _outcome
 
 # Internal extended points allow closed offsets 0 and 1 so that infima over
@@ -83,7 +84,7 @@ def closure_reps(cells: CellSet) -> list[_ExtPoint]:
 
 def reference_set_distance(oracle, A, B, horizon):
     if not A or not B:
-        return TruncatedDistance.known(ExtNonNeg.infinite())
+        return TruncatedDistance.known(INF)
     candidates = []
     b_by_edge = {}
     for seg in B.segments:

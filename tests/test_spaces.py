@@ -1,4 +1,4 @@
-"""Semimetric axioms, balls, QI embeddings, quasi-metricity, path witnesses."""
+"""Semimetric axioms, balls, set distances and quasi-metricity."""
 
 from fractions import Fraction
 
@@ -6,24 +6,19 @@ import pytest
 
 from monoidgeo import (
     INF,
-    ZERO,
+    CellSet,
     ExtNonNeg,
     FreeMonoid,
+    GammaOracle,
     HorizonTooSmall,
-    PathWitness,
-    QiParams,
-    Vertex,
+    TruncatedDistance,
     WordMetricSpace,
-    ball,
     bicyclic_monoid,
     check_axioms,
-    check_qi_embedding,
-    check_quasi_dense,
     check_quasi_metric,
-    cyclic_group,
-    set_distance,
-    validate_path_witness,
+    gamma_set_distance,
 )
+from builders import cyclic_group
 
 F1 = FreeMonoid(1, ["a"])
 F2 = FreeMonoid(2, ["a", "b"])
@@ -48,74 +43,35 @@ def test_axioms_catch_broken_space():
     assert v.inequality == "d(x,y) = 0 iff x = y"
 
 
+def _set_distance(oracle, A, B):
+    """The least word distance over A x B, read off the vertex cell sets."""
+    return gamma_set_distance(oracle, CellSet(A), CellSet(B), 8)
+
+
 def test_set_distance_min_and_empty():
-    space = WordMetricSpace(F1, 8)
-    assert set_distance(space, [(), ("a",)], [("a", "a", "a")]) == ExtNonNeg.of(2)
-    assert set_distance(space, [], [()]) == INF
+    assert _set_distance(F1, [(), ("a",)], [("a", "a", "a")]) == TruncatedDistance.known(ExtNonNeg.of(2))
+    assert _set_distance(F1, [], [()]) == TruncatedDistance.known(INF)
+
+
+def _ball(oracle, center, radius, kind, horizon=8):
+    """The vertices of a ball of the word semimetric, as the `ball` command
+    finds them (the vertex part of the Cayley graph's ball)."""
+    return sorted(GammaOracle(oracle, horizon).ball_cellset(center, radius, kind).vertices)
 
 
 def test_ball_out_in_strong():
-    space = WordMetricSpace(F1, 8)
-    assert ball(space, ("a",), 2, "out", 8) == [("a",), ("a", "a"), ("a", "a", "a")]
-    assert sorted(ball(space, ("a", "a"), 1, "in", 8)) == [("a",), ("a", "a")]
+    assert _ball(F1, ("a",), 2, "out") == [("a",), ("a", "a"), ("a", "a", "a")]
+    assert _ball(F1, ("a", "a"), 1, "in") == [("a",), ("a", "a")]
     # strong ball in a free monoid degenerates to the center
-    assert ball(space, ("a",), 2, "strong", 8) == [("a",)]
+    assert _ball(F1, ("a",), 2, "strong") == [("a",)]
     # in Z/3, d(g, e) = 2, so even the group's strong 1-ball is only {e}
-    z_space = WordMetricSpace(Z3, 8)
-    assert sorted(ball(z_space, (), 1, "strong", 8)) == [()]
-    assert sorted(ball(z_space, (), 2, "strong", 8)) == [(), ("g",), ("g", "g")]
+    assert _ball(Z3, (), 1, "strong") == [()]
+    assert _ball(Z3, (), 2, "strong") == [(), ("g",), ("g", "g")]
 
 
 def test_ball_radius_beyond_horizon():
-    space = WordMetricSpace(F1, 8)
     with pytest.raises(HorizonTooSmall):
-        ball(space, (), 9, "out", 8)
-
-
-def test_qi_params_ranges():
-    QiParams(Fraction(1), Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        QiParams(Fraction(1, 2), Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        QiParams(Fraction(1), Fraction(0), Fraction(1))
-    with pytest.raises(ValueError):
-        QiParams(Fraction(1), Fraction(1), Fraction(1, 2))
-
-
-def test_qi_embedding_identity_map():
-    space = WordMetricSpace(F2, 8)
-    pairs = [(m, m) for m in F2.elements_up_to(3)]
-    report = check_qi_embedding(pairs, space, space, Fraction(1), Fraction(0))
-    assert report.passed
-
-
-def test_qi_embedding_detects_collapse():
-    dom = WordMetricSpace(F1, 8)
-    cod = WordMetricSpace(F1, 8)
-    # map everything to ε: upper bound fine, lower bound fails since
-    # d(x,y) can be 3 while d(f(x),f(y)) = 0
-    pairs = [(m, ()) for m in F1.elements_up_to(3)]
-    report = check_qi_embedding(pairs, dom, cod, Fraction(1), Fraction(1))
-    assert not report.passed
-    assert any("1/lambda" in v.inequality for v in report.violations)
-
-
-def test_qi_embedding_infinity_consistency():
-    # doubling map a -> aa on F1 preserves finiteness and is a (2, 0) QI embedding
-    dom = WordMetricSpace(F1, 8)
-    cod = WordMetricSpace(F1, 16)
-    pairs = [(m, m + m) for m in F1.elements_up_to(4)]
-    report = check_qi_embedding(pairs, dom, cod, Fraction(2), Fraction(0))
-    assert report.passed
-
-
-def test_quasi_dense():
-    space = WordMetricSpace(Z3, 8)
-    all_pts = Z3.elements_up_to(3)
-    report = check_quasi_dense(space, [()], all_pts, Fraction(2))
-    assert report.passed
-    report = check_quasi_dense(space, [()], all_pts, Fraction(1))
-    assert not report.passed  # d(g2, e) asymmetry: strong 1-ball misses g2
+        _ball(F1, (), 9, "out")
 
 
 def test_quasi_metric_group_passes():
@@ -130,19 +86,3 @@ def test_quasi_metric_free_monoid_fails():
     assert not report.passed
     v = report.violations[0]
     assert v.lhs == INF  # the witness is an infinite forward distance
-
-
-def test_path_witness_validation():
-    space = WordMetricSpace(F1, 8)
-    good = PathWitness(((Fraction(0), ()), (Fraction(1), ("a",)), (Fraction(2), ("a", "a"))))
-    assert validate_path_witness(space, good).passed
-    # a path that claims to go backwards in the free monoid
-    bad = PathWitness(((Fraction(0), ("a",)), (Fraction(1), ())))
-    assert not validate_path_witness(space, bad).passed
-
-
-def test_path_witness_time_invariants():
-    with pytest.raises(ValueError):
-        PathWitness(((Fraction(1), ()),))
-    with pytest.raises(ValueError):
-        PathWitness(((Fraction(0), ()), (Fraction(0), ("a",))))

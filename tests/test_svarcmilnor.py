@@ -19,8 +19,8 @@ from monoidgeo import (
     Vertex,
     apply_translation,
     check_cancellative,
+    check_idealistic,
     check_isometric_embedding_action,
-    cyclic_group,
     ends_in_group_identity_submonoid,
     extract_generators,
     factor_over_generators,
@@ -34,6 +34,7 @@ from monoidgeo import (
     zero_monoid,
 )
 from monoidgeo.svarcmilnor import _hypothesis_sample
+from builders import cyclic_group
 from test_distance_field import ORACLES
 
 F1 = FreeMonoid(1, ["a"])
@@ -43,7 +44,6 @@ def make_input(oracle, radius=1, horizon=8):
     gamma = GammaOracle(oracle, horizon)
     return SmInput(
         action=translation_action(gamma),
-        basepoint=(),
         radius=Fraction(radius),
         horizon=horizon,
     )
@@ -144,8 +144,8 @@ def _hypothesis_case(name):
         n = FreeProductMonoid(1, cyclic_group(2))
         gamma = GammaOracle(n, 8)
         m = SubmonoidOracle(n, ends_in_group_identity_submonoid(n))
-        action = ActionOracle(m, gamma, lambda u, pt: apply_translation(n, u, pt), Vertex(()))
-        return n, SmInput(action=action, basepoint=(), radius=Fraction(2), horizon=4)
+        action = ActionOracle(m, gamma, lambda u, pt: apply_translation(n, u, pt))
+        return n, SmInput(action=action, radius=Fraction(2), horizon=4)
     build, horizon, _, _ = ORACLES[name]
     oracle = build()
     return oracle, make_input(oracle, horizon=horizon)
@@ -156,7 +156,7 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
     n, inp = _hypothesis_case(name)
     gamma = inp.action.space
     try:
-        B = gamma.strong_ball_cellset(inp.basepoint, inp.radius, inp.far)
+        B = gamma.strong_ball_cellset((), inp.radius, inp.far)
     except HorizonTooSmall:
         B = None  # the pipeline stops here, before any hypothesis
     if B is not None:
@@ -183,6 +183,26 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
                 extract_generators(inp)
             assert exc.value.hypothesis == "isometric_embedding"
             assert f"{w['m']}·{w['a']} = {w['m']}·{w['b']}" in str(exc.value)
+
+
+def test_idealistic_decides_every_pair_at_the_far_horizon():
+    """S5 at its directed diameter 11 decides every pair of the depth-4 ball
+    at far, so nothing is unresolved.  Below the diameter some pair stays
+    undecided, the verdict is unknown, and extraction stops in the pre-checks
+    naming the count."""
+    build = ORACLES["S5"][0]
+    ide = extract_generators(make_input(build(), horizon=11)).hypotheses["idealistic"]
+    assert ide.verdict == "holds_at_horizon"
+    assert ide.horizon == 4
+    assert ide.artifacts["unresolved_pairs"] == 0
+    for horizon in (4, 6, 8):
+        inp = make_input(build(), horizon=horizon)
+        ide = check_idealistic(inp.action, Vertex(()), 4, inp.far)
+        assert ide.verdict == "unknown" and not ide.passed
+        unresolved = ide.artifacts["unresolved_pairs"]
+        assert unresolved > 0
+        with pytest.raises(HorizonTooSmall, match=f"idealistic: {unresolved} pairs unresolved at horizon {inp.far}"):
+            extract_generators(inp)
 
 
 def test_radius_must_be_positive_and_within_horizon():
