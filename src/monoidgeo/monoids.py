@@ -90,7 +90,10 @@ class MonoidOracle:
 
     def __init__(self):
         # One BFS field per source, an intern table shared by the fields'
-        # elements, and a memo of the answers of exact_quotient.
+        # elements, and a memo of the answers of exact_quotient.  Every
+        # interned word is a normal form: a field's source is normalized
+        # before it is interned, and its other elements are products.
+        # RewritingMonoid.multiply relies on this.
         self._fields: dict[Word, DistanceField] = {}
         self._interned: dict[Word, Word] = {}
         self._exact_memo: dict[tuple[Word, Word], Optional[Word]] = {}
@@ -99,8 +102,9 @@ class MonoidOracle:
         """The lazily grown BFS field of right multiplication from `source`."""
         field = self._fields.get(source)
         if field is None:
+            source = self.normal_form(source)
             source = self._interned.setdefault(source, source)
-            field = self._fields[source] = DistanceField(self, source)
+            field = self._fields.setdefault(source, DistanceField(self, source))
         return field
 
     def elements_up_to(self, n: int) -> list[Word]:
@@ -469,8 +473,12 @@ class FreeProductMonoid(MonoidOracle):
 class RewritingMonoid(MonoidOracle):
     """Monoid presented by a confluent, length-nonincreasing rewriting system.
 
-    Normal forms are fixpoints of leftmost rewriting with a step cap; the
-    user asserts confluence (a consistency sampler lives in the test suite).
+    Normal forms come from leftmost rewriting with a step cap.  Each scan
+    compares only the rules that start with the letter at hand, and resumes
+    where a redex can first start: `reach` letters left of the last rewrite,
+    or of the end of the left factor when `multiply` is given an interned
+    (hence irreducible) one.  The class accepts any rule set; a spec's
+    confluence is checked at load by its critical pairs (`from_spec_dict`).
     Optional ``fast_path`` tags ("bicyclic", "zero") read exact quotients,
     infinite distances included, off the normal forms of the two stock
     infinite fixtures.
@@ -500,6 +508,11 @@ class RewritingMonoid(MonoidOracle):
             if len(rhs) == len(lhs) and rhs >= lhs:
                 raise SpecValidationError(f"length-preserving rule {lhs}->{rhs} needs a decreasing tie-break")
         self._reach = max((len(lhs) for lhs, _ in self.rules), default=1) - 1
+        # The rules that can start at each letter, in rule order, as lists
+        # compared against slices of the word being rewritten.
+        self._rules_at: dict[str, list[tuple[list[str], Word]]] = {g: [] for g in self.generators}
+        for lhs, rhs in self.rules:
+            self._rules_at[lhs[0]].append((list(lhs), rhs))
         self.step_cap = step_cap
         if fast_path not in (None, "bicyclic", "zero"):
             raise SpecValidationError(f"unknown fast_path {fast_path!r}")
@@ -517,26 +530,40 @@ class RewritingMonoid(MonoidOracle):
 
     def normal_form(self, word: Sequence[str]) -> Word:
         self.check_letters(word)
-        w = list(word)
-        start = 0
+        return self._rewrite(list(word), 0)
+
+    def multiply(self, u: Word, v: Word) -> Word:
+        # An interned u is a normal form, so a redex starting more than
+        # `reach` letters before its end would lie wholly inside it.
+        word = [*u, *v]
+        if tuple(u) in self._interned:
+            self.check_letters(v)
+            return self._rewrite(word, max(0, len(u) - self._reach))
+        self.check_letters(word)
+        return self._rewrite(word, 0)
+
+    def _rewrite(self, w: list[str], i: int) -> Word:
+        """Leftmost rewriting of `w`, in which no redex starts before i."""
         for _ in range(self.step_cap):
-            redex = next(
-                (
-                    (i, lhs, rhs)
-                    for i in range(start, len(w))
-                    for lhs, rhs in self.rules
-                    if tuple(w[i : i + len(lhs)]) == lhs
-                ),
-                None,
-            )
+            redex = self._leftmost_redex(w, i)
             if redex is None:
                 return tuple(w)
-            i, lhs, rhs = redex
-            w[i : i + len(lhs)] = list(rhs)
+            i, j, rhs = redex
+            w[i:j] = rhs
             # A rewrite at i changes nothing left of i, so no redex can start
-            # before i - (longest lhs - 1): the leftmost scan resumes there.
-            start = max(0, i - self._reach)
+            # before i - reach: the leftmost scan resumes there.
+            i = max(0, i - self._reach)
         raise NonTerminating(f"rewriting did not stabilize within {self.step_cap} steps")
+
+    def _leftmost_redex(self, w: list[str], i: int) -> Optional[tuple[int, int, Word]]:
+        """(start, end, rhs) of the leftmost redex of `w` at or after i."""
+        rules_at = self._rules_at
+        for i in range(i, len(w)):
+            for lhs, rhs in rules_at[w[i]]:
+                j = i + len(lhs)
+                if w[i:j] == lhs:
+                    return i, j, rhs
+        return None
 
     # Fast paths read the normal forms structurally: bicyclic normal forms
     # are q^a p^b (with generators ordered (p, q)); zero-monoid normal forms
@@ -592,6 +619,31 @@ def _stock_rules(fast_path: str, x: str, y: str) -> set[tuple[Word, Word]]:
     if fast_path == "bicyclic":
         return {((x, y), ())}
     return {((x, y), (y,)), ((y, x), (y,)), ((y, y), (y,))}
+
+
+def _check_confluent(m: RewritingMonoid) -> None:
+    """Raise SpecValidationError naming every critical pair of the rules
+    whose two one-step results have different normal forms.  The rules
+    terminate, so by Newman's lemma they are confluent exactly when none has."""
+    unresolved: dict[tuple, str] = {}
+    for l1, r1 in m.rules:
+        for l2, r2 in m.rules:
+            # l2 placed at each position k of l1 where the two agree: inside
+            # l1, or overhanging its end.
+            for k in range(len(l1)):
+                if l1[k : k + len(l2)] != l2[: len(l1) - k]:
+                    continue
+                w = l1 + l2[len(l1) - k :]
+                a = m.normal_form(r1 + w[len(l1) :])
+                b = m.normal_form(w[:k] + r2 + w[k + len(l2) :])
+                if a != b:
+                    text = f"{format_word(w)}: {format_word(a)} ≠ {format_word(b)}"
+                    unresolved.setdefault((w, frozenset((a, b))), text)
+    if unresolved:
+        raise SpecValidationError(
+            "rewriting rules are not confluent; critical pairs (overlap: normal forms): "
+            + "; ".join(unresolved.values())
+        )
 
 
 def bicyclic_monoid() -> RewritingMonoid:
@@ -815,10 +867,12 @@ def from_spec_dict(doc: dict) -> MonoidOracle:
             return _tokenize(t, doc["generators"], SpecParseError) if isinstance(t, str) else tuple(t)
 
         rules = [(side(lhs), side(rhs)) for lhs, rhs in doc["rules"]]
-        return RewritingMonoid(
+        m = RewritingMonoid(
             doc["generators"],
             rules,
             fast_path=doc.get("fast_path"),
             step_cap=doc.get("step_cap", 10_000),
         )
+        _check_confluent(m)
+        return m
     raise SpecParseError(f"unknown monoid spec type {kind!r}")

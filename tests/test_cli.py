@@ -195,6 +195,8 @@ def test_bad_spec_errors_exit_2(tmp_path):
         {**a, "rules": [5]},
         {**a, "rules": [["aa", 1]]},
         {**a, "rules": [["aa", "a"]], "step_cap": "9"},
+        # Rules that are not confluent: (aa)b = bb but a(ab) = a.
+        {**a, "generators": ["a", "b"], "rules": [["aa", "b"], ["ab", ""]]},
     ]
     for i, spec in enumerate(bad_docs):
         bad = tmp_path / f"bad{i}.json"

@@ -33,6 +33,8 @@ CASES = {
     "fp_r2_z2_free_product_h5": ("fp_r2_z2.json", ["--horizon", "5", "free-product"], 0),
     "z3_check_axioms": ("z3.json", ["check", "axioms"], 0),
     "zero_check_axioms": ("zero.json", ["check", "axioms"], 0),
+    "n3_dist": ("n3.json", ["--horizon", "6", "dist", "ab", "aabbc"], 0),
+    "n3_ball_out": ("n3.json", ["--horizon", "6", "ball", "abc", "3/2", "out"], 0),
 }
 
 CHILD = r"""

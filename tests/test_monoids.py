@@ -266,6 +266,52 @@ def test_resumed_scan_matches_naive_leftmost_rewriting(step_cap):
                     m.normal_form(word)
             else:
                 assert m.normal_form(word) == expected, (rules, word)
+        # multiply(u, v) resumes past an interned u and rescans a raw one;
+        # both must rewrite u + v as the naive rewriter does.
+        try:
+            grown = m.elements_up_to(3)
+        except NonTerminating:
+            grown = [()]
+        for _ in range(20):
+            v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+            raw = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+            for u in (rng.choice(grown), raw):
+                try:
+                    expected = naive_leftmost_rewrite(m.rules, u + v, step_cap)
+                except NonTerminating:
+                    with pytest.raises(NonTerminating):
+                        m.multiply(u, v)
+                else:
+                    assert m.multiply(u, v) == expected, (rules, u, v)
+
+
+N3 = {"type": "rewriting", "generators": ["a", "b", "c"],
+      "rules": [["ba", "ab"], ["ca", "ac"], ["cb", "bc"]], "confluent": True}
+
+
+def test_multiply_rescans_a_left_factor_it_did_not_produce():
+    m = from_spec_dict(N3)
+    m.elements_up_to(3)
+    assert m.multiply(("b", "a"), ("a",)) == ("a", "a", "b")
+    assert m.multiply(("a", "b"), ("a",)) == ("a", "a", "b")
+
+
+def test_distance_field_normalizes_its_source():
+    # Both sources are words for the target itself, so the distance is 0.
+    m = from_spec_dict(N3)
+    for oracle, x, y in [(m, ("b", "a"), ("a", "b")), (cyclic_group(3), ("g", "g", "g"), ())]:
+        d = word_distance(oracle, x, y, 5)
+        assert d.is_known and d.value == ExtNonNeg.of(0), (x, y)
+    assert all(m.normal_form(w) == w for w in m._interned)
+
+
+def test_spec_rejects_non_confluent_rules():
+    doc = {"type": "rewriting", "generators": ["a", "b"], "rules": [["aa", "b"], ["ab", ""]], "confluent": True}
+    # (aa)b = bb but a(ab) = a: the overlap aab is named with both normal forms.
+    with pytest.raises(SpecValidationError, match="aab: bb ≠ a"):
+        from_spec_dict(doc)
+    # The class itself accepts any rule set.
+    RewritingMonoid(["a", "b"], [(("a", "a"), ("b",)), (("a", "b"), ())])
 
 
 def test_table_multiply_matches_letter_walk():
