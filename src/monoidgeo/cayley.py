@@ -54,6 +54,11 @@ _UNSEEN = object()
 
 
 def word_distance(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> TruncatedDistance:
+    """d(x,y) in the word semimetric, known up to `horizon`.
+
+    x and y must be normal forms, as `parse_word` returns them: a target
+    that is not one is never found by the distance field.
+    """
     # Set-distance and pipeline code re-ask the same vertex pairs heavily,
     # so structural quotients are memoized; field answers are lookups.
     w = oracle._exact_memo.get((x, y), _UNSEEN)
@@ -72,7 +77,10 @@ def word_distance(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> Trunc
 
 
 def shortest_word(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> Word:
-    """A witness word w of length d(x,y) with x*w = y; NoPath if none certified."""
+    """A witness word w of length d(x,y) with x*w = y; NoPath if none certified.
+
+    x and y must be normal forms, as for `word_distance`.
+    """
     # The same answer as word_distance's, read the same way.
     w = oracle._exact_memo.get((x, y), _UNSEEN)
     if w is _UNSEEN:

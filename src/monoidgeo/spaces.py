@@ -8,6 +8,8 @@ raised so the caller can retry with a larger horizon.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -109,8 +111,25 @@ def _distance_table(space: SemimetricSpace, sample: Sequence) -> dict:
     return table
 
 
+def _integer_rows(d: dict, n: int) -> tuple[list[list[int]], int]:
+    """The table as rows of exact ints, and the int standing for infinity."""
+    fracs = [v.frac for v in d.values() if v.is_finite]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    inf = 2 * max((f.numerator * (scale // f.denominator) for f in fracs), default=0) + 1
+
+    def scaled(v: ExtNonNeg) -> int:
+        return inf if v.frac is None else v.frac.numerator * (scale // v.frac.denominator)
+
+    return [[scaled(d[i, k]) for k in range(n)] for i in range(n)], inf
+
+
 def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
-    """Axiom (i) on all pairs and the triangle inequality on all triples."""
+    """Axiom (i) on all pairs and the triangle inequality on all triples.
+
+    The triangle check scales finite distances by the lcm of their denominators
+    to ints D, and infinity to 2*max(D) + 1, above any sum of two finite D.  So
+    with d(x,y) finite, z fails exactly when D(x,z) - D(y,z) > D(x,y).
+    """
     sample = list(sample)
     d = _distance_table(space, sample)
     violations = []
@@ -128,11 +147,16 @@ def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
                         rhs=ZERO if equal else d[i, j],
                     )
                 )
-    for i in range(n):
-        for j in range(n):
-            dij = d[i, j]
+    rows, inf = _integer_rows(d, n)
+    for i, row_x in enumerate(rows):
+        for j, row_y in enumerate(rows):
+            dij = row_x[j]
+            # An infinite d(x,y) bounds every sum; otherwise one C-level pass
+            # clears the row, and only a failing row is rescanned in z order.
+            if dij == inf or max(map(operator.sub, row_x, row_y)) <= dij:
+                continue
             for k in range(n):
-                if d[i, k] > dij + d[j, k]:
+                if row_x[k] - row_y[k] > dij:
                     violations.append(
                         Violation(
                             points=(
@@ -142,7 +166,7 @@ def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
                             ),
                             inequality="d(x,z) <= d(x,y) + d(y,z)",
                             lhs=d[i, k],
-                            rhs=dij + d[j, k],
+                            rhs=d[i, j] + d[j, k],
                         )
                     )
     return ViolationReport("axioms", violations)

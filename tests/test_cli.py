@@ -60,6 +60,20 @@ def test_check_axioms():
     assert doc["result"]["gamma"]["verdict"] == "pass"
 
 
+def test_check_axioms_horizon_too_small_names_first_unknown_pair(capsys):
+    code, _, text = run_cli("--monoid", fx("n3.json"), "--horizon", "4", "check", "axioms")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: d(a, ε) only known to exceed 4\n"
+
+
+def test_dist_normalizes_words_before_word_distance():
+    # word_distance needs normal forms; the CLI parses ba and ab to the same one.
+    code, doc, _ = run_cli("--monoid", fx("n3.json"), "--horizon", "5", "dist", "ba", "ab")
+    assert code == 0
+    assert doc["result"]["distance"] == {"kind": "exact", "num": 0, "den": 1}
+    assert doc["result"]["witness"] == "ε"
+
+
 def test_check_qi():
     code, doc, _ = run_cli("--monoid", fx("bicyclic.json"), "check", "qi", "--depth", "3")
     assert code == 0

@@ -35,6 +35,8 @@ CASES = {
     "zero_check_axioms": ("zero.json", ["check", "axioms"], 0),
     "n3_dist": ("n3.json", ["--horizon", "6", "dist", "ab", "aabbc"], 0),
     "n3_ball_out": ("n3.json", ["--horizon", "6", "ball", "abc", "3/2", "out"], 0),
+    "free2_check_axioms_d5": ("free2.json", ["--horizon", "8", "check", "axioms", "--depth", "5"], 0),
+    "fp_r1_z2_check_axioms": ("fp_r1_z2.json", ["check", "axioms"], 0),
 }
 
 CHILD = r"""

@@ -1,4 +1,5 @@
-"""Source hygiene: the benchmark's per-layer spans resolve, no import is unused.
+"""Source hygiene: the benchmark's per-layer spans resolve, no import is unused,
+and ``check_axioms`` keeps the positional arguments the benchmark reads.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -76,3 +77,15 @@ def _unused_imports(path: str) -> list[str]:
 def test_no_unused_import(module):
     # __init__.py is exempt: its imports are the package's public names.
     assert _unused_imports(os.path.join(PACKAGE, module)) == []
+
+
+def test_check_axioms_takes_space_and_sample_first():
+    # The benchmark's sample-size wrapper and its tracer read these two
+    # arguments by position.
+    from monoidgeo.spaces import check_axioms
+
+    params = list(inspect.signature(check_axioms).parameters.values())[:2]
+    assert [(p.name, p.kind) for p in params] == [
+        ("space", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("sample", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+    ]

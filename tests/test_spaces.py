@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoidgeo import (
     INF,
+    ZERO,
     CellSet,
     ExtNonNeg,
     FreeMonoid,
@@ -18,6 +20,7 @@ from monoidgeo import (
     check_quasi_metric,
     gamma_set_distance,
 )
+from monoidgeo.spaces import SemimetricSpace, Violation, ViolationReport, _distance_table
 from builders import cyclic_group
 
 F1 = FreeMonoid(1, ["a"])
@@ -41,6 +44,129 @@ def test_axioms_catch_broken_space():
     assert not report.passed
     v = report.violations[0]
     assert v.inequality == "d(x,y) = 0 iff x = y"
+
+
+def _check_axioms_reference(space, sample):
+    """check_axioms as it was before the integer triangle kernel: one
+    ExtNonNeg sum and comparison per triple."""
+    sample = list(sample)
+    d = _distance_table(space, sample)
+    violations = []
+    n = len(sample)
+    for i in range(n):
+        for j in range(n):
+            equal = space.points_equal(sample[i], sample[j])
+            zero = d[i, j] == ZERO
+            if zero != equal:
+                violations.append(
+                    Violation(
+                        points=(space.format_point(sample[i]), space.format_point(sample[j])),
+                        inequality="d(x,y) = 0 iff x = y",
+                        lhs=d[i, j],
+                        rhs=ZERO if equal else d[i, j],
+                    )
+                )
+    for i in range(n):
+        for j in range(n):
+            dij = d[i, j]
+            for k in range(n):
+                if d[i, k] > dij + d[j, k]:
+                    violations.append(
+                        Violation(
+                            points=(
+                                space.format_point(sample[i]),
+                                space.format_point(sample[j]),
+                                space.format_point(sample[k]),
+                            ),
+                            inequality="d(x,z) <= d(x,y) + d(y,z)",
+                            lhs=d[i, k],
+                            rhs=dij + d[j, k],
+                        )
+                    )
+    return ViolationReport("axioms", violations)
+
+
+class MatrixSpace(SemimetricSpace):
+    """Points 0..n-1 with d(p, q) = rows[p][q]; None stands for infinity."""
+
+    def __init__(self, rows):
+        self.rows = [[None if v is None else Fraction(v) for v in row] for row in rows]
+
+    def distance(self, p, q):
+        v = self.rows[p][q]
+        return TruncatedDistance.known(INF if v is None else ExtNonNeg.of(v))
+
+
+def _triangle_report(rows):
+    """check_axioms on every point of a matrix space, checked against the
+    reference; returns the triangle violations as (points, lhs, rhs) strings."""
+    space = MatrixSpace(rows)
+    report = check_axioms(space, range(len(rows)))
+    assert report.to_json() == _check_axioms_reference(space, range(len(rows))).to_json()
+    return [
+        (v.points, str(v.lhs), str(v.rhs)) for v in report.violations if v.inequality.startswith("d(x,z)")
+    ]
+
+
+def test_triangle_mixed_denominators():
+    # 2/3 > 1/3 + 1/4; scaled by 4 (not the lcm 12) the three read 2, 1, 1 and pass.
+    rows = [[0, "1/3", "2/3"], ["3/2", 0, "1/4"], ["1/4", "3/2", 0]]
+    assert _triangle_report(rows) == [
+        (("0", "1", "2"), "2/3", "7/12"),
+        (("1", "2", "0"), "3/2", "1/2"),
+        (("2", "0", "1"), "3/2", "7/12"),
+    ]
+
+
+def test_triangle_infinite_lhs_over_finite_sum():
+    # d(0,1) and d(1,2) both equal the largest finite entry, so the sentinel
+    # for infinity must exceed twice it.
+    rows = [[0, 1, None], [None, 0, 1], [None, None, 0]]
+    assert _triangle_report(rows) == [(("0", "1", "2"), "inf", "2")]
+    report = check_axioms(MatrixSpace(rows), range(3))
+    assert report.violations[0].to_json()["lhs"] == {"kind": "infinite"}
+
+
+def test_triangle_exact_ties_pass():
+    rows = [[0, "1/2", "5/4"], [None, 0, "3/4"], [None, None, 0]]
+    assert check_axioms(MatrixSpace(rows), range(3)).passed
+    assert _triangle_report(rows) == []
+
+
+def test_triangle_infinite_first_leg_never_fails():
+    # d(0,1) = inf bounds d(0,2) whatever d(1,2) is, finite or not.
+    rows = [[0, None, 5, None], [None, 0, 1, None], [None, None, 0, 2], [None, None, None, 0]]
+    assert _triangle_report(rows) == [(("0", "2", "3"), "inf", "7"), (("1", "2", "3"), "inf", "3")]
+
+
+def test_triangle_violations_in_sample_order():
+    rows = [[0, 1, 5, 5], [9, 0, 1, 1], [1, 9, 0, 9], [9, 9, 9, 0]]
+    assert _triangle_report(rows) == [
+        (("0", "1", "2"), "5", "2"),
+        (("0", "1", "3"), "5", "2"),
+        (("1", "2", "0"), "9", "2"),
+        (("2", "0", "1"), "9", "2"),
+        (("2", "0", "3"), "9", "6"),
+    ]
+
+
+def test_triangle_tiny_samples():
+    assert check_axioms(MatrixSpace([]), []).to_json() == {"check": "axioms", "verdict": "pass", "violations": []}
+    assert _triangle_report([[0]]) == []
+    # No finite entry at all: d(0,0) = inf fails axiom (i) only.
+    assert _triangle_report([[None]]) == []
+    assert not check_axioms(MatrixSpace([[None]]), [0]).passed
+
+
+_ENTRIES = st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 4), 2, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_check_axioms_matches_reference_on_random_matrices(rows):
+    _triangle_report(rows)
 
 
 def _set_distance(oracle, A, B):
