@@ -32,7 +32,6 @@ from .extnum import (
 from .monoids import (
     FiniteGroup,
     FreeMonoid,
-    FreeProductElem,
     FreeProductMonoid,
     MonoidOracle,
     RewritingMonoid,

@@ -2,11 +2,11 @@
 
 ``word_distance`` and ``shortest_word`` read one answer.  When the oracle
 has a structural fast path, ``exact_quotient`` gives a shortest word w with
-x·w = y, or None when y is not in xM; the word is memoized, the distance is
-its length, and None is a known infinity.  Otherwise they read the distance
-field of the source, one breadth-first search over right multiplication by
-generators per source element, grown lazily in whole levels and shared by
-every query and ball from that source.  Answers follow horizon semantics:
+x·w = y, or None when y is not in xM, read off the normal forms; the
+distance is its length, and None is a known infinity.  Otherwise they read
+the distance field of the source, one breadth-first search over right
+multiplication by generators per source element, grown lazily in whole
+levels and shared by every query and ball from that source.  Answers follow horizon semantics:
 exact (finite, or infinite when the field's frontier empties within the
 horizon or the fast path finds no quotient) or only known to exceed the
 horizon.  A field's witness word is its parent chain, the first shortest
@@ -50,7 +50,6 @@ def _known(depth: int) -> TruncatedDistance:
 
 
 _KNOWN_INF = TruncatedDistance.known(INF)
-_UNSEEN = object()
 
 
 def word_distance(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> TruncatedDistance:
@@ -59,20 +58,17 @@ def word_distance(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> Trunc
     x and y must be normal forms, as `parse_word` returns them: a target
     that is not one is never found by the distance field.
     """
-    # Set-distance and pipeline code re-ask the same vertex pairs heavily,
-    # so structural quotients are memoized; field answers are lookups.
-    w = oracle._exact_memo.get((x, y), _UNSEEN)
-    if w is _UNSEEN:
-        w = () if x == y else oracle.exact_quotient(x, y)
-        if w is NotImplemented:
-            field = oracle.distance_field(x)
-            depth = field.depth(y, horizon)
-            if depth is not None:
-                return _known(depth)
-            if field.empty_level is not None and field.empty_level <= horizon:
-                return _KNOWN_INF
-            return TruncatedDistance.unknown_above(ExtNonNeg.finite(horizon))
-        oracle._exact_memo[x, y] = w
+    # A structural quotient is a few slice comparisons and a field answer a
+    # lookup once the field is grown, so neither is memoized.
+    w = () if x == y else oracle.exact_quotient(x, y)
+    if w is NotImplemented:
+        field = oracle.distance_field(x)
+        depth = field.depth(y, horizon)
+        if depth is not None:
+            return _known(depth)
+        if field.empty_level is not None and field.empty_level <= horizon:
+            return _KNOWN_INF
+        return TruncatedDistance.unknown_above(ExtNonNeg.finite(horizon))
     return _KNOWN_INF if w is None else _known(len(w))
 
 
@@ -82,14 +78,10 @@ def shortest_word(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> Word:
     x and y must be normal forms, as for `word_distance`.
     """
     # The same answer as word_distance's, read the same way.
-    w = oracle._exact_memo.get((x, y), _UNSEEN)
-    if w is _UNSEEN:
-        w = () if x == y else oracle.exact_quotient(x, y)
-        if w is NotImplemented:
-            field = oracle.distance_field(x)
-            w = field.word_to(y) if field.depth(y, horizon) is not None else None
-        else:
-            oracle._exact_memo[x, y] = w
+    w = () if x == y else oracle.exact_quotient(x, y)
+    if w is NotImplemented:
+        field = oracle.distance_field(x)
+        w = field.word_to(y) if field.depth(y, horizon) is not None else None
     if w is None:
         raise NoPath(f"no certified finite path from {format_word(x)} to {format_word(y)}")
     return w

@@ -16,7 +16,6 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import (
-    InvalidElement,
     InvalidLetter,
     NonTerminating,
     SpecParseError,
@@ -66,7 +65,8 @@ class MonoidOracle:
 
     def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
         """The structural fast path: a shortest word w with x*w = y, or None
-        when y is not in xM, read off the normal forms at any length.
+        when y is not in xM, read off the normal forms at any length.  x and
+        y must be normal forms, as for `word_distance`.
 
         The base class has none and returns NotImplemented; distances and
         witnesses then come from the distance field of x.
@@ -89,14 +89,13 @@ class MonoidOracle:
     # -- distance fields and ball enumeration -----------------------------
 
     def __init__(self):
-        # One BFS field per source, an intern table shared by the fields'
-        # elements, and a memo of the answers of exact_quotient.  Every
-        # interned word is a normal form: a field's source is normalized
-        # before it is interned, and its other elements are products.
-        # RewritingMonoid.multiply relies on this.
+        # One BFS field per source and an intern table shared by the fields'
+        # elements.  Every interned word is a normal form: a field's source
+        # is normalized before it is interned, and its other elements are
+        # products.  RewritingMonoid.multiply and FreeProductMonoid.multiply
+        # rely on this.
         self._fields: dict[Word, DistanceField] = {}
         self._interned: dict[Word, Word] = {}
-        self._exact_memo: dict[tuple[Word, Word], Optional[Word]] = {}
 
     def distance_field(self, source: Word) -> "DistanceField":
         """The lazily grown BFS field of right multiplication from `source`."""
@@ -297,15 +296,6 @@ class TableMonoid(MonoidOracle):
         self._canon_index = {w: i for i, w in canon.items()}
         super().__init__()
 
-    def name_index(self, name: str) -> int:
-        try:
-            return self.element_names.index(name)
-        except ValueError:
-            raise InvalidElement(f"unknown element {name!r}") from None
-
-    def mult_names(self, a: str, b: str) -> str:
-        return self.element_names[self.table[self.name_index(a)][self.name_index(b)]]
-
     def index_of(self, word: Word) -> int:
         i = self.identity_idx
         for g in word:
@@ -343,29 +333,15 @@ class FiniteGroup(TableMonoid):
         self.inverse_idx = inverse
 
 
-@dataclass(frozen=True)
-class FreeProductElem:
-    """Alternating form g0 x1 g1 ... xn gn of an element of F * G.
-
-    ``group_parts`` has length n+1 (names of elements of G, identity
-    allowed), ``free_parts`` has length n (free generator names).
-    """
-
-    group_parts: tuple[str, ...]
-    free_parts: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.group_parts) != len(self.free_parts) + 1:
-            raise InvalidElement("alternating form must have one more group part than free parts")
-
-
 class FreeProductMonoid(MonoidOracle):
     """Free product of a free monoid and a finite group.
 
     Generating set: the free letters together with the non-identity group
     elements, so that every right unit sits at distance 1 in both directions.
-    Multiplication renormalizes only at the junction of the two alternating
-    forms.
+    By the normal form theorem for free products, the normal form
+    g0 x1 g1 ... xn gn with identity g's left out is the unique reduced
+    word, so the arithmetic runs on it directly: a product folds the two
+    group letters where the words meet, and a quotient is a prefix test.
     """
 
     def __init__(self, free_rank: int, group: FiniteGroup, free_alphabet: Optional[Sequence[str]] = None):
@@ -385,89 +361,66 @@ class FreeProductMonoid(MonoidOracle):
             raise SpecValidationError(f"free letters clash with group element names: {sorted(overlap)}")
         self.name = f"free{free_rank}*{group.name}"
         self.generators = self.free_letters + group_gens
-        # The geometry pipelines hammer these with repeated arguments.
-        self._alt_cache: dict[Word, FreeProductElem] = {}
-        self._mult_cache: dict[tuple[Word, Word], Word] = {}
+        # g·h and g⁻¹·h by element name, each as a word: the identity is ().
+        names, table = group.element_names, group.table
+        as_word = [() if i == group.identity_idx else (x,) for i, x in enumerate(names)]
+        pairs = [(i, g, j, h) for i, g in enumerate(names) for j, h in enumerate(names)]
+        self._times = {(g, h): as_word[table[i][j]] for i, g, j, h in pairs}
+        self._over = {(g, h): as_word[table[group.inverse_idx[i]][j]] for i, g, j, h in pairs}
         super().__init__()
 
-    # -- alternating forms -------------------------------------------------
+    def _split_last(self, w: Word) -> tuple[Word, str]:
+        """(w without its last group letter, that letter or the identity)."""
+        if w and w[-1] not in self.free_letters:
+            return w[:-1], w[-1]
+        return w, self.group_identity
 
-    def to_alternating(self, word: Sequence[str]) -> FreeProductElem:
-        word = tuple(word)
-        cached = self._alt_cache.get(word)
-        if cached is not None:
-            return cached
-        e = self.group_identity
-        groups = [e]
-        frees: list[str] = []
-        for letter in word:
-            if letter in self.free_letters:
-                frees.append(letter)
-                groups.append(e)
-            elif letter in self.group.element_names:
-                groups[-1] = self.group.mult_names(groups[-1], letter)
-            else:
-                raise InvalidLetter(f"unknown letter {letter!r}")
-        elem = FreeProductElem(tuple(groups), tuple(frees))
-        self._alt_cache[word] = elem
-        return elem
-
-    def from_alternating(self, elem: FreeProductElem) -> Word:
-        e = self.group_identity
-        out: list[str] = []
-        for i, x in enumerate(elem.free_parts):
-            if elem.group_parts[i] != e:
-                out.append(elem.group_parts[i])
-            out.append(x)
-        if elem.group_parts[-1] != e:
-            out.append(elem.group_parts[-1])
-        return tuple(out)
+    def _split_first(self, w: Word) -> tuple[str, Word]:
+        """(the first group letter of w or the identity, w without it)."""
+        if w and w[0] not in self.free_letters:
+            return w[0], w[1:]
+        return self.group_identity, w
 
     def normal_form(self, word: Sequence[str]) -> Word:
-        return self.from_alternating(self.to_alternating(word))
+        out: list[str] = []
+        for letter in word:
+            if letter in self.free_letters:
+                out.append(letter)
+                continue
+            g = out.pop() if out and out[-1] not in self.free_letters else self.group_identity
+            gh = self._times.get((g, letter))
+            if gh is None:
+                raise InvalidLetter(f"unknown letter {letter!r}")
+            out += gh
+        return tuple(out)
 
     def multiply(self, u: Word, v: Word) -> Word:
-        key = (u, v)
-        cached = self._mult_cache.get(key)
-        if cached is not None:
-            return cached
-        a = self.to_alternating(u)
-        b = self.to_alternating(v)
-        join = self.group.mult_names(a.group_parts[-1], b.group_parts[0])
-        groups = a.group_parts[:-1] + (join,) + b.group_parts[1:]
-        frees = a.free_parts + b.free_parts
-        out = self.from_alternating(FreeProductElem(groups, frees))
-        self._mult_cache[key] = out
-        return out
+        # Interned words are normal forms; any other argument is normalized.
+        if u not in self._interned:
+            u = self.normal_form(u)
+        if v not in self._interned:
+            v = self.normal_form(v)
+        head, g = self._split_last(u)
+        h, tail = self._split_first(v)
+        return head + self._times[g, h] + tail
 
     # -- distance fast path ------------------------------------------------
 
     def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
-        """The unique w with x*w = y, or None when y is not in x*M."""
-        a = self.to_alternating(x)
-        b = self.to_alternating(y)
-        m, n = len(a.free_parts), len(b.free_parts)
-        if m > n:
+        """The unique w with x*w = y, or None when y is not in x*M: x without
+        its last group letter g must begin y, and w is g⁻¹h followed by the
+        rest of y, where h is the group letter (or identity) that comes next."""
+        head, g = self._split_last(x)
+        if y[: len(head)] != head:
             return None
-        if a.free_parts != b.free_parts[:m]:
-            return None
-        if a.group_parts[:m] != b.group_parts[:m]:
-            return None
-        g = self.group
-        inv_idx = g.inverse_idx[g.name_index(a.group_parts[m])]
-        head = g.element_names[g.table[inv_idx][g.name_index(b.group_parts[m])]]
-        groups = (head,) + b.group_parts[m + 1:]
-        frees = b.free_parts[m:]
-        return self.from_alternating(FreeProductElem(groups, frees))
+        h, tail = self._split_first(y[len(head):])
+        return self._over[g, h] + tail
 
     def left_divisor_candidates(self, y: Word, radius: int) -> list[Word]:
-        b = self.to_alternating(y)
-        out: list[Word] = []
-        for cut in range(len(b.free_parts) + 1):
-            for g in self.group.element_names:
-                elem = FreeProductElem(b.group_parts[:cut] + (g,), b.free_parts[:cut])
-                out.append(self.from_alternating(elem))
-        return sorted(set(out))
+        # y cut after each free letter, then each group element (e·g is g's word).
+        e = self.group_identity
+        cuts = [()] + [y[: i + 1] for i, x in enumerate(y) if x in self.free_letters]
+        return sorted(cut + self._times[e, g] for cut in cuts for g in self.group.element_names)
 
 
 class RewritingMonoid(MonoidOracle):
@@ -677,9 +630,8 @@ class SubmonoidOracle(MonoidOracle):
         self.name = f"{spec.name}<{parent.name}"
         self.generators = parent.generators
         # Same generators and products as the parent, so the same distance
-        # fields and fast-path answers: share them instead of a second copy.
+        # fields and interned words: share them instead of a second copy.
         self._fields, self._interned = parent._fields, parent._interned
-        self._exact_memo = parent._exact_memo
 
     def normal_form(self, word: Sequence[str]) -> Word:
         return self.parent.normal_form(word)
@@ -698,11 +650,11 @@ class SubmonoidOracle(MonoidOracle):
 
 
 def ends_in_group_identity_submonoid(monoid: FreeProductMonoid) -> SubmonoidSpec:
-    """Elements of F*G whose alternating form ends with the group identity."""
+    """Elements of F*G whose normal form ends in a free letter or is empty,
+    that is, whose last group part is the identity."""
 
     def member(m: Word) -> bool:
-        alt = monoid.to_alternating(m)
-        return alt.group_parts[-1] == monoid.group_identity
+        return not m or m[-1] in monoid.free_letters
 
     return SubmonoidSpec(member, name="ends_in_e")
 

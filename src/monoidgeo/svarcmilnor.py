@@ -632,6 +632,9 @@ def run_free_product(inp: FreeProductInput) -> PropertyReport:
     basis_names = [f"b{i+1}" for i in range(k)]
     free_model = FreeMonoid(k, alphabet=basis_names)
 
+    def free_length(m: Word) -> int:
+        return sum(x in N.free_letters for x in m)
+
     def embed(bword: Word) -> Word:
         out = N.identity
         for b in bword:
@@ -653,12 +656,11 @@ def run_free_product(inp: FreeProductInput) -> PropertyReport:
         images[img] = bword
         if not spec.membership(img):
             witnesses.append({"reason": "basis word leaves M", "word": format_word(bword)})
-        alt = N.to_alternating(img)
-        if len(alt.free_parts) != len(bword):
+        if free_length(img) != len(bword):
             witnesses.append({"reason": "basis letters not length-preserving", "word": format_word(bword)})
     m_ball = [m for m in N.elements_up_to(horizon) if spec.membership(m)]
     for m in m_ball:
-        if len(N.to_alternating(m).free_parts) <= depth and m not in images:
+        if free_length(m) <= depth and m not in images:
             witnesses.append({"reason": "M-element misses basis factorization", "m": format_word(m)})
 
     # Realized quasi-isometry constants of the composite map free -> M -> N.

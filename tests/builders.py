@@ -11,3 +11,21 @@ def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     gens = [gen] if n > 1 else []
     return FiniteGroup(names, table, identity="e", generators=gens, name=f"Z{n}")
+
+
+def symmetric_group_3() -> FiniteGroup:
+    """S3, non-abelian: r a 3-cycle and t a transposition of {0, 1, 2}, its
+    elements named by the words e, r, rr, t, tr, trr (letters applied left
+    to right)."""
+    r, t = (1, 2, 0), (1, 0, 2)
+
+    def then(p, q):  # p, then q
+        return tuple(q[i] for i in p)
+
+    perms = {"e": (0, 1, 2)}
+    for name in ("r", "rr", "t", "tr", "trr"):
+        perms[name] = then(perms[name[:-1] or "e"], {"r": r, "t": t}[name[-1]])
+    names = list(perms)
+    index = {p: i for i, p in enumerate(perms.values())}
+    table = [[index[then(perms[a], perms[b])] for b in names] for a in names]
+    return FiniteGroup(names, table, identity="e", generators=["r", "t"], name="S3")

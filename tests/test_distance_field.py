@@ -298,10 +298,11 @@ def test_fast_path_matches_field_and_witness_lengths(name):
         assert "infinite" in outcomes
 
 
-def test_submonoid_shares_the_parent_fields_and_memo():
+def test_submonoid_shares_the_parent_fields_and_interns():
     sub = _ends_in_e_submonoid()
     parent = sub.parent
-    assert sub._exact_memo is parent._exact_memo
     assert sub._fields is parent._fields
-    word_distance(sub, ("f",), ("f", "g", "f"), 4)
-    assert parent._exact_memo[("f",), ("f", "g", "f")] == ("g", "f")
+    assert sub._interned is parent._interned
+    sub.elements_up_to(2)
+    assert parent._fields.keys() == {()}
+    assert ("g", "f") in parent._interned

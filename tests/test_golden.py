@@ -37,6 +37,12 @@ CASES = {
     "n3_ball_out": ("n3.json", ["--horizon", "6", "ball", "abc", "3/2", "out"], 0),
     "free2_check_axioms_d5": ("free2.json", ["--horizon", "8", "check", "axioms", "--depth", "5"], 0),
     "fp_r1_z2_check_axioms": ("fp_r1_z2.json", ["check", "axioms"], 0),
+    "fp_r1_z2_ball_strong": ("fp_r1_z2.json", ["ball", "g", "3/2", "strong"], 0),
+    "fp_r1_z2_ball_in": ("fp_r1_z2.json", ["ball", "fg", "2", "in"], 0),
+    "fp_r1_z2_dist": ("fp_r1_z2.json", ["dist", "gf", "fgf"], 0),
+    "fp_r2_z2_check_unitary": ("fp_r2_z2.json", ["check", "unitary"], 0),
+    "fp_r2_z2_check_cancellative": ("fp_r2_z2.json", ["check", "cancellative"], 0),
+    "fp_r2_z2_submonoid_h4": ("fp_r2_z2.json", ["--horizon", "4", "submonoid"], 0),
 }
 
 CHILD = r"""

@@ -5,13 +5,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoidgeo import (
     INF,
     ExtNonNeg,
     FreeMonoid,
-    FreeProductElem,
     FreeProductMonoid,
     InvalidLetter,
     MonoidGeoError,
@@ -146,14 +145,7 @@ def test_free_product_normal_form_folds_group_letters():
     assert m.normal_form(("g", "g", "f")) == ("f",)
     assert m.normal_form(("f", "g", "g", "f")) == ("f", "f")
     assert m.normal_form(("g", "f", "g")) == ("g", "f", "g")
-
-
-def test_free_product_alternating_round_trip():
-    m = fp_z2()
-    w = ("g", "f", "f", "g")
-    alt = m.to_alternating(w)
-    assert alt == FreeProductElem(("g", "e", "g"), ("f", "f"))
-    assert m.from_alternating(alt) == w
+    assert m.normal_form(("g", "f", "f", "g")) == ("g", "f", "f", "g")
 
 
 def test_free_product_quotient_distance():
@@ -169,9 +161,16 @@ def test_free_product_quotient_distance():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(["f", "g"]), max_size=6), st.lists(st.sampled_from(["f", "g"]), max_size=6))
+@example(["g", "g"], ["f"])
+@example(["f"], ["g", "g"])
 def test_free_product_multiply_matches_letterwise(u, v):
     m = fp_z2()
-    assert m.multiply(m.normal_form(tuple(u)), m.normal_form(tuple(v))) == m.normal_form(tuple(u) + tuple(v))
+    u, v = tuple(u), tuple(v)
+    uv = m.normal_form(u + v)
+    assert m.multiply(m.normal_form(u), m.normal_form(v)) == uv
+    # Raw words too: multiply may trust only interned ones.
+    m.elements_up_to(2)
+    assert m.multiply(u, v) == uv
 
 
 def test_free_product_quotient_consistent_with_multiply():
@@ -421,7 +420,7 @@ def test_non_unitary_submonoid_fails_with_witness():
     from monoidgeo import SubmonoidSpec
 
     def member(w):
-        n = len(m.to_alternating(w).free_parts)
+        n = sum(x == "f" for x in w)
         return n == 0 or n >= 2
 
     v = check_left_unitary(m, SubmonoidSpec(member, name="nf_not_one"), 3)

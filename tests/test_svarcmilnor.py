@@ -33,6 +33,7 @@ from monoidgeo import (
     verify_qi_bounds,
     zero_monoid,
 )
+from monoidgeo import svarcmilnor
 from monoidgeo.svarcmilnor import _hypothesis_sample
 from builders import cyclic_group
 from test_distance_field import ORACLES
@@ -290,3 +291,24 @@ def test_free_product_basis_letters_multiply_injectively():
 
     rec((), (), 0)
     assert len(seen) == 1 + 2 + 4 + 8
+
+
+def test_free_product_oracle_keeps_no_table_beyond_its_interns(monkeypatch):
+    # The pipeline's products and quotients are read off the normal forms,
+    # so no table on the oracle may outgrow the ball it interned plus the
+    # two |G|² group tables.
+    built = []
+
+    class Recorded(FreeProductMonoid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(svarcmilnor, "FreeProductMonoid", Recorded)
+    group = cyclic_group(2)
+    out = run_free_product(FreeProductInput(free_rank=2, group=group, horizon=5))
+    assert out.verdict == "pass"
+    (n,) = built
+    bound = len(n._interned) + len(group.element_names) ** 2
+    sizes = {k: len(v) for k, v in vars(n).items() if isinstance(v, dict)}
+    assert max(sizes.values()) <= bound, (sizes, bound)
