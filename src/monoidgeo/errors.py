@@ -42,6 +42,7 @@ class FactorizationFailed(MonoidGeoError):
     def __init__(self, element, step, detail=""):
         self.element = element
         self.step = step
+        self.detail = detail
         super().__init__(f"factorization failed at step {step} for {element}: {detail}")
 
 

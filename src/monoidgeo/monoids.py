@@ -10,7 +10,7 @@ ever checked on word-length balls and reported as ``holds_at_horizon``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Optional, Sequence

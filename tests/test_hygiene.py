@@ -67,8 +67,55 @@ def _unused_imports(path: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = _module_loads(tree)
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def _local_names(fn) -> set[str]:
+    """The names a function or lambda binds in its own scope: its parameters,
+    the names it assigns or catches, and the functions and classes it
+    defines, less those it declares global or nonlocal.  A name it imports
+    is left out, so a load of it counts as a use of that import."""
+    a = fn.args
+    names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    declared = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)  # its body is another scope
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _module_loads(tree) -> set[str]:
+    """The names loaded somewhere they resolve to the module: a load inside a
+    function that binds the name, or inside a function nested in one that
+    does, reads the local and does not use a module-level import."""
+    used = set()
+
+    def visit(node, bound):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            used.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # Decorators, defaults and annotations are evaluated outside.
+            inner = bound | _local_names(node)
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for child in ast.iter_child_nodes(node):
+                visit(child, inner if child in body else bound)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return used
 
 
 @pytest.mark.parametrize(
@@ -77,6 +124,27 @@ def _unused_imports(path: str) -> list[str]:
 def test_no_unused_import(module):
     # __init__.py is exempt: its imports are the package's public names.
     assert _unused_imports(os.path.join(PACKAGE, module)) == []
+
+
+SHADOWED = """\
+import os
+from dataclasses import field
+
+
+def sep():
+    return os.sep
+
+
+def first(xs):
+    field = xs[0]
+    return field
+"""
+
+
+def test_unused_import_check_ignores_a_local_of_the_same_name(tmp_path):
+    path = tmp_path / "shadowed.py"
+    path.write_text(SHADOWED, encoding="utf-8")
+    assert _unused_imports(str(path)) == ["field (line 2)"]
 
 
 def test_check_axioms_takes_space_and_sample_first():
