@@ -1,0 +1,229 @@
+"""Claim 2 against the pair loop it replaced.
+
+``reference_claim2`` is the former claim-2 loop of ``extract_generators``:
+it visits every pair (m, n) of the pair ball, skips those whose orbit points
+are at least 2R + r apart, since d(mB, nB) >= d(m x0, n x0) - 2R, and takes
+the set distance of the rest.  ``extract_generators`` now visits only the
+right neighbours m*q, q in the N-ball of radius ceil(2R + r) - 1.  Both must
+check the same pairs and report the same witnesses in the same order.
+"""
+
+import io
+import math
+import os
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from monoidgeo import (
+    ExtNonNeg,
+    GammaOracle,
+    HorizonTooSmall,
+    SmInput,
+    Vertex,
+    extract_generators,
+    format_word,
+    translation_action,
+)
+from monoidgeo import svarcmilnor
+from monoidgeo.cli import main, parse_monoid_spec
+from test_distance_field import symmetric_group_5
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+RADII = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def reference_claim2(report, inp):
+    """The number of pairs the former loop checked, and its witnesses."""
+    oracle = inp.action.monoid
+    gamma = inp.action.space
+    far = inp.far
+    r = report.r
+    depth = inp.claim2_depth if inp.claim2_depth is not None else inp.horizon
+    pair_ball = oracle.elements_up_to(min(depth, inp.horizon))
+    threshold = ExtNonNeg.of(2 * inp.radius + r)
+    witnesses = []
+    pairs_checked = 0
+    for m in pair_ball:
+        for n in pair_ball:
+            orbit = gamma.distance(Vertex(m), Vertex(n), far)
+            if orbit.is_known and (orbit.value.is_infinite or orbit.value >= threshold):
+                continue
+            if not orbit.is_known and orbit.value >= threshold:
+                continue
+            d = gamma.set_distance(report.translates[m], report.translates[n], far)
+            if not d.is_known:
+                raise HorizonTooSmall(f"d({format_word(m)}B, {format_word(n)}B) unknown")
+            pairs_checked += 1
+            if d.value < ExtNonNeg.of(r):
+                if not any(oracle.multiply(m, u) == n for u in report.generators):
+                    witnesses.append(
+                        {"m": format_word(m), "n": format_word(n), "d(mB,nB)": d.value}
+                    )
+    return pairs_checked, witnesses
+
+
+def _agree(report, inp):
+    pairs_checked, witnesses = reference_claim2(report, inp)
+    assert report.claim2.artifacts["pairs_checked"] == pairs_checked
+    assert report.claim2.witnesses == witnesses
+    return witnesses
+
+
+def _svarc_milnor_input(oracle, horizon, radius):
+    action = translation_action(GammaOracle(oracle, horizon))
+    return SmInput(action=action, radius=radius, horizon=horizon)
+
+
+def _fixture_oracle(name):
+    oracle, _ = parse_monoid_spec(os.path.join(FIXTURES, name))
+    return oracle
+
+
+SVARC_MILNOR_CASES = [
+    (fixture, horizon, radius)
+    for fixture in ("free2.json", "z3.json", "fp_r1_z2.json", "fp_r2_z2.json")
+    for horizon in range(3, 7)
+    for radius in RADII
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,horizon,radius", SVARC_MILNOR_CASES,
+    ids=[f"{f}-h{h}-R{R}" for f, h, R in SVARC_MILNOR_CASES],
+)
+def test_claim2_matches_the_pair_loop(fixture, horizon, radius):
+    inp = _svarc_milnor_input(_fixture_oracle(fixture), horizon, radius)
+    report = extract_generators(inp)
+    assert report.claim2.passed
+    _agree(report, inp)
+
+
+@pytest.mark.parametrize("radius", RADII, ids=[str(R) for R in RADII])
+def test_claim2_matches_the_pair_loop_on_s5_at_its_diameter(radius):
+    inp = _svarc_milnor_input(symmetric_group_5(), 11, radius)
+    report = extract_generators(inp)
+    assert report.claim2.passed
+    _agree(report, inp)
+
+
+@pytest.mark.parametrize("horizon", range(3, 7))
+def test_an_integer_threshold_excludes_pairs_at_it(horizon):
+    # R = 5/4 and r = 1/2 on free2: 2R + r = 3, and pairs of the ball at
+    # orbit distance exactly 3 are left out of claim 2 by both loops.
+    oracle = _fixture_oracle("free2.json")
+    inp = _svarc_milnor_input(oracle, horizon, Fraction(5, 4))
+    report = extract_generators(inp)
+    assert 2 * inp.radius + report.r == 3
+    ball = oracle.elements_up_to(horizon)
+    # In a free monoid d(m, n) = |n| - |m| when m is a prefix of n, else infinity.
+    gaps = [len(n) - len(m) for m in ball for n in ball if n[: len(m)] == m]
+    assert 3 in gaps
+    assert report.claim2.artifacts["pairs_checked"] == sum(gap < 3 for gap in gaps)
+    _agree(report, inp)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The report and input of every extraction the pipelines run."""
+    calls = []
+    real = svarcmilnor.extract_generators
+
+    def record(inp):
+        report = real(inp)
+        calls.append((report, inp))
+        return report
+
+    monkeypatch.setattr(svarcmilnor, "extract_generators", record)
+    return calls
+
+
+def _run_cli(fixture, *args):
+    with redirect_stdout(io.StringIO()):
+        return main(["--monoid", os.path.join(FIXTURES, fixture), *args])
+
+
+PIPELINE_CASES = [
+    (fixture, horizon, command)
+    for fixture in ("fp_r1_z2.json", "fp_r2_z2.json")
+    for horizon in range(3, 6)
+    for command in ("submonoid", "free-product")
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,horizon,command", PIPELINE_CASES,
+    ids=[f"{f}-h{h}-{c}" for f, h, c in PIPELINE_CASES],
+)
+def test_claim2_matches_the_pair_loop_in_the_pipelines(recorded, fixture, horizon, command):
+    assert _run_cli(fixture, "--horizon", str(horizon), command) == 0
+    ((report, inp),) = recorded
+    assert inp.claim2_depth == min(horizon, 4)
+    _agree(report, inp)
+
+
+def _drop_from_contact_set(monkeypatch, *dropped):
+    """Make the contact set leave the elements `dropped` out of S."""
+    real = svarcmilnor.compute_contact_set
+
+    def drop(*args, **kwargs):
+        contact = real(*args, **kwargs)
+        S = contact.artifacts["contact_elements"]
+        for u in dropped:
+            S.remove(u)
+        return contact
+
+    monkeypatch.setattr(svarcmilnor, "compute_contact_set", drop)
+
+
+PLANTED_ORACLES = {
+    "free2": (lambda: _fixture_oracle("free2.json"), 4),
+    "S5": (symmetric_group_5, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_ORACLES))
+def test_planted_missing_contact_element_fails_both_ways(monkeypatch, name):
+    _drop_from_contact_set(monkeypatch, ("b",))
+    oracle, horizon = PLANTED_ORACLES[name]
+    inp = _svarc_milnor_input(oracle(), horizon, Fraction(1))
+    report = extract_generators(inp)
+    assert report.claim2.verdict == "fail"
+    witnesses = _agree(report, inp)
+    # b touches B, so the pair (e, b) is the first one left without a step.
+    assert witnesses[0] == {"m": "ε", "n": "b", "d(mB,nB)": ExtNonNeg.of(0)}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_ORACLES))
+def test_planted_missing_contact_elements_keep_the_witness_order(monkeypatch, name):
+    # Two witnesses for each m, so the order within one m's neighbours shows.
+    _drop_from_contact_set(monkeypatch, ("a",), ("b",))
+    oracle, horizon = PLANTED_ORACLES[name]
+    inp = _svarc_milnor_input(oracle(), horizon, Fraction(1))
+    report = extract_generators(inp)
+    witnesses = _agree(report, inp)
+    assert [(w["m"], w["n"]) for w in witnesses[:2]] == [("ε", "a"), ("ε", "b")]
+
+
+def test_planted_missing_contact_element_exits_1(monkeypatch):
+    _drop_from_contact_set(monkeypatch, ("b",))
+    assert _run_cli("free2.json", "--horizon", "4", "svarc-milnor", "-R", "1") == 1
+
+
+def test_claim2_work_is_linear_in_the_ball(monkeypatch):
+    # The pair loop made about half a million orbit distance calls here.
+    calls = []
+    real = GammaOracle.distance
+
+    def count(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GammaOracle, "distance", count)
+    oracle = _fixture_oracle("fp_r2_z2.json")
+    inp = _svarc_milnor_input(oracle, 6, Fraction(1))
+    report = extract_generators(inp)
+    k = math.ceil(2 * inp.radius + report.r) - 1
+    bound = 2 * len(oracle.elements_up_to(6)) * len(oracle.elements_up_to(k))
+    assert len(calls) < bound
