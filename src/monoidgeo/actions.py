@@ -1,6 +1,7 @@
 """Monoid actions on semimetric spaces and the action properties that feed
-the generating-set extraction: isometric embeddings, coboundedness, contact
-sets for outward properness, and the idealistic condition."""
+the generating-set extraction: isometric embeddings, coboundedness and
+contact sets for outward properness.  The idealistic sampler serves actions
+other than left translation, under which the condition holds by definition."""
 
 from __future__ import annotations
 
@@ -189,12 +190,13 @@ def compute_contact_set(
 
 def check_idealistic(action: ActionOracle, x0, depth: int, horizon: int) -> PropertyReport:
     """Finite orbit distance d(m x0, n x0) must force n into mM, for m and n
-    in the depth ball.
+    in the depth ball: a sampler for a general action.
 
     n in mM is equivalent to nM ⊆ mM (right-ideal containment), which makes
     the condition a single reachability query in the monoid.  Both queries
     are asked at `horizon`; a pair that either leaves undecided is
-    unresolved, and any unresolved pair makes the verdict unknown.
+    unresolved, and any unresolved pair makes the verdict unknown.  Under
+    left translation the two queries coincide, so the pipelines do not ask.
     """
     oracle = action.monoid
     space = action.space

@@ -389,13 +389,11 @@ class GammaOracle(SemimetricSpace):
         vertices = []
         segments = []
         d_to_center = lambda m: word_distance(self.monoid, m, center, horizon)
-        for m in candidates:
-            d = d_to_center(m)
-            if d.is_known and not d.value.is_infinite and d.value.finite_value() <= radius:
-                vertices.append(m)
-        # Edge (m, s): offsets with min(mu + d(m,c), (1-mu) + d(ms,c)) <= radius.
-        for m in set(candidates):
+        for m in dict.fromkeys(candidates):
             dm = d_to_center(m)
+            if dm.is_known and not dm.value.is_infinite and dm.value.finite_value() <= radius:
+                vertices.append(m)
+            # Edge (m, s): offsets with min(mu + d(m,c), (1-mu) + d(ms,c)) <= radius.
             for s in self.monoid.generators:
                 intervals = []
                 if dm.is_known and not dm.value.is_infinite:

@@ -50,6 +50,8 @@ class MonoidOracle:
 
     name: str = "monoid"
     generators: tuple[str, ...] = ()
+    # The theorem that makes every element left-cancellable, if the class has one.
+    cancellation_theorem: Optional[str] = None
 
     @property
     def identity(self) -> Word:
@@ -197,6 +199,8 @@ class DistanceField:
 class FreeMonoid(MonoidOracle):
     """Free monoid on an ordered alphabet; normal form is the word itself."""
 
+    cancellation_theorem = "free monoid: the normal form is the word, so m*a = m*b forces a = b"
+
     def __init__(self, rank: int, alphabet: Optional[Sequence[str]] = None):
         if rank < 0:
             raise SpecValidationError("free monoid rank must be >= 0")
@@ -320,6 +324,8 @@ class TableMonoid(MonoidOracle):
 class FiniteGroup(TableMonoid):
     """A TableMonoid that additionally verifies the inverse law."""
 
+    cancellation_theorem = "group: m*a = m*b gives a = b on multiplying by m's inverse (checked at load)"
+
     def __init__(self, elements, table, identity=0, generators=None, name="group"):
         super().__init__(elements, table, identity=identity, generators=generators, name=name)
         n = len(self.element_names)
@@ -343,6 +349,8 @@ class FreeProductMonoid(MonoidOracle):
     word, so the arithmetic runs on it directly: a product folds the two
     group letters where the words meet, and a quotient is a prefix test.
     """
+
+    cancellation_theorem = "normal form theorem for free products (Lyndon & Schupp, ch. IV)"
 
     def __init__(self, free_rank: int, group: FiniteGroup, free_alphabet: Optional[Sequence[str]] = None):
         if free_rank < 1:

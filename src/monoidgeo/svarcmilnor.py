@@ -5,8 +5,8 @@ on the ambient one), the pipeline computes the contact set S of a strong
 ball B, the separation constants r and l, the Lipschitz constant of the
 orbit map, then instance-verifies the two covering claims and the generation
 bound with explicit factorizations, and samples ball coverage.  Claim 2
-visits only the right neighbours m*q of each m, q in the ball of radius
-ceil(2R + r) - 1, since no other translate nB lies closer than r to mB.
+compares B only with its right neighbours qB, q in the ball of radius
+ceil(2R + r) - 1: left translation carries that comparison to every pair.
 The two quasi-isometry inequalities are not checked pair by pair: one is a
 lemma, the other is read off the generation certificates.  Everything is exact
 rational arithmetic; verdicts are relative to the stated horizon.
@@ -24,7 +24,6 @@ from .actions import (
     PropertyReport,
     apply_translation,
     check_cobounded,
-    check_idealistic,
     compute_contact_set,
 )
 from .cayley import (
@@ -59,7 +58,6 @@ class SmInput:
     action: ActionOracle  # space must be a GammaOracle; the basepoint is the identity vertex
     radius: Fraction
     horizon: int
-    claim2_depth: Optional[int] = None
     covering_candidates: Optional[Callable[[Word], list[Word]]] = None
 
     def __post_init__(self):
@@ -121,13 +119,29 @@ def _gamma_of(action: ActionOracle) -> GammaOracle:
     return space
 
 
-def _hypothesis_sample(inp: SmInput, B: CellSet) -> tuple[list[Word], list[CayleyPoint]]:
-    """The multipliers m (depth <= 3) and the points (those of B and of the
-    depth-3 out-ball, without repeats) the hypothesis pre-checks range over."""
+def _cobounded_sample(inp: SmInput, B: CellSet) -> list[CayleyPoint]:
+    """The points of B and of the out-ball of radius min(h, 3), without repeats."""
     gamma = _gamma_of(inp.action)
-    depth = min(inp.horizon, 3)
-    ambient = gamma.out_ball_cellset(gamma.monoid.identity, Fraction(depth), inp.far).sample_points()
-    return inp.action.monoid.elements_up_to(depth), list(dict.fromkeys(B.sample_points() + ambient))
+    ambient = gamma.out_ball_cellset(gamma.monoid.identity, Fraction(min(inp.horizon, 3)), inp.far)
+    return list(dict.fromkeys(B.sample_points() + ambient.sample_points()))
+
+
+def _isometric_embedding(inp: SmInput) -> PropertyReport:
+    """Left translation by each multiplier is an isometric embedding (see
+    extract_generators): by N's cancellation theorem, else checked."""
+    n = _gamma_of(inp.action).monoid
+    if n.cancellation_theorem is not None:
+        return PropertyReport("isometric_embedding_action", "pass", inp.horizon, [],
+                              artifacts={"basis": f"theorem: {n.cancellation_theorem}"})
+    w = check_cancellative(n, "left", inp.far, inp.action.monoid.elements_up_to(inp.horizon)).witness
+    if w is not None:
+        raise HypothesisFailed(
+            "isometric_embedding",
+            f"{w['m']} is not left-cancellable: {w['m']}·{w['a']} = {w['m']}·{w['b']} = {w['product']}",
+        )
+    basis = f"checked: every multiplier of depth <= {inp.horizon} is injective on the ball of radius {inp.far}"
+    return PropertyReport("isometric_embedding_action", "holds_at_horizon", inp.horizon, [],
+                          artifacts={"basis": basis})
 
 
 def extract_generators(inp: SmInput) -> SmReport:
@@ -135,23 +149,27 @@ def extract_generators(inp: SmInput) -> SmReport:
     the translates Q, and claims 1 and 2, after the hypothesis pre-checks.
 
     The action must be left translation on Gamma, the continuous Cayley
-    graph of the space's monoid N: every translate mB is read through
-    CellSet.translate.  Then x -> m*x is an isometric embedding of Gamma
-    exactly when m is left-cancellable.  A path from p labelled w maps to
-    one from m*p labelled w, so d(mp, mq) <= d(p, q); if m*x*w = m*y forces
-    x*w = y, equality holds on vertices, and on edge points too, since
-    translation keeps edges and offsets; if m*a = m*b with a != b, then
-    d(ma, mb) = 0 < d(a, b).  So the hypothesis is checked exactly: each
-    multiplier (the acting monoid's members of depth <= 3) must be
-    injective on the horizon ball of N.
+    graph of the space's monoid N (translates are CellSet.translate).  Then
+    x -> m*x is an isometric embedding of Gamma exactly when m is
+    left-cancellable: paths labelled w map to paths labelled w, so
+    d(mp, mq) <= d(p, q), with equality when m*x*w = m*y forces x*w = y (on
+    edge points too, since translation keeps edges and offsets), while
+    m*a = m*b with a != b gives d(ma, mb) = 0 < d(a, b).  Free monoids, free
+    products and groups are cancellative by the theorem their class names.
+    For any other N each multiplier of the horizon ball must be injective
+    on the far ball: a path shorter than r from B to a qB of claim 2 visits
+    only vertices of depth <= ceil(2R + r) - 1 + floor(R) + 1 <= far.
 
-    Claim 2 asks, for the pairs of the pair ball whose translates are
-    closer than r, that n = m*u for some u in S.  Since d(mB, nB) >=
-    d(m x0, n x0) - 2R, those pairs have d(m, n) < 2R + r, and a finite
-    word distance is an integer, so n = m*q for some q in the ball of N of
-    radius ceil(2R + r) - 1; conversely every such m*q is that close.  This
-    holds in any monoid.  So each m visits only these right neighbours, in
-    the pair ball's order.
+    The idealistic condition holds by definition: d(m x0, n x0) < inf iff
+    n = m*t for some t in N, and in the submonoid pipeline t is in M since
+    M is left unitary, a checked hypothesis.  Coboundedness is sampled.
+
+    Claim 2: translates closer than r differ by a contact element.  As
+    d(mB, nB) >= d(m x0, n x0) - 2R and finite word distances are integers,
+    such an n is m*q with q in the ball of radius ceil(2R + r) - 1; then
+    d(mB, nB) = d(B, qB) by isometry, and n is in mS iff q is in S by
+    cancellation.  So claim 2 compares B with each qB, in BFS order, and
+    every witness has m = e.
     """
     action = inp.action
     oracle = action.monoid
@@ -166,33 +184,19 @@ def extract_generators(inp: SmInput) -> SmReport:
         raise HypothesisFailed("ball", "B must contain its basepoint")
     translates = Translates(oracle, B)
 
-    # Hypothesis pre-checks.  isometric_embedding is exact on the horizon
-    # ball, by the theorem above; cobounded and idealistic are samplers.
-    # idealistic asks both of its questions at far, where the QI check
-    # will ask them, and a pair it cannot decide there stops the run.
-    ms, points = _hypothesis_sample(inp, B)
-    canc = check_cancellative(gamma.monoid, "left", horizon, ms)
-    if not canc.holds:
-        w = canc.witness
-        raise HypothesisFailed(
-            "isometric_embedding",
-            f"{w['m']} is not left-cancellable: {w['m']}·{w['a']} = {w['m']}·{w['b']} = {w['product']}",
-        )
-    hypotheses = {
-        "isometric_embedding": PropertyReport("isometric_embedding_action", "holds_at_horizon", horizon, [])
-    }
-    cob = check_cobounded(action, B, points, horizon, translates)
+    hypotheses = {"isometric_embedding": _isometric_embedding(inp)}
+    cob = check_cobounded(action, B, _cobounded_sample(inp, B), horizon, translates)
+    cob.artifacts["basis"] = f"sampled: the points of B and of the out-ball of radius {min(horizon, 3)}"
     hypotheses["cobounded"] = cob
     if not cob.passed:
         raise HypothesisFailed("cobounded", f"uncovered: {cob.witnesses[:3]}")
-    ide = check_idealistic(action, x0, min(horizon, 4), far)
-    hypotheses["idealistic"] = ide
-    if ide.verdict == "unknown":
-        raise HorizonTooSmall(
-            f"idealistic: {ide.artifacts['unresolved_pairs']} pairs unresolved at horizon {far}"
-        )
-    if not ide.passed:
-        raise HypothesisFailed("idealistic", f"{len(ide.witnesses)} witnesses")
+    basis = "theorem: d(m x0, n x0) < inf iff n = m*t for some t in N"
+    unitary = isinstance(oracle, SubmonoidOracle)
+    if unitary:
+        basis += f", and t is in M since M is left unitary (checked at horizon {horizon})"
+    hypotheses["idealistic"] = PropertyReport(
+        "idealistic", "holds_at_horizon" if unitary else "pass", horizon, [], artifacts={"basis": basis}
+    )
 
     contact = compute_contact_set(action, B, horizon, translates)
     S: list[Word] = contact.artifacts["contact_elements"]
@@ -224,35 +228,22 @@ def extract_generators(inp: SmInput) -> SmReport:
         for m, sep in separations.items()
         if not sep.is_infinite and ZERO < sep < ExtNonNeg.of(r)
     ]
-    claim1 = PropertyReport(
-        "claim1_gap", "fail" if c1_witnesses else "pass", horizon, c1_witnesses
-    )
+    claim1 = PropertyReport("claim1_gap", "fail" if c1_witnesses else "pass", horizon, c1_witnesses)
 
-    # Claim 2: translate pairs closer than r differ by a contact element.
-    # Only the right neighbours m*q, d(e, q) < 2R + r, can be that close (see
-    # above), and 2R + r <= 5R/2 < far, so none of them is past the horizon.
-    depth = inp.claim2_depth if inp.claim2_depth is not None else horizon
-    pair_ball = oracle.elements_up_to(min(depth, horizon))
-    position = {m: i for i, m in enumerate(pair_ball)}
-    steps = gamma.monoid.elements_up_to(math.ceil(2 * R + r) - 1)
+    # Claim 2: B against its right neighbours qB (see above).  d(B, qB) <=
+    # d(e, q) < 2R + r <= 5R/2 < far, so none of them is past the horizon.
+    steps = oracle.elements_up_to(math.ceil(2 * R + r) - 1)
+    contact_set = set(S)
     c2_witnesses = []
-    pairs_checked = 0
-    for m in pair_ball:
-        neighbours = {position.get(gamma.monoid.multiply(m, q)) for q in steps} - {None}
-        for i in sorted(neighbours):
-            n = pair_ball[i]
-            d = gamma_set_distance(gamma.monoid, translates[m], translates[n], far)
-            if not d.is_known:
-                raise HorizonTooSmall(f"d({format_word(m)}B, {format_word(n)}B) unknown")
-            pairs_checked += 1
-            if d.value < ExtNonNeg.of(r):
-                if not any(oracle.multiply(m, u) == n for u in S):
-                    c2_witnesses.append(
-                        {"m": format_word(m), "n": format_word(n), "d(mB,nB)": d.value}
-                    )
+    for q in steps:
+        d = gamma_set_distance(gamma.monoid, B, translates[q], far)
+        if not d.is_known:
+            raise HorizonTooSmall(f"d(B, {format_word(q)}B) unknown")
+        if d.value < ExtNonNeg.of(r) and q not in contact_set:
+            c2_witnesses.append({"m": format_word(e), "n": format_word(q), "d(mB,nB)": d.value})
     claim2 = PropertyReport(
-        "claim2_quotient", "fail" if c2_witnesses else "pass", min(depth, horizon),
-        c2_witnesses, artifacts={"pairs_checked": pairs_checked},
+        "claim2_quotient", "fail" if c2_witnesses else "pass", horizon,
+        c2_witnesses, artifacts={"pairs_checked": len(steps)},
     )
 
     return SmReport(
@@ -472,14 +463,13 @@ class SubmonoidInput:
     submonoid: SubmonoidSpec
     right_units: list[Word]
     horizon: int
-    gamma_horizon: Optional[int] = None
 
 
 def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
     """Full pipeline for a left unitary submonoid M with MP = N."""
     N = inp.parent
     horizon = inp.horizon
-    gamma = GammaOracle(N, inp.gamma_horizon or max(horizon, 8))
+    gamma = GammaOracle(N, max(horizon, 8))
 
     # Hypothesis: P consists of right units.
     inverses: dict[Word, Word] = {}
@@ -538,7 +528,6 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
         action=action,
         radius=radius,
         horizon=horizon,
-        claim2_depth=min(horizon, 4),
         covering_candidates=covering,
     )
     result = run_pipeline(sm_inp)

@@ -1,11 +1,14 @@
 """Claim 2 against the pair loop it replaced.
 
 ``reference_claim2`` is the former claim-2 loop of ``extract_generators``:
-it visits every pair (m, n) of the pair ball, skips those whose orbit points
-are at least 2R + r apart, since d(mB, nB) >= d(m x0, n x0) - 2R, and takes
-the set distance of the rest.  ``extract_generators`` now visits only the
-right neighbours m*q, q in the N-ball of radius ceil(2R + r) - 1.  Both must
-check the same pairs and report the same witnesses in the same order.
+it visits every pair (m, n) of the horizon ball, skips those whose orbit
+points are at least 2R + r apart, since d(mB, nB) >= d(m x0, n x0) - 2R,
+and takes the set distance of the rest.  ``extract_generators`` now compares
+B only with its right neighbours qB, q in the ball of radius
+ceil(2R + r) - 1, and carries the comparison to every m by left
+translation.  Both must agree on the verdict; the new witnesses must be the
+reference's witnesses with m = e, in the same order; and every reference
+witness (m, n) must be n = m*q for some new witness q.
 """
 
 import io
@@ -40,8 +43,7 @@ def reference_claim2(report, inp):
     gamma = inp.action.space
     far = inp.far
     r = report.r
-    depth = inp.claim2_depth if inp.claim2_depth is not None else inp.horizon
-    pair_ball = oracle.elements_up_to(min(depth, inp.horizon))
+    pair_ball = oracle.elements_up_to(inp.horizon)
     threshold = ExtNonNeg.of(2 * inp.radius + r)
     witnesses = []
     pairs_checked = 0
@@ -65,9 +67,16 @@ def reference_claim2(report, inp):
 
 
 def _agree(report, inp):
-    pairs_checked, witnesses = reference_claim2(report, inp)
-    assert report.claim2.artifacts["pairs_checked"] == pairs_checked
-    assert report.claim2.witnesses == witnesses
+    """The reference's witnesses, after checking the new claim 2 against them."""
+    oracle = inp.action.monoid
+    _, witnesses = reference_claim2(report, inp)
+    ours = report.claim2.witnesses
+    assert report.claim2.verdict == ("fail" if witnesses else "pass")
+    assert ours == [w for w in witnesses if w["m"] == format_word(oracle.identity)]
+    steps = [oracle.parse_word(w["n"]) for w in ours]
+    for w in witnesses:
+        m, n = oracle.parse_word(w["m"]), oracle.parse_word(w["n"])
+        assert any(oracle.multiply(m, q) == n for q in steps), w
     return witnesses
 
 
@@ -110,17 +119,13 @@ def test_claim2_matches_the_pair_loop_on_s5_at_its_diameter(radius):
 
 @pytest.mark.parametrize("horizon", range(3, 7))
 def test_an_integer_threshold_excludes_pairs_at_it(horizon):
-    # R = 5/4 and r = 1/2 on free2: 2R + r = 3, and pairs of the ball at
-    # orbit distance exactly 3 are left out of claim 2 by both loops.
+    # R = 5/4 and r = 1/2 on free2: 2R + r = 3, so claim 2 compares B with
+    # qB for the 7 elements q of length at most 2 and not for those of length 3.
     oracle = _fixture_oracle("free2.json")
     inp = _svarc_milnor_input(oracle, horizon, Fraction(5, 4))
     report = extract_generators(inp)
     assert 2 * inp.radius + report.r == 3
-    ball = oracle.elements_up_to(horizon)
-    # In a free monoid d(m, n) = |n| - |m| when m is a prefix of n, else infinity.
-    gaps = [len(n) - len(m) for m in ball for n in ball if n[: len(m)] == m]
-    assert 3 in gaps
-    assert report.claim2.artifacts["pairs_checked"] == sum(gap < 3 for gap in gaps)
+    assert report.claim2.artifacts["pairs_checked"] == 7
     _agree(report, inp)
 
 
@@ -159,7 +164,7 @@ PIPELINE_CASES = [
 def test_claim2_matches_the_pair_loop_in_the_pipelines(recorded, fixture, horizon, command):
     assert _run_cli(fixture, "--horizon", str(horizon), command) == 0
     ((report, inp),) = recorded
-    assert inp.claim2_depth == min(horizon, 4)
+    assert report.claim2.horizon == horizon
     _agree(report, inp)
 
 
@@ -211,19 +216,21 @@ def test_planted_missing_contact_element_exits_1(monkeypatch):
     assert _run_cli("free2.json", "--horizon", "4", "svarc-milnor", "-R", "1") == 1
 
 
-def test_claim2_work_is_linear_in_the_ball(monkeypatch):
-    # The pair loop made about half a million orbit distance calls here.
+@pytest.mark.parametrize("horizon", (4, 6))
+def test_claim2_work_is_linear_in_the_ball(monkeypatch, horizon):
+    # The pair loop made about half a million orbit distance calls at h = 6;
+    # claim 2 now takes one set distance per q, whatever the horizon.
     calls = []
-    real = GammaOracle.distance
+    real = svarcmilnor.gamma_set_distance
 
-    def count(self, *args, **kwargs):
-        calls.append(None)
-        return real(self, *args, **kwargs)
+    def count(oracle, X, Y, horizon):
+        calls.append(X)
+        return real(oracle, X, Y, horizon)
 
-    monkeypatch.setattr(GammaOracle, "distance", count)
+    monkeypatch.setattr(svarcmilnor, "gamma_set_distance", count)
     oracle = _fixture_oracle("fp_r2_z2.json")
-    inp = _svarc_milnor_input(oracle, 6, Fraction(1))
+    inp = _svarc_milnor_input(oracle, horizon, Fraction(1))
     report = extract_generators(inp)
     k = math.ceil(2 * inp.radius + report.r) - 1
-    bound = 2 * len(oracle.elements_up_to(6)) * len(oracle.elements_up_to(k))
-    assert len(calls) < bound
+    # The Q loop starts its set distances at the basepoint, claim 2 at B.
+    assert sum(X is report.ball for X in calls) == len(oracle.elements_up_to(k))

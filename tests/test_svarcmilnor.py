@@ -1,5 +1,8 @@
 """Generating-set extraction and its verifiers on the stock fixtures."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from monoidgeo import (
     SmInput,
     SubmonoidInput,
     SubmonoidOracle,
+    TableMonoid,
     Vertex,
     apply_translation,
     check_cancellative,
@@ -34,7 +38,8 @@ from monoidgeo import (
     zero_monoid,
 )
 from monoidgeo import svarcmilnor
-from monoidgeo.svarcmilnor import _hypothesis_sample
+from monoidgeo.cli import main
+from monoidgeo.svarcmilnor import _cobounded_sample
 from builders import cyclic_group
 from test_distance_field import ORACLES
 
@@ -155,24 +160,24 @@ def _hypothesis_case(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLES) + ["ends_in_e<F1*Z2"])
 def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
+    # The sampler's multipliers (depth <= 3) and points (B and the depth-3
+    # out-ball), as the pipeline drew them before it stopped sampling.
     n, inp = _hypothesis_case(name)
     gamma = inp.action.space
+    ms = inp.action.monoid.elements_up_to(min(inp.horizon, 3))
     try:
         B = gamma.strong_ball_cellset((), inp.radius, inp.far)
     except HorizonTooSmall:
         B = None  # the pipeline stops here, before any hypothesis
-    if B is not None:
-        ms, points = _hypothesis_sample(inp, B)
-    else:
-        ms = inp.action.monoid.elements_up_to(min(inp.horizon, 3))
     canc = check_cancellative(n, "left", inp.horizon, ms)
-    if name in SAMPLER_UNDECIDED:
-        if B is not None:
+    if B is not None:
+        points = _cobounded_sample(inp, B)
+        if name in SAMPLER_UNDECIDED:
             with pytest.raises(HorizonTooSmall):
                 check_isometric_embedding_action(inp.action, ms, points, inp.horizon)
-    else:
-        iso = check_isometric_embedding_action(inp.action, ms, points, inp.horizon)
-        assert canc.holds == iso.passed
+        else:
+            iso = check_isometric_embedding_action(inp.action, ms, points, inp.horizon)
+            assert canc.holds == iso.passed
     if not canc.holds:
         w = canc.witness
         m, a, b = (n.parse_word(w[k]) for k in ("m", "a", "b"))
@@ -180,31 +185,81 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
         assert a != b and ma == mb and format_word(ma) == w["product"]
         assert gamma.distance(Vertex(ma), Vertex(mb)).value == ExtNonNeg.of(0)
         assert gamma.distance(Vertex(a), Vertex(b)).value > ExtNonNeg.of(0)
-        if B is not None:
-            with pytest.raises(HypothesisFailed) as exc:
-                extract_generators(inp)
-            assert exc.value.hypothesis == "isometric_embedding"
-            assert f"{w['m']}·{w['a']} = {w['m']}·{w['b']}" in str(exc.value)
 
 
-def test_idealistic_decides_every_pair_at_the_far_horizon():
-    """S5 at its directed diameter 11 decides every pair of the depth-4 ball
-    at far, so nothing is unresolved.  Below the diameter some pair stays
-    undecided, the verdict is unknown, and extraction stops in the pre-checks
-    naming the count."""
-    build = ORACLES["S5"][0]
-    ide = extract_generators(make_input(build(), horizon=11)).hypotheses["idealistic"]
-    assert ide.verdict == "holds_at_horizon"
-    assert ide.horizon == 4
-    assert ide.artifacts["unresolved_pairs"] == 0
-    for horizon in (4, 6, 8):
-        inp = make_input(build(), horizon=horizon)
+THEOREM_CASES = [
+    name for name in sorted(ORACLES) + ["ends_in_e<F1*Z2"]
+    if _hypothesis_case(name)[0].cancellation_theorem is not None
+]
+
+
+def test_theorem_classes_are_the_free_and_group_fixtures():
+    assert THEOREM_CASES == [
+        "F1*Z2 no fast path", "S5", "Z5", "fp_r1_z2", "fp_r2_z2", "free1", "free2", "z3",
+        "ends_in_e<F1*Z2",
+    ]
+
+
+@pytest.mark.parametrize("name", THEOREM_CASES)
+def test_cancellation_theorem_agrees_with_the_far_ball_check(name):
+    # What the pipeline would check if the class named no theorem.
+    n, inp = _hypothesis_case(name)
+    assert check_cancellative(n, "left", inp.far, inp.action.monoid.elements_up_to(inp.horizon)).holds
+    iso = extract_generators(inp).hypotheses["isometric_embedding"]
+    assert iso.verdict == "pass"
+    assert iso.artifacts["basis"] == f"theorem: {n.cancellation_theorem}"
+
+
+@pytest.mark.parametrize("name", ["absorbing table", "bicyclic", "zero"])
+def test_non_cancellative_oracles_fail_the_far_ball_check(name):
+    # The witness m*a = m*b is the one the depth-3 multipliers find on the
+    # horizon ball: the first bad multiplier fails at once on the far ball.
+    n, inp = _hypothesis_case(name)
+    assert n.cancellation_theorem is None
+    w = check_cancellative(n, "left", inp.horizon, inp.action.monoid.elements_up_to(min(inp.horizon, 3))).witness
+    with pytest.raises(HypothesisFailed) as exc:
+        extract_generators(inp)
+    assert exc.value.hypothesis == "isometric_embedding"
+    assert f"{w['m']} is not left-cancellable: {w['m']}·{w['a']} = {w['m']}·{w['b']} = {w['product']}" in str(exc.value)
+
+
+def test_cancellation_is_checked_on_the_far_ball_without_a_theorem():
+    # Z3 given as a plain table names no theorem, so every multiplier of the
+    # horizon ball is checked on the far ball (5R + 1 = 6 here).
+    z3 = TableMonoid(["e", "g", "g2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], generators=["g"])
+    assert z3.cancellation_theorem is None
+    iso = extract_generators(make_input(z3, horizon=4)).hypotheses["isometric_embedding"]
+    assert iso.verdict == "holds_at_horizon" and iso.horizon == 4
+    assert iso.artifacts["basis"] == "checked: every multiplier of depth <= 4 is injective on the ball of radius 6"
+
+
+def _s5_cli(tmp_path, horizon):
+    """The exit code and extraction of `svarc-milnor -R 1` on S5."""
+    s5 = ORACLES["S5"][0]()
+    spec = tmp_path / "s5.json"
+    spec.write_text(json.dumps({
+        "type": "finite_group", "elements": list(s5.element_names), "table": s5.table,
+        "identity": "e", "generators": list(s5.generators),
+    }), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["--monoid", str(spec), "--horizon", str(horizon), "svarc-milnor", "-R", "1"])
+    ext = json.loads(out.getvalue())["result"]["extraction"]
+    return code, {k: ext[k] for k in ("S", "r", "l", "lambda")}
+
+
+def test_s5_runs_below_its_diameter_with_the_same_constants(tmp_path):
+    """S5 has directed diameter 11.  Below it the idealistic sampler leaves
+    pairs undecided, but the pipeline no longer asks it: the condition holds
+    by definition under left translation.  So every horizon exits 0 with the
+    S, r, l and lambda of the diameter."""
+    code, full = _s5_cli(tmp_path, 11)
+    assert code == 0
+    for horizon in (4, 6, 8, 10):
+        inp = make_input(ORACLES["S5"][0](), horizon=horizon)
         ide = check_idealistic(inp.action, Vertex(()), 4, inp.far)
-        assert ide.verdict == "unknown" and not ide.passed
-        unresolved = ide.artifacts["unresolved_pairs"]
-        assert unresolved > 0
-        with pytest.raises(HorizonTooSmall, match=f"idealistic: {unresolved} pairs unresolved at horizon {inp.far}"):
-            extract_generators(inp)
+        assert ide.verdict == "unknown" and ide.artifacts["unresolved_pairs"] > 0
+        assert _s5_cli(tmp_path, horizon) == (0, full)
 
 
 def test_radius_must_be_positive_and_within_horizon():
