@@ -228,18 +228,19 @@ def extract_generators(inp: SmInput) -> SmReport:
         for m, sep in separations.items()
         if not sep.is_infinite and ZERO < sep < ExtNonNeg.of(r)
     ]
-    claim1 = PropertyReport("claim1_gap", "fail" if c1_witnesses else "pass", horizon, c1_witnesses)
+    claim1 = PropertyReport(
+        "claim1_gap", "fail" if c1_witnesses else "pass", horizon, c1_witnesses
+    )
 
     # Claim 2: B against its right neighbours qB (see above).  d(B, qB) <=
     # d(e, q) < 2R + r <= 5R/2 < far, so none of them is past the horizon.
     steps = oracle.elements_up_to(math.ceil(2 * R + r) - 1)
-    contact_set = set(S)
     c2_witnesses = []
     for q in steps:
         d = gamma_set_distance(gamma.monoid, B, translates[q], far)
         if not d.is_known:
             raise HorizonTooSmall(f"d(B, {format_word(q)}B) unknown")
-        if d.value < ExtNonNeg.of(r) and q not in contact_set:
+        if d.value < ExtNonNeg.of(r) and q not in S:
             c2_witnesses.append({"m": format_word(e), "n": format_word(q), "d(mB,nB)": d.value})
     claim2 = PropertyReport(
         "claim2_quotient", "fail" if c2_witnesses else "pass", horizon,

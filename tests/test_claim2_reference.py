@@ -216,8 +216,7 @@ def test_planted_missing_contact_element_exits_1(monkeypatch):
     assert _run_cli("free2.json", "--horizon", "4", "svarc-milnor", "-R", "1") == 1
 
 
-@pytest.mark.parametrize("horizon", (4, 6))
-def test_claim2_work_is_linear_in_the_ball(monkeypatch, horizon):
+def test_claim2_work_is_linear_in_the_ball(monkeypatch):
     # The pair loop made about half a million orbit distance calls at h = 6;
     # claim 2 now takes one set distance per q, whatever the horizon.
     calls = []
@@ -229,8 +228,10 @@ def test_claim2_work_is_linear_in_the_ball(monkeypatch, horizon):
 
     monkeypatch.setattr(svarcmilnor, "gamma_set_distance", count)
     oracle = _fixture_oracle("fp_r2_z2.json")
-    inp = _svarc_milnor_input(oracle, horizon, Fraction(1))
-    report = extract_generators(inp)
-    k = math.ceil(2 * inp.radius + report.r) - 1
-    # The Q loop starts its set distances at the basepoint, claim 2 at B.
-    assert sum(X is report.ball for X in calls) == len(oracle.elements_up_to(k))
+    for horizon in (4, 6):
+        calls.clear()
+        inp = _svarc_milnor_input(oracle, horizon, Fraction(1))
+        report = extract_generators(inp)
+        k = math.ceil(2 * inp.radius + report.r) - 1
+        # The Q loop starts its set distances at the basepoint, claim 2 at B.
+        assert sum(X is report.ball for X in calls) == len(oracle.elements_up_to(k))
