@@ -82,10 +82,8 @@ from .actions import (
     translation_action,
 )
 from .svarcmilnor import (
-    FreeProductInput,
     SmInput,
     SmReport,
-    SubmonoidInput,
     extract_generators,
     factor_over_generators,
     run_free_product,

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 from .cayley import CayleyPoint, CellSet, EdgePoint, GammaOracle, Translates, Vertex, word_distance
 from .errors import HorizonTooSmall
-from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance
+from .extnum import INF, ZERO, ExtNonNeg
 from .monoids import MonoidOracle, Word, format_word
 
 
@@ -54,9 +54,7 @@ class PropertyReport:
 
     def to_json(self) -> dict:
         def enc(v):
-            if isinstance(v, ExtNonNeg):
-                return v.to_json()
-            if isinstance(v, TruncatedDistance):
+            if hasattr(v, "to_json"):  # distances and nested reports encode themselves
                 return v.to_json()
             if isinstance(v, Fraction):
                 return [v.numerator, v.denominator]

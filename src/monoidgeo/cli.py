@@ -30,14 +30,7 @@ from .monoids import (
     from_spec_dict,
 )
 from .spaces import WordMetricSpace, check_axioms, check_quasi_metric
-from .svarcmilnor import (
-    FreeProductInput,
-    SmInput,
-    SubmonoidInput,
-    run_free_product,
-    run_pipeline,
-    run_submonoid_theorem,
-)
+from .svarcmilnor import SmInput, run_free_product, run_pipeline, run_submonoid_theorem
 
 
 def parse_monoid_spec(path: str) -> tuple[MonoidOracle, dict]:
@@ -178,30 +171,11 @@ def _run(args) -> tuple[int, dict]:
         }
         exit_code = 0 if ok else 1
 
-    elif args.command == "submonoid":
+    elif args.command in ("submonoid", "free-product"):
         if not isinstance(oracle, FreeProductMonoid):
-            raise MonoidGeoError("submonoid pipeline needs a free_product monoid spec")
-        units = [
-            (x,) if x != oracle.group_identity else oracle.identity
-            for x in oracle.group.element_names
-        ]
-        report = run_submonoid_theorem(
-            SubmonoidInput(
-                parent=oracle,
-                submonoid=ends_in_group_identity_submonoid(oracle),
-                right_units=units,
-                horizon=horizon,
-            )
-        )
-        result = report.to_json()
-        exit_code = 0 if report.passed else 1
-
-    elif args.command == "free-product":
-        if not isinstance(oracle, FreeProductMonoid):
-            raise MonoidGeoError("free-product pipeline needs a free_product monoid spec")
-        report = run_free_product(
-            FreeProductInput(free_rank=len(oracle.free_letters), group=oracle.group, horizon=horizon)
-        )
+            raise MonoidGeoError(f"{args.command} pipeline needs a free_product monoid spec")
+        run = run_submonoid_theorem if args.command == "submonoid" else run_free_product
+        report = run(oracle, horizon)
         result = report.to_json()
         exit_code = 0 if report.passed else 1
 

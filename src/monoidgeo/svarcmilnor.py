@@ -39,15 +39,11 @@ from .cayley import (
 from .errors import FactorizationFailed, HorizonTooSmall, HypothesisFailed
 from .extnum import ZERO, ExtNonNeg, ext_max
 from .monoids import (
-    FiniteGroup,
     FreeMonoid,
     FreeProductMonoid,
-    MonoidOracle,
     SubmonoidOracle,
-    SubmonoidSpec,
     Word,
     check_cancellative,
-    check_left_unitary,
     ends_in_group_identity_submonoid,
     format_word,
 )
@@ -162,7 +158,8 @@ def extract_generators(inp: SmInput) -> SmReport:
 
     The idealistic condition holds by definition: d(m x0, n x0) < inf iff
     n = m*t for some t in N, and in the submonoid pipeline t is in M since
-    M is left unitary, a checked hypothesis.  Coboundedness is sampled.
+    M = ends_in_e is left unitary by the normal form theorem for free
+    products (see run_submonoid_theorem).  Coboundedness is sampled.
 
     Claim 2: translates closer than r differ by a contact element.  As
     d(mB, nB) >= d(m x0, n x0) - 2R and finite word distances are integers,
@@ -191,12 +188,10 @@ def extract_generators(inp: SmInput) -> SmReport:
     if not cob.passed:
         raise HypothesisFailed("cobounded", f"uncovered: {cob.witnesses[:3]}")
     basis = "theorem: d(m x0, n x0) < inf iff n = m*t for some t in N"
-    unitary = isinstance(oracle, SubmonoidOracle)
-    if unitary:
-        basis += f", and t is in M since M is left unitary (checked at horizon {horizon})"
-    hypotheses["idealistic"] = PropertyReport(
-        "idealistic", "holds_at_horizon" if unitary else "pass", horizon, [], artifacts={"basis": basis}
-    )
+    if isinstance(oracle, SubmonoidOracle):
+        basis += (", and t is in M since M is left unitary (normal form theorem for"
+                  " free products: s*t ends in t's last group letter)")
+    hypotheses["idealistic"] = PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})
 
     contact = compute_contact_set(action, B, horizon, translates)
     S: list[Word] = contact.artifacts["contact_elements"]
@@ -406,7 +401,7 @@ def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport)
       m2: m1*q = m2 and d(e, q) <= D.  The generation bound certifies every
       element within the horizon, so it factors q over S in at most
       d(e, q)/l + 1 letters.  In the submonoid pipeline q lies in M because
-      M is left unitary, a checked hypothesis.
+      M is left unitary (see run_submonoid_theorem).
 
     So each failing generation certificate is one witness naming its q.
     """
@@ -458,54 +453,34 @@ def run_pipeline(inp: SmInput) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SubmonoidInput:
-    parent: MonoidOracle
-    submonoid: SubmonoidSpec
-    right_units: list[Word]
-    horizon: int
+def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
+    """The submonoid theorem for M = ends_in_e in N = F*G, with P = G.
 
-
-def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
-    """Full pipeline for a left unitary submonoid M with MP = N."""
-    N = inp.parent
-    horizon = inp.horizon
+    The normal form theorem for free products gives two of its hypotheses,
+    so neither is searched for: M is left unitary, since s*t ends in t's
+    last group letter, and each p of P is a unit whose inverse is the unique
+    exact quotient of e by p.  MP = N is checked on the horizon ball.
+    """
     gamma = GammaOracle(N, max(horizon, 8))
-
-    # Hypothesis: P consists of right units.
-    inverses: dict[Word, Word] = {}
-    for p in inp.right_units:
-        p_nf = N.normal_form(p)
-        q = next(
-            (q for q in N.elements_up_to(horizon) if N.multiply(p_nf, q) == N.identity),
-            None,
-        )
-        if q is None:
-            raise HypothesisFailed("right_units", f"{format_word(p_nf)} has no right inverse in the ball")
-        inverses[p_nf] = q
-    P = list(inverses.keys())
+    spec = ends_in_group_identity_submonoid(N)
+    P = [() if g == N.group_identity else (g,) for g in N.group.element_names]
+    inverses = {p: N.exact_quotient(p, N.identity) for p in P}
 
     # Hypothesis: MP = N on the ball.
-    member = inp.submonoid.membership
     mp_witnesses = {}
     for n in N.elements_up_to(horizon):
         # m*p = n with p*q = e forces m = n*q, so one candidate per p suffices.
         found = None
         for p in P:
             m = N.multiply(n, inverses[p])
-            if member(m) and N.multiply(m, p) == n:
+            if spec.membership(m) and N.multiply(m, p) == n:
                 found = (m, p)
                 break
         if found is None:
             raise HypothesisFailed("MP=N", f"no factorization m*p = {format_word(n)}")
         mp_witnesses[format_word(n)] = (format_word(found[0]), format_word(found[1]))
 
-    # Hypothesis: M left unitary in N.
-    unitary = check_left_unitary(N, inp.submonoid, horizon)
-    if not unitary.holds:
-        raise HypothesisFailed("left_unitary", str(unitary.witness))
-
-    M = SubmonoidOracle(N, inp.submonoid)
+    M = SubmonoidOracle(N, spec)
     action = ActionOracle(
         monoid=M,
         space=gamma,
@@ -547,9 +522,9 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
         artifacts={
             "P": [format_word(p) for p in P],
             "MP_factorizations": mp_witnesses,
-            "sm_report": report.to_json(),
-            "generation": result["generation"].to_json(),
-            "qi": result["qi"].to_json(),
+            "sm_report": report,
+            "generation": result["generation"],
+            "qi": result["qi"],
             "S": [format_word(s) for s in report.generators],
             "lambda": report.lam,
             "r": [report.r.numerator, report.r.denominator],
@@ -563,22 +538,14 @@ def run_submonoid_theorem(inp: SubmonoidInput) -> PropertyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FreeProductInput:
-    free_rank: int
-    group: FiniteGroup
-    horizon: int
-
-
-def run_free_product(inp: FreeProductInput) -> PropertyReport:
+def run_free_product(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     """F*G: verify the free basis {g f_i} of M and the submonoid pipeline."""
-    N = FreeProductMonoid(inp.free_rank, inp.group)
     spec = ends_in_group_identity_submonoid(N)
-    horizon = inp.horizon
+    group_names = N.group.element_names
 
     # Candidate free basis: one element per (group element, free letter).
     basis: list[Word] = []
-    for g in inp.group.element_names:
+    for g in group_names:
         for f in N.free_letters:
             word = (f,) if g == N.group_identity else (g, f)
             basis.append(N.normal_form(word))
@@ -617,39 +584,24 @@ def run_free_product(inp: FreeProductInput) -> PropertyReport:
         if free_length(m) <= depth and m not in images:
             witnesses.append({"reason": "M-element misses basis factorization", "m": format_word(m)})
 
-    # Realized quasi-isometry constants of the composite map free -> M -> N.
+    # Realized quasi-isometry constants of the composite map free -> M -> N,
+    # by left translation.  A pair of basis words at finite distance is
+    # (b1, b1*s): a finite d_N(img1, img2) makes img2 = img1*t, t is in M as
+    # M is left unitary, and unique factorization gives b2 = b1*s.  Both
+    # monoids are cancellative, so that pair's distances are |s| and
+    # d_N(e, embed(s)), whatever b1 is.
     realized_lambda = Fraction(1)
     realized_eps = Fraction(0)
-    pairs = list(images.items())  # (image in N, basis word)
-    for img1, b1 in pairs:
-        for img2, b2 in pairs:
-            d_free = word_distance(free_model, b1, b2, horizon).value
-            d_N = word_distance(N, img1, img2, horizon).value
-            if d_free.is_infinite != d_N.is_infinite:
-                witnesses.append(
-                    {"reason": "finiteness mismatch",
-                     "pair": [format_word(b1), format_word(b2)]}
-                )
-                continue
-            if d_free.is_infinite:
-                continue
-            a = d_free.finite_value()
-            b = d_N.finite_value()
-            if a == 0 and b == 0:
-                continue
-            if a == 0 or b == 0:
-                witnesses.append(
-                    {"reason": "zero distance mismatch", "pair": [format_word(b1), format_word(b2)]}
-                )
-                continue
+    for img, bword in images.items():
+        if bword:
+            a, b = len(bword), word_distance(N, N.identity, img, horizon).value.finite_value()
             realized_lambda = max(realized_lambda, Fraction(b, a), Fraction(a, b))
     # Density of M in N: every element is within a group letter of M.
     gamma = GammaOracle(N, max(horizon, 8))
     realized_mu = Fraction(0)
     for n in N.elements_up_to(horizon):
         best = None
-        for g_idx in range(len(inp.group.element_names)):
-            g = inp.group.element_names[g_idx]
+        for g in group_names:
             m = N.multiply(n, () if g == N.group_identity else (g,))
             if not spec.membership(m):
                 continue
@@ -663,15 +615,7 @@ def run_free_product(inp: FreeProductInput) -> PropertyReport:
         else:
             realized_mu = max(realized_mu, best.finite_value())
 
-    sub = run_submonoid_theorem(
-        SubmonoidInput(
-            parent=N,
-            submonoid=spec,
-            right_units=[(x,) if x != N.group_identity else N.identity
-                         for x in inp.group.element_names],
-            horizon=horizon,
-        )
-    )
+    sub = run_submonoid_theorem(N, horizon)
     ok = not witnesses and sub.passed
     return PropertyReport(
         "free_product_corollary",
@@ -681,10 +625,10 @@ def run_free_product(inp: FreeProductInput) -> PropertyReport:
         artifacts={
             "basis": [format_word(b) for b in basis],
             "basis_size": k,
-            "expected_basis_size": inp.free_rank * len(inp.group.element_names),
+            "expected_basis_size": len(N.free_letters) * len(group_names),
             "realized_lambda": [realized_lambda.numerator, realized_lambda.denominator],
             "realized_eps": [realized_eps.numerator, realized_eps.denominator],
             "realized_mu": [realized_mu.numerator, realized_mu.denominator],
-            "submonoid": sub.to_json(),
+            "submonoid": sub,
         },
     )

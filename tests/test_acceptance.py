@@ -16,7 +16,6 @@ from monoidgeo import (
     EdgePoint,
     ExtNonNeg,
     FreeMonoid,
-    FreeProductInput,
     FreeProductMonoid,
     GammaOracle,
     SmInput,
@@ -289,7 +288,7 @@ def test_criterion_5_free_product_bases():
     ok = True
     detail = []
     for rank, expected_size in ((1, 2), (2, 4)):
-        out = run_free_product(FreeProductInput(free_rank=rank, group=cyclic_group(2), horizon=6))
+        out = run_free_product(FreeProductMonoid(rank, cyclic_group(2)), 6)
         a = out.artifacts
         if not out.passed:
             ok = False

@@ -187,6 +187,20 @@ def test_free_product_pipeline():
     assert doc["result"]["artifacts"]["basis_size"] == 2
 
 
+def test_free_product_pipelines_use_the_spec_alphabet(tmp_path):
+    with open(fx("fp_r1_z2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    spec = tmp_path / "fp_x.json"
+    spec.write_text(json.dumps({**doc, "alphabet": ["x"]}))
+    code, sub, _ = run_cli("--monoid", str(spec), "--horizon", "3", "submonoid")
+    assert code == 0
+    assert sub["result"]["artifacts"]["S"] == ["ε", "x", "gx"]
+    code, fp, _ = run_cli("--monoid", str(spec), "--horizon", "3", "free-product")
+    assert code == 0
+    assert fp["result"]["artifacts"]["basis"] == ["x", "gx"]
+    assert fp["result"]["artifacts"]["submonoid"]["artifacts"]["S"] == ["ε", "x", "gx"]
+
+
 def test_bad_spec_errors_exit_2(tmp_path):
     z2 = {"type": "finite_group", "elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
     a = {"type": "rewriting", "generators": ["a"], "confluent": True}

@@ -11,13 +11,11 @@ from monoidgeo import (
     ActionOracle,
     ExtNonNeg,
     FreeMonoid,
-    FreeProductInput,
     FreeProductMonoid,
     GammaOracle,
     HorizonTooSmall,
     HypothesisFailed,
     SmInput,
-    SubmonoidInput,
     SubmonoidOracle,
     TableMonoid,
     Vertex,
@@ -37,7 +35,6 @@ from monoidgeo import (
     verify_qi_bounds,
     zero_monoid,
 )
-from monoidgeo import svarcmilnor
 from monoidgeo.cli import main
 from monoidgeo.svarcmilnor import _cobounded_sample
 from builders import cyclic_group
@@ -274,15 +271,7 @@ def test_radius_must_be_positive_and_within_horizon():
 
 @pytest.fixture(scope="module")
 def fp_sub_report():
-    n = FreeProductMonoid(1, cyclic_group(2))
-    return run_submonoid_theorem(
-        SubmonoidInput(
-            parent=n,
-            submonoid=ends_in_group_identity_submonoid(n),
-            right_units=[(), ("g",)],
-            horizon=6,
-        )
-    )
+    return run_submonoid_theorem(FreeProductMonoid(1, cyclic_group(2)), 6)
 
 
 def test_submonoid_theorem_passes(fp_sub_report):
@@ -294,7 +283,8 @@ def test_submonoid_extracted_generators(fp_sub_report):
     assert a["S"] == ["ε", "f", "gf"]
     assert a["lambda"] == ExtNonNeg.of(2)
     # ball radius 2 = 1 + max displacement of the right units
-    assert a["sm_report"]["R"] == [2, 1]
+    assert a["sm_report"].ball_radius == 2
+    assert a["P"] == ["ε", "g"]
 
 
 def test_submonoid_mp_factorizations_recheck(fp_sub_report):
@@ -303,25 +293,11 @@ def test_submonoid_mp_factorizations_recheck(fp_sub_report):
         assert n.multiply(n.parse_word(m), n.parse_word(p)) == n.parse_word(target)
 
 
-def test_submonoid_rejects_missing_right_inverse():
-    n = FreeProductMonoid(1, cyclic_group(2))
-    with pytest.raises(HypothesisFailed) as exc:
-        run_submonoid_theorem(
-            SubmonoidInput(
-                parent=n,
-                submonoid=ends_in_group_identity_submonoid(n),
-                right_units=[("f",)],  # f has no right inverse in F*G
-                horizon=4,
-            )
-        )
-    assert exc.value.hypothesis == "right_units"
-
-
 # -- free product corollary -------------------------------------------------
 
 
 def test_free_product_r1():
-    out = run_free_product(FreeProductInput(free_rank=1, group=cyclic_group(2), horizon=6))
+    out = run_free_product(FreeProductMonoid(1, cyclic_group(2)), 6)
     assert out.verdict == "pass"
     a = out.artifacts
     assert a["basis"] == ["f", "gf"]
@@ -348,22 +324,14 @@ def test_free_product_basis_letters_multiply_injectively():
     assert len(seen) == 1 + 2 + 4 + 8
 
 
-def test_free_product_oracle_keeps_no_table_beyond_its_interns(monkeypatch):
+def test_free_product_oracle_keeps_no_table_beyond_its_interns():
     # The pipeline's products and quotients are read off the normal forms,
     # so no table on the oracle may outgrow the ball it interned plus the
     # two |G|² group tables.
-    built = []
-
-    class Recorded(FreeProductMonoid):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(svarcmilnor, "FreeProductMonoid", Recorded)
     group = cyclic_group(2)
-    out = run_free_product(FreeProductInput(free_rank=2, group=group, horizon=5))
+    n = FreeProductMonoid(2, group)
+    out = run_free_product(n, 5)
     assert out.verdict == "pass"
-    (n,) = built
     bound = len(n._interned) + len(group.element_names) ** 2
     sizes = {k: len(v) for k, v in vars(n).items() if isinstance(v, dict)}
     assert max(sizes.values()) <= bound, (sizes, bound)
