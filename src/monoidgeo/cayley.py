@@ -14,9 +14,10 @@ word in BFS order.
 
 The five-case distance on the point set M ∪ (M × S × (0,1)) has one
 evaluator, a reduction to base vertices that serves single points
-(``gamma_distance``) and finitely described regions (cell sets,
-``gamma_set_distance``) alike.  Each case is a word distance between base
-vertices plus a rational offset: a source point leaves from its vertex, or
+(``gamma_distance``), finitely described regions (cell sets,
+``gamma_set_distance``) and Γ's distance table on a sample
+(``GammaOracle.distance_rows``) alike.  Each case is a word distance between
+base vertices plus an offset: a source point leaves from its vertex, or
 from either end of its edge, and a target point is reached at its vertex or
 at the start of its edge.  The case formulas are affine in edge offsets
 between breakpoints, so for a cell set closure extremes suffice, and the
@@ -24,10 +25,17 @@ infimum takes one word distance per pair of base vertices, at the least
 offset each side reaches there.  Two points on one edge are |mu - nu| apart
 instead, so offsets from an edge both sides lie on are never paired with
 each other; interval gaps cover those pairs.
+
+Offsets are exact ints over one common denominator L, the lcm of the offset
+denominators in play.  Word distances are read through a memo, one lookup
+per pair of base vertices: a point or set call has a memo of its own, and a
+table shares one among all its pairs, so it costs one word distance per
+pair of base vertices, not per pair of points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -123,73 +131,88 @@ CayleyPoint = Union[Vertex, EdgePoint]
 # The five-case distance
 # ---------------------------------------------------------------------------
 
-# Sources and targets map a base vertex to {edge or None: least offset}; an
-# offset carries its edge only when both sides lie on that edge.
-
-_AT_VERTEX = Fraction(0)
-
-
-def _offer(bases: dict, base: Word, edge, offset: Fraction) -> None:
-    by_edge = bases.setdefault(base, {})
-    if edge not in by_edge or offset < by_edge[edge]:
-        by_edge[edge] = offset
+# Sources and targets are flat (base, edge, offset) entries, offsets ints over
+# one common denominator L that the caller chooses.  An entry carries the edge
+# its point lies on, or None, and two entries that carry the same edge are
+# never paired: points on one edge are |mu - nu| apart instead.
 
 
 def _base_pair_distance(
-    oracle: MonoidOracle, sources: dict, targets: dict, best: Optional[Fraction], horizon: int
-) -> TruncatedDistance:
-    """The least of ``best`` and d(s, t) + a + b over sources (s, a) and
-    targets (t, b), never pairing two offsets that carry the same edge.
+    oracle: MonoidOracle, sources, targets, best: Optional[int], scale: int, memo: dict, horizon: int
+) -> tuple[Optional[int], bool]:
+    """The least of ``best`` and L*d(s, t) + a + b over sources (s, e, a) and
+    targets (t, f, b) with e None or e != f, where L is ``scale``; and
+    whether that least value is known.
 
-    ``best`` is a known starting minimum (the same-edge gaps) or None.
-    Adding a known finite offset keeps the order and kind of truncated
-    distances, so each pair of bases costs one word distance, at the least
-    offset sum.
+    ``best`` is a known starting minimum (a same-edge gap) or None, and a
+    least value of None is infinity.  Adding a known finite offset keeps the
+    order and kind of truncated distances, so each pair of bases costs one
+    word distance, read through ``memo``: (s, t) -> (L*d(s, t) or None,
+    known).  A point or set call passes a fresh dict, a table one dict for
+    all its pairs.
     """
     # Running minimum in truncated_min's order: least value first (None is
     # infinity), and a known value before an unknown bound of the same size.
     best_known = best is not None
-    for s, s_offsets in sources.items():
-        for t, t_offsets in targets.items():
-            offsets = [
-                a + b
-                for a_edge, a in s_offsets.items()
-                for b_edge, b in t_offsets.items()
-                if a_edge is None or a_edge != b_edge
-            ]
-            if not offsets:
+    for s, s_edge, a in sources:
+        for t, t_edge, b in targets:
+            if s_edge is not None and s_edge == t_edge:
                 continue
-            d = word_distance(oracle, s, t, horizon)
-            value = d.value.frac
+            d = memo.get((s, t))
+            if d is None:
+                w = word_distance(oracle, s, t, horizon)
+                # Word distances and horizons are whole numbers.
+                v = w.value.frac
+                d = memo[s, t] = (None if v is None else v.numerator * scale, w.is_known)
+            value, known = d
             if value is None:
                 # A known infinity; an unknown bound is always finite.
                 if best is None:
                     best_known = True
                 continue
-            value += min(offsets)
-            if best is None or value < best or (value == best and d.is_known and not best_known):
-                best, best_known = value, d.is_known
-    if best_known:
-        return TruncatedDistance.known(INF if best is None else ExtNonNeg(best))
-    return TruncatedDistance.unknown_above(ExtNonNeg(best))
+            value += a + b
+            if best is None or value < best or (value == best and known and not best_known):
+                best, best_known = value, known
+    return best, best_known
+
+
+def _truncated(best: Optional[int], known: bool, scale: int) -> TruncatedDistance:
+    value = INF if best is None else ExtNonNeg(Fraction(best, scale))
+    return TruncatedDistance.known(value) if known else TruncatedDistance.unknown_above(value)
+
+
+def _target(p: CayleyPoint, scale: int) -> tuple:
+    """A vertex n is reached at (n, None, 0), an edge point (n, y, nu) at
+    (n, (n, y), nu)."""
+    if isinstance(p, Vertex):
+        return (p.element, None, 0)
+    return (p.element, (p.element, p.gen), p.mu.numerator * (scale // p.mu.denominator))
+
+
+def _sources(oracle: MonoidOracle, p: CayleyPoint, scale: int) -> tuple:
+    """A vertex m leaves from (m, None, 0), an edge point (m, x, mu) from
+    (m, (m, x), mu) and (m·x, (m, x), 1 - mu)."""
+    near = _target(p, scale)
+    if near[1] is None:
+        return (near,)
+    return near, (oracle.multiply(p.element, (p.gen,)), near[1], scale - near[2])
+
+
+def _gap(sources: tuple, target: tuple) -> Optional[int]:
+    """|mu - nu| when both points lie on one edge, else None."""
+    edge = target[1]
+    return abs(sources[0][2] - target[2]) if edge is not None and sources[0][1] == edge else None
 
 
 def gamma_distance(oracle: MonoidOracle, p: CayleyPoint, q: CayleyPoint, horizon: int) -> TruncatedDistance:
-    """d(p, q): a vertex m is the source (m, 0), an edge point (m, x, mu)
-    the sources (m, mu) and (m·x, 1 - mu); a vertex n is the target (n, 0),
-    an edge point (n, y, nu) the target (n, nu)."""
+    """d(p, q), from p's sources to q's target over the lcm of their offset
+    denominators."""
     if isinstance(p, Vertex) and isinstance(q, Vertex):
         return word_distance(oracle, p.element, q.element, horizon)
-    edge = gap = None
-    if isinstance(p, EdgePoint) and isinstance(q, EdgePoint) and (p.element, p.gen) == (q.element, q.gen):
-        edge, gap = (p.element, p.gen), abs(p.mu - q.mu)
-    if isinstance(p, Vertex):
-        sources = {p.element: {None: _AT_VERTEX}}
-    else:
-        sources = {p.element: {edge: p.mu}}
-        _offer(sources, oracle.multiply(p.element, (p.gen,)), edge, 1 - p.mu)
-    targets = {q.element: {None: _AT_VERTEX} if isinstance(q, Vertex) else {edge: q.mu}}
-    return _base_pair_distance(oracle, sources, targets, gap, horizon)
+    scale = math.lcm(*(r.mu.denominator for r in (p, q) if isinstance(r, EdgePoint)))
+    sources, target = _sources(oracle, p, scale), _target(q, scale)
+    best, known = _base_pair_distance(oracle, sources, (target,), _gap(sources, target), scale, {}, horizon)
+    return _truncated(best, known, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +317,12 @@ class Translates(dict):
         return mB
 
 
+def _offer(entries: dict, base: Word, edge, offset: int) -> None:
+    key = (base, edge)
+    if key not in entries or offset < entries[key]:
+        entries[key] = offset
+
+
 def _interval_gap(a_lo, a_hi, b_lo, b_hi) -> Fraction:
     if a_hi < b_lo:
         return b_lo - a_hi
@@ -310,9 +339,15 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
     target (m, lo), as the points at its ends would.  Two points on one edge
     are |mu - nu| apart instead, which the interval gaps bound from below;
     so offsets from an edge on which both sets have segments keep that edge.
+    Offsets are scaled by the lcm of the segment bounds' denominators.
     """
     if not A or not B:
         return TruncatedDistance.known(INF)
+    scale = math.lcm(*(f.denominator for seg in A.segments + B.segments for f in (seg.lo, seg.hi)))
+
+    def scaled(f: Fraction) -> int:
+        return f.numerator * (scale // f.denominator)
+
     # Same-edge overlaps need the interior: |mu - nu| is convex, so interval
     # intersection (distance 0) is not visible from endpoints alone.
     least_gap: Optional[Fraction] = None
@@ -327,20 +362,21 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
             if least_gap is None or gap < least_gap:
                 least_gap = gap
 
-    sources: dict[Word, dict] = {}
-    targets: dict[Word, dict] = {}
-    for v in A.vertices:
-        _offer(sources, v, None, _AT_VERTEX)
-    for v in B.vertices:
-        _offer(targets, v, None, _AT_VERTEX)
+    # (base, edge) -> least scaled offset
+    sources: dict[tuple, int] = dict.fromkeys(((v, None) for v in A.vertices), 0)
+    targets: dict[tuple, int] = dict.fromkeys(((v, None) for v in B.vertices), 0)
     for seg in A.segments:
         edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
-        _offer(sources, seg.element, edge, seg.lo)
-        _offer(sources, oracle.multiply(seg.element, (seg.gen,)), edge, 1 - seg.hi)
+        _offer(sources, seg.element, edge, scaled(seg.lo))
+        _offer(sources, oracle.multiply(seg.element, (seg.gen,)), edge, scale - scaled(seg.hi))
     for seg in B.segments:
         edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
-        _offer(targets, seg.element, edge, seg.lo)
-    return _base_pair_distance(oracle, sources, targets, least_gap, horizon)
+        _offer(targets, seg.element, edge, scaled(seg.lo))
+    best, known = _base_pair_distance(
+        oracle, [(*k, a) for k, a in sources.items()], [(*k, b) for k, b in targets.items()],
+        None if least_gap is None else scaled(least_gap), scale, {}, horizon,
+    )
+    return _truncated(best, known, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +396,33 @@ class GammaOracle(SemimetricSpace):
 
     def set_distance(self, A: CellSet, B: CellSet, horizon: Optional[int] = None) -> TruncatedDistance:
         return gamma_set_distance(self.monoid, A, B, self.horizon if horizon is None else horizon)
+
+    def distance_rows(self, sample: Sequence[CayleyPoint]) -> tuple[list[list[int]], int, int]:
+        """The default's rows over the lcm of the sample's offset denominators.
+
+        Each point is reduced to its sources and its target once, and one
+        memo of word distances serves the whole table, so each pair of base
+        vertices costs one word distance.
+        """
+        scale = math.lcm(*(p.mu.denominator for p in sample if isinstance(p, EdgePoint)))
+        targets = [_target(q, scale) for q in sample]
+        memo: dict = {}
+        rows = []
+        for p in sample:
+            sources = _sources(self.monoid, p, scale)
+            row = []
+            for q, target in zip(sample, targets):
+                best, known = _base_pair_distance(
+                    self.monoid, sources, (target,), _gap(sources, target), scale, memo, self.horizon
+                )
+                if not known:
+                    raise HorizonTooSmall(
+                        f"d({self.format_point(p)}, {self.format_point(q)}) "
+                        f"only known to exceed {Fraction(best, scale)}"
+                    )
+                row.append(best)
+            rows.append(row)
+        return self._with_sentinel(rows, scale)
 
     # -- ball cell sets ----------------------------------------------------
 

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import HorizonTooSmall
 from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance, nonneg_fraction
@@ -32,6 +32,26 @@ class SemimetricSpace:
                 f"d({self.format_point(p)}, {self.format_point(q)}) only known to exceed {d.value}"
             )
         return d.value
+
+    def distance_rows(self, sample: Sequence) -> tuple[list[list[int]], int, int]:
+        """d on the sample as exact ints: (rows, scale, inf) with
+        rows[i][j] = scale * d(sample[i], sample[j]), and the int inf, above
+        any sum of two finite entries, standing for infinity.
+
+        Raises HorizonTooSmall at the first pair, in row-major order, whose
+        distance is not known.
+        """
+        table = [[self.known_distance(p, q).frac for q in sample] for p in sample]
+        scale = math.lcm(*(f.denominator for row in table for f in row if f is not None))
+        return self._with_sentinel(
+            [[None if f is None else f.numerator * (scale // f.denominator) for f in row] for row in table], scale
+        )
+
+    @staticmethod
+    def _with_sentinel(rows: list[list[Optional[int]]], scale: int) -> tuple[list[list[int]], int, int]:
+        """(rows, scale, inf) with None, for infinity, replaced by 2*max + 1."""
+        inf = 2 * max((v for row in rows for v in row if v is not None), default=0) + 1
+        return [[inf if v is None else v for v in row] for row in rows], scale, inf
 
     def points_equal(self, p, q) -> bool:
         return p == q
@@ -103,56 +123,40 @@ class ViolationReport:
 # ---------------------------------------------------------------------------
 
 
-def _distance_table(space: SemimetricSpace, sample: Sequence) -> dict:
-    table = {}
-    for i, p in enumerate(sample):
-        for j, q in enumerate(sample):
-            table[i, j] = space.known_distance(p, q)
-    return table
-
-
-def _integer_rows(d: dict, n: int) -> tuple[list[list[int]], int]:
-    """The table as rows of exact ints, and the int standing for infinity."""
-    fracs = [v.frac for v in d.values() if v.is_finite]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    inf = 2 * max((f.numerator * (scale // f.denominator) for f in fracs), default=0) + 1
-
-    def scaled(v: ExtNonNeg) -> int:
-        return inf if v.frac is None else v.frac.numerator * (scale // v.frac.denominator)
-
-    return [[scaled(d[i, k]) for k in range(n)] for i in range(n)], inf
-
-
 def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
     """Axiom (i) on all pairs and the triangle inequality on all triples.
 
-    The triangle check scales finite distances by the lcm of their denominators
-    to ints D, and infinity to 2*max(D) + 1, above any sum of two finite D.  So
+    Both read one exact table, ``space.distance_rows``: ints D over one
+    denominator, with infinity a sentinel above any sum of two finite D.  So
     with d(x,y) finite, z fails exactly when D(x,z) - D(y,z) > D(x,y).
+    ExtNonNeg values are built for violations only.
     """
     sample = list(sample)
-    d = _distance_table(space, sample)
+    rows, scale, inf = space.distance_rows(sample)
+
+    def ext(v: int) -> ExtNonNeg:
+        return INF if v == inf else ExtNonNeg(Fraction(v, scale))
+
     violations = []
     n = len(sample)
-    for i in range(n):
-        for j in range(n):
-            equal = space.points_equal(sample[i], sample[j])
-            zero = d[i, j] == ZERO
-            if zero != equal:
+    for p, row in zip(sample, rows):
+        for q, dpq in zip(sample, row):
+            equal = space.points_equal(p, q)
+            if (dpq == 0) != equal:
                 violations.append(
                     Violation(
-                        points=(space.format_point(sample[i]), space.format_point(sample[j])),
+                        points=(space.format_point(p), space.format_point(q)),
                         inequality="d(x,y) = 0 iff x = y",
-                        lhs=d[i, j],
-                        rhs=ZERO if equal else d[i, j],
+                        lhs=ext(dpq),
+                        rhs=ZERO if equal else ext(dpq),
                     )
                 )
-    rows, inf = _integer_rows(d, n)
     for i, row_x in enumerate(rows):
         for j, row_y in enumerate(rows):
             dij = row_x[j]
             # An infinite d(x,y) bounds every sum; otherwise one C-level pass
             # clears the row, and only a failing row is rescanned in z order.
+            # A failing d(y,z) is below d(x,z), so finite.
             if dij == inf or max(map(operator.sub, row_x, row_y)) <= dij:
                 continue
             for k in range(n):
@@ -165,8 +169,8 @@ def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
                                 space.format_point(sample[k]),
                             ),
                             inequality="d(x,z) <= d(x,y) + d(y,z)",
-                            lhs=d[i, k],
-                            rhs=d[i, j] + d[j, k],
+                            lhs=ext(row_x[k]),
+                            rhs=ext(dij + row_y[k]),
                         )
                     )
     return ViolationReport("axioms", violations)

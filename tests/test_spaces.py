@@ -20,8 +20,9 @@ from monoidgeo import (
     check_quasi_metric,
     gamma_set_distance,
 )
-from monoidgeo.spaces import SemimetricSpace, Violation, ViolationReport, _distance_table
+from monoidgeo.spaces import SemimetricSpace, Violation, ViolationReport
 from builders import cyclic_group
+from test_gamma_table_reference import _distance_table
 
 F1 = FreeMonoid(1, ["a"])
 F2 = FreeMonoid(2, ["a", "b"])
