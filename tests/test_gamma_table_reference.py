@@ -286,8 +286,9 @@ def test_gamma_check_takes_one_word_distance_per_base_pair(monkeypatch):
 # Random points and cell sets
 # ---------------------------------------------------------------------------
 
-# Built once: the oracles' fields are shared by the examples, which only
-# read them.  zero has the loop edges z·a = z and z·z = z.
+# Built once and shared by the examples, since a grown distance field gives
+# the same answers as a fresh one; the reference reads oracles of its own.
+# zero has the loop edges z·a = z and z·z = z.
 ORACLES = {name: load(name) for name in ("free2", "z3", "bicyclic", "zero", "fp_r1_z2", "n3")}
 ORACLES["z5"] = cyclic_group(5)
 REFERENCE_ORACLES = {name: load(name) for name in ORACLES if name != "z5"}
