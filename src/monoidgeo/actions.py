@@ -43,7 +43,7 @@ def translation_action(gamma: GammaOracle) -> ActionOracle:
 @dataclass
 class PropertyReport:
     property: str
-    verdict: str  # "pass" | "fail" | "holds_at_horizon" | "suspect" | "unknown"
+    verdict: str  # "pass" | "fail" | "holds_at_horizon" | "unknown"
     horizon: int
     witnesses: list = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
@@ -154,7 +154,6 @@ def compute_contact_set(
     contact = []
     min_positive: Optional[ExtNonNeg] = None
     separations = {}
-    boundary_depth = None
     for m in oracle.elements_up_to(horizon):
         d = gamma.set_distance(B, translates[m], horizon)
         if not d.is_known:
@@ -162,19 +161,12 @@ def compute_contact_set(
         separations[m] = d.value
         if d.value == ZERO:
             contact.append(m)
-            depth = oracle.depth_of(m, horizon)
-            if boundary_depth is None or (depth is not None and depth > boundary_depth):
-                boundary_depth = depth
         elif not d.value.is_infinite:
             if min_positive is None or d.value < min_positive:
                 min_positive = d.value
-    # Evidence, not proof: if the contact set is still acquiring members at
-    # the horizon boundary, finiteness is suspect.
-    suspect = boundary_depth is not None and boundary_depth >= horizon
-    verdict = "suspect" if suspect else "holds_at_horizon"
     return PropertyReport(
         "contact_set",
-        verdict,
+        "holds_at_horizon",
         horizon,
         [],
         artifacts={

@@ -118,9 +118,6 @@ class MonoidOracle:
         field.grow(n)
         return field.empty_level is not None and field.empty_level <= n
 
-    def depth_of(self, m: Word, horizon: int) -> Optional[int]:
-        return self.distance_field(self.identity).depth(m, horizon)
-
     # -- word parsing ------------------------------------------------------
 
     def parse_word(self, text: str) -> Word:

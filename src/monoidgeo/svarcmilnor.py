@@ -272,70 +272,46 @@ def _covering_elements(inp: SmInput, translates: Translates, x: CayleyPoint) -> 
             yield m
 
 
-def _covering_translate(
-    inp: SmInput, translates: Translates, v: Word, cache: Optional[dict] = None
-) -> Optional[Word]:
-    """A monoid element whose B-translate covers the vertex v."""
-    if cache is not None and v in cache:
-        return cache[v]
-    found = next(_covering_elements(inp, translates, Vertex(v)), None)
-    if cache is not None:
-        cache[v] = found
-    return found
-
-
-def factor_over_generators(
-    report: SmReport, inp: SmInput, m: Word, cover_cache: Optional[dict] = None
-) -> list[Word]:
+def factor_over_generators(report: SmReport, inp: SmInput, m: Word, memo: dict) -> list[Word]:
     """The proof's geodesic-subdivision factorization of m over S.
 
-    Samples the geodesic from the identity to m at time steps l, snaps
-    edge-interior samples to the covering translate of the nearer vertex,
-    and reads off one contact element per step.
+    Let w be a shortest word for m, D = |w| and l = p/q.  The samples at
+    times i*l, 0 < i <= k = floor(D/l), snap to the prefix of w of length
+    ceil(i*l - 1/2), ties going to the earlier vertex; i <= k keeps that
+    length <= D.  The chain is e, the first covering element of each
+    sample, then m, and one contact element is read off each step.
+
+    `memo` belongs to the run: it maps a vertex to its first covering
+    element, and a pair (x, y) of consecutive chain elements to the first
+    u in S with x*u = y (a word's letters are strings, so the two kinds of
+    key never meet).
     """
-    action = inp.action
-    oracle = action.monoid
-    gamma = _gamma_of(inp.action)
-    e = oracle.identity
-    far = inp.far
-    dist = gamma.known_distance(Vertex(e), Vertex(m))
-    if dist.is_infinite:
-        raise FactorizationFailed(format_word(m), 0, "basepoint orbit distance is infinite")
-    D = dist.finite_value()
-    w = shortest_word(gamma.monoid, e, m, far)
-    prefixes = [e]
-    for letter in w:
-        prefixes.append(gamma.monoid.multiply(prefixes[-1], (letter,)))
-    l = report.l
-    k = int(D / l)
-    chain: list[Word] = []
-    for i in range(k + 2):
-        if i == 0:
-            chain.append(oracle.identity)
-            continue
-        if i == k + 1:
-            chain.append(m)
-            continue
-        t = i * l
-        idx = int(t)
-        offset = t - idx
-        snapped = idx if offset <= Fraction(1, 2) else idx + 1
-        snapped = min(snapped, len(prefixes) - 1)
-        cover = _covering_translate(inp, report.translates, prefixes[snapped], cover_cache)
-        if cover is None:
+    oracle = inp.action.monoid
+    ambient = _gamma_of(inp.action).monoid
+    w = shortest_word(ambient, oracle.identity, m, inp.far)
+    p, q = report.l.numerator, report.l.denominator
+    chain = [oracle.identity]
+    prefix, depth = oracle.identity, 0
+    for i in range(1, len(w) * q // p + 1):
+        snapped = -((q - 2 * i * p) // (2 * q))  # ceil(i*l - 1/2)
+        for letter in w[depth:snapped]:
+            prefix = ambient.multiply(prefix, (letter,))
+        depth = snapped
+        if prefix not in memo:
+            memo[prefix] = next(_covering_elements(inp, report.translates, Vertex(prefix)), None)
+        if memo[prefix] is None:
             raise FactorizationFailed(format_word(m), i, "no covering translate for sample vertex")
-        chain.append(cover)
+        chain.append(memo[prefix])
+    chain.append(m)
     letters: list[Word] = []
-    for i in range(len(chain) - 1):
-        step = next(
-            (u for u in report.generators if oracle.multiply(chain[i], u) == chain[i + 1]),
-            None,
-        )
-        if step is None:
+    for i, (x, y) in enumerate(zip(chain, chain[1:])):
+        if (x, y) not in memo:
+            memo[x, y] = next((u for u in report.generators if oracle.multiply(x, u) == y), None)
+        if memo[x, y] is None:
             raise FactorizationFailed(
-                format_word(m), i, f"no contact element carries {format_word(chain[i])} to {format_word(chain[i+1])}"
+                format_word(m), i, f"no contact element carries {format_word(x)} to {format_word(y)}"
             )
-        letters.append(step)
+        letters.append(memo[x, y])
     return letters
 
 
@@ -348,10 +324,10 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
     witnesses = []
     factorizations = {}
     l = report.l
-    cover_cache: dict = {}
+    memo: dict = {}
     for m in oracle.elements_up_to(inp.horizon):
         try:
-            letters = factor_over_generators(report, inp, m, cover_cache)
+            letters = factor_over_generators(report, inp, m, memo)
         except FactorizationFailed as exc:
             witnesses.append({"m": format_word(m), "step": exc.step, "reason": exc.detail})
             continue

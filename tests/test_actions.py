@@ -140,7 +140,7 @@ def test_contact_set_trivial():
     B = gamma.strong_ball_cellset((), Fraction(1))
     report = compute_contact_set(action, B, 4)
     assert report.artifacts["contact_set"] == ["ε"]
-    # finite monoid fully enumerated: verdict is not suspect
+    # the contact set is exact over the horizon ball it is asked about
     assert report.verdict == "holds_at_horizon"
 
 

@@ -3,9 +3,9 @@
 ``reference_bfs`` is the per-pair search that ``word_distance`` and
 ``shortest_word`` used to run for every query, and ``ReferenceBall`` the
 level-list enumeration behind ``elements_up_to``, ``ball_exhausted`` and
-``depth_of``.  Both are kept here verbatim as the specification of the
-per-source distance fields: every answer, witness word and ball must match
-them, whatever order the queries come in.
+the identity field's ``depth``.  Both are kept here verbatim as the
+specification of the per-source distance fields: every answer, witness
+word and ball must match them, whatever order the queries come in.
 """
 
 import itertools
@@ -236,7 +236,7 @@ def test_ball_enumeration_matches_level_lists(name, descending):
         assert oracle.ball_exhausted(n) == ReferenceBall(plain).ball_exhausted(n), n
         expected = ReferenceBall(plain)
         for m in probes:
-            assert oracle.depth_of(m, n) == expected.depth_of(m, n), (m, n)
+            assert oracle.distance_field(oracle.identity).depth(m, n) == expected.depth_of(m, n), (m, n)
 
 
 def test_fields_share_interned_elements():

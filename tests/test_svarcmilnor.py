@@ -95,7 +95,7 @@ def test_f1_generation_bound(f1_result):
     # the factorization letters multiply back (spot check via the library)
     inp = make_input(F1)
     rep = f1_result["report"]
-    letters = factor_over_generators(rep, inp, ("a", "a", "a"))
+    letters = factor_over_generators(rep, inp, ("a", "a", "a"), {})
     prod = ()
     for u in letters:
         prod = F1.multiply(prod, u)
