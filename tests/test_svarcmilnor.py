@@ -192,7 +192,7 @@ THEOREM_CASES = [
 
 def test_theorem_classes_are_the_free_and_group_fixtures():
     assert THEOREM_CASES == [
-        "F1*Z2 no fast path", "S5", "Z5", "fp_r1_z2", "fp_r2_z2", "free1", "free2", "z3",
+        "F1*Z2 no fast path", "S5", "Z5", "fp_r1_z2", "fp_r2_z2", "free1", "free2", "s3", "z3",
         "ends_in_e<F1*Z2",
     ]
 
