@@ -444,35 +444,48 @@ class GammaOracle(SemimetricSpace):
         return CellSet(vertices, segments)
 
     def in_ball_cellset(self, center: Word, radius: Fraction, horizon: Optional[int] = None) -> CellSet:
+        """The points within `radius` of `center`.
+
+        Every distance to the center comes from one breadth-first search from
+        the center, to depth floor(radius), over the candidates' out-edges
+        reversed.  That is exact: a vertex on a path of at most that length
+        into the center is itself that close, hence a candidate.
+        """
         horizon = self.horizon if horizon is None else horizon
         radius = Fraction(radius)
-        candidates = self.monoid.in_ball_candidates(center, int(radius) + 1, horizon)
+        depth = int(radius)
+        if depth > horizon:
+            raise HorizonTooSmall(f"radius {radius} exceeds horizon {horizon}")
+        monoid = self.monoid
+        candidates = monoid.in_ball_candidates(center, depth + 1, horizon)
         if candidates is None:
-            raise HorizonTooSmall(f"{self.monoid.name}: cannot enumerate in-ball candidates")
-        vertices = []
+            raise HorizonTooSmall(f"{monoid.name}: cannot enumerate in-ball candidates")
+        edges = {m: [monoid.multiply(m, (s,)) for s in monoid.generators] for m in candidates}
+        into: dict[Word, list[Word]] = {}
+        for m, products in edges.items():
+            for p in products:
+                into.setdefault(p, []).append(m)
+        dist = {center: 0}
+        queue = [center]
+        for p in queue:
+            if dist[p] < depth:
+                for m in into.get(p, ()):
+                    if m not in dist:
+                        dist[m] = dist[p] + 1
+                        queue.append(m)
+        # Edge (m, s) holds the offsets mu with mu + d(m, c) <= radius or
+        # (1 - mu) + d(ms, c) <= radius.
+        room = [radius - d for d in range(depth + 1)]
         segments = []
-        d_to_center = lambda m: word_distance(self.monoid, m, center, horizon)
-        for m in dict.fromkeys(candidates):
-            dm = d_to_center(m)
-            if dm.is_known and not dm.value.is_infinite and dm.value.finite_value() <= radius:
-                vertices.append(m)
-            # Edge (m, s): offsets with min(mu + d(m,c), (1-mu) + d(ms,c)) <= radius.
-            for s in self.monoid.generators:
-                intervals = []
-                if dm.is_known and not dm.value.is_infinite:
-                    room = radius - dm.value.finite_value()
-                    if room > 0:
-                        intervals.append((Fraction(0), min(Fraction(1), room)))
-                ms = self.monoid.multiply(m, (s,))
-                dms = d_to_center(ms)
-                if dms.is_known and not dms.value.is_infinite:
-                    room = radius - dms.value.finite_value()
-                    lo = 1 - room
-                    if lo < 1:
-                        intervals.append((max(Fraction(0), lo), Fraction(1)))
-                for lo, hi in intervals:
-                    segments.append(Segment(m, s, lo, hi))
-        return CellSet(vertices, segments)
+        for m, products in edges.items():
+            dm = dist.get(m)
+            for s, ms in zip(monoid.generators, products):
+                if dm is not None and room[dm] > 0:
+                    segments.append(Segment(m, s, Fraction(0), min(Fraction(1), room[dm])))
+                dms = dist.get(ms)
+                if dms is not None and room[dms] > 0:
+                    segments.append(Segment(m, s, max(Fraction(0), 1 - room[dms]), Fraction(1)))
+        return CellSet(dist, segments)
 
     def strong_ball_cellset(self, center: Word, radius: Fraction, horizon: Optional[int] = None) -> CellSet:
         out = self.out_ball_cellset(center, radius, horizon)

@@ -246,9 +246,9 @@ class TableMonoid(MonoidOracle):
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise SpecValidationError("table must be n x n")
         for row in self.table:
-            for v in row:
-                if not (0 <= v < n):
-                    raise SpecValidationError(f"table entry {v} out of range")
+            if min(row) < 0 or max(row) >= n:  # scan only to name the entry
+                v = next(v for v in row if not 0 <= v < n)
+                raise SpecValidationError(f"table entry {v} out of range")
         if isinstance(identity, str) and identity not in self.element_names:
             raise SpecValidationError(f"identity {identity!r} is not an element")
         self.identity_idx = elements.index(identity) if isinstance(identity, str) else identity
@@ -258,20 +258,6 @@ class TableMonoid(MonoidOracle):
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise SpecValidationError(f"{self.element_names[e]!r} is not a two-sided identity")
-        # Row (ij)k against row i(jk) for each (i, j): all n^3 triples, with
-        # k scanned only to name the first failure.  Row i(jk) is row i read
-        # at the entries of row j, one itemgetter call; a one-element table
-        # is associative, and its itemgetter would return a bare entry.
-        reads = [itemgetter(*row) for row in self.table] if n > 1 else []
-        for i, row_i in enumerate(self.table):
-            for j, (row_j, read) in enumerate(zip(self.table, reads)):
-                left = self.table[row_i[j]]
-                if left != read(row_i):
-                    k = next(k for k in range(n) if left[k] != row_i[row_j[k]])
-                    raise SpecValidationError(
-                        "multiplication table is not associative at "
-                        f"({self.element_names[i]},{self.element_names[j]},{self.element_names[k]})"
-                    )
         if generators is None:
             generators = [x for i, x in enumerate(self.element_names) if i != e]
         for g in generators:
@@ -293,6 +279,25 @@ class TableMonoid(MonoidOracle):
         if len(canon) != n:
             missing = [x for i, x in enumerate(self.element_names) if i not in canon]
             raise SpecValidationError(f"elements not generated by {self.generators}: {missing}")
+        # Light's associativity test: row (ij) against row i(jk) for every i
+        # and each generator j, with k scanned only to name the first
+        # failure.  A = {a : (xa)y = x(ay) for all x, y} holds e, is closed
+        # under the product and, once this passes, holds every generator;
+        # every element is a product of generators, so A = M.  Row i(jk) is
+        # row i read at the entries of row j, one itemgetter call; a
+        # one-element table is associative, and its itemgetter would return
+        # a bare entry.
+        gens = sorted(set(self._gen_idx.values())) if n > 1 else []
+        reads = [(j, self.table[j], itemgetter(*self.table[j])) for j in gens]
+        for i, row_i in enumerate(self.table):
+            for j, row_j, read in reads:
+                left = self.table[row_i[j]]
+                if left != read(row_i):
+                    k = next(k for k in range(n) if left[k] != row_i[row_j[k]])
+                    raise SpecValidationError(
+                        "multiplication table is not associative at "
+                        f"({self.element_names[i]},{self.element_names[j]},{self.element_names[k]})"
+                    )
         self._canon = canon
         self._canon_index = {w: i for i, w in canon.items()}
         super().__init__()
@@ -325,14 +330,15 @@ class FiniteGroup(TableMonoid):
 
     def __init__(self, elements, table, identity=0, generators=None, name="group"):
         super().__init__(elements, table, identity=identity, generators=generators, name=name)
-        n = len(self.element_names)
+        # In an associative table a two-sided inverse of i is its only right
+        # inverse, so the first j in row i with ij = e is the one to check.
         e = self.identity_idx
         inverse = {}
-        for i in range(n):
-            inv = [j for j in range(n) if self.table[i][j] == e and self.table[j][i] == e]
-            if not inv:
+        for i, row in enumerate(self.table):
+            j = row.index(e) if e in row else None
+            if j is None or self.table[j][i] != e:
                 raise SpecValidationError(f"{self.element_names[i]!r} has no inverse; not a group")
-            inverse[i] = inv[0]
+            inverse[i] = j
         self.inverse_idx = inverse
 
 
@@ -764,6 +770,12 @@ def _is_list(v, item=lambda x: isinstance(x, str) and x != "") -> bool:
     return isinstance(v, (list, tuple)) and all(map(item, v))
 
 
+def _is_int_row(v) -> bool:
+    # One C-level pass over the entry types; bools and int subclasses fall
+    # back to the per-entry test.
+    return isinstance(v, (list, tuple)) and (set(map(type, v)) <= {int} or all(map(_is_int, v)))
+
+
 def _is_side(v) -> bool:
     return isinstance(v, str) or _is_list(v)
 
@@ -778,7 +790,7 @@ _SPEC_TYPES = {
     "elements": (_is_list, "a list of nonempty strings"),
     "alphabet": (lambda v: v is None or _is_list(v), "a list of nonempty strings"),
     "generators": (lambda v: v is None or _is_list(v), "a list of nonempty strings"),
-    "table": (lambda v: _is_list(v, lambda row: _is_list(row, _is_int)), "a list of rows of integers"),
+    "table": (lambda v: _is_list(v, _is_int_row), "a list of rows of integers"),
     "rules": (
         lambda v: _is_list(v, lambda r: _is_list(r, _is_side) and len(r) == 2),
         "a list of [lhs, rhs] pairs, each side a string or a list of nonempty letters",

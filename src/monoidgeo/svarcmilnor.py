@@ -333,7 +333,8 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
             continue
         product = oracle.identity
         for u in letters:
-            product = oracle.multiply(product, u)
+            if u:  # multiply(p, ε) = p on normal forms
+                product = oracle.multiply(product, u)
         D = gamma.known_distance(x0, Vertex(m)).finite_value()
         bound = D / l + 1
         ok = product == m and Fraction(len(letters)) <= bound

@@ -316,8 +316,8 @@ def test_ball_kind_dispatch():
 
 def test_explicit_horizon_zero_is_not_the_default():
     # At horizon 0 every nonzero distance in Z5 is only known to exceed 0:
-    # d(e, g) = 1 is unknown, no out-ball of radius 1 can be built, and the
-    # in-ball of e misses g^4, whose distance 1 to e is unknown too.
+    # d(e, g) = 1 is unknown, and neither an out-ball nor an in-ball of
+    # radius 1 can be built (d(g^4, e) = 1 is unknown too).
     z5 = cyclic_group(5)
     g = GammaOracle(z5, 8)
     e, gen = Vertex(()), Vertex(("g",))
@@ -328,7 +328,8 @@ def test_explicit_horizon_zero_is_not_the_default():
     assert g.distance(e, gen) == gamma_distance(z5, e, gen, 8)
     with pytest.raises(HorizonTooSmall):
         g.out_ball_cellset((), Fraction(1), 0)
-    assert g.in_ball_cellset((), Fraction(1), 0).vertices == {()}
+    with pytest.raises(HorizonTooSmall):
+        g.in_ball_cellset((), Fraction(1), 0)
     assert g.in_ball_cellset((), Fraction(1)).vertices == {(), ("g",) * 4}
 
 
