@@ -770,12 +770,6 @@ def _is_list(v, item=lambda x: isinstance(x, str) and x != "") -> bool:
     return isinstance(v, (list, tuple)) and all(map(item, v))
 
 
-def _is_int_row(v) -> bool:
-    # One C-level pass over the entry types; bools and int subclasses fall
-    # back to the per-entry test.
-    return isinstance(v, (list, tuple)) and (set(map(type, v)) <= {int} or all(map(_is_int, v)))
-
-
 def _is_side(v) -> bool:
     return isinstance(v, str) or _is_list(v)
 
@@ -790,7 +784,12 @@ _SPEC_TYPES = {
     "elements": (_is_list, "a list of nonempty strings"),
     "alphabet": (lambda v: v is None or _is_list(v), "a list of nonempty strings"),
     "generators": (lambda v: v is None or _is_list(v), "a list of nonempty strings"),
-    "table": (lambda v: _is_list(v, _is_int_row), "a list of rows of integers"),
+    # One C-level pass over each row's entry types; this rejects bools, as
+    # _is_int does.
+    "table": (
+        lambda v: _is_list(v, lambda row: isinstance(row, (list, tuple)) and set(map(type, row)) <= {int}),
+        "a list of rows of integers",
+    ),
     "rules": (
         lambda v: _is_list(v, lambda r: _is_list(r, _is_side) and len(r) == 2),
         "a list of [lhs, rhs] pairs, each side a string or a list of nonempty letters",

@@ -213,12 +213,15 @@ def test_table_entries_are_checked_by_type_then_range():
 
 def test_not_generated_is_reported_before_non_associativity():
     # (x·x)·x = y·x = x but x·(x·x) = x·y = y.  With no generators only e is
-    # generated, and that is reported first.
+    # generated, and that is reported first; so is a generator name that is
+    # not an element.
     table = [[0, 1, 2], [1, 2, 2], [2, 1, 2]]
     with pytest.raises(SpecValidationError, match="not associative"):
         TableMonoid(["e", "x", "y"], table)
     with pytest.raises(SpecValidationError, match=r"elements not generated by \(\): \['x', 'y'\]"):
         TableMonoid(["e", "x", "y"], table, generators=[])
+    with pytest.raises(SpecValidationError, match="generator 'z' is not an element"):
+        TableMonoid(["e", "x", "y"], table, generators=["x", "z"])
 
 
 # -- in-balls ------------------------------------------------------------------
