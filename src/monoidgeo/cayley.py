@@ -4,9 +4,11 @@
 has a structural fast path, ``exact_quotient`` gives a shortest word w with
 x·w = y, or None when y is not in xM, read off the normal forms; the
 distance is its length, and None is a known infinity.  Otherwise they read
-the distance field of the source, one breadth-first search over right
-multiplication by generators per source element, grown lazily in whole
-levels and shared by every query and ball from that source.  Answers follow horizon semantics:
+the distance field of the source, one breadth-first search per source
+element, grown lazily in whole levels and shared by every query and ball
+from that source.  Every field and ball walks the one Cayley graph of the
+oracle, its out-edge table `successors`, so each product m·s is computed
+once per oracle however many fields reach m.  Answers follow horizon semantics:
 exact (finite, or infinite when the field's frontier empties within the
 horizon or the fast path finds no quotient) or only known to exceed the
 horizon.  A field's witness word is its parent chain, the first shortest
@@ -195,7 +197,8 @@ def _sources(oracle: MonoidOracle, p: CayleyPoint, scale: int) -> tuple:
     near = _target(p, scale)
     if near[1] is None:
         return (near,)
-    return near, (oracle.multiply(p.element, (p.gen,)), near[1], scale - near[2])
+    far = oracle.successors(p.element)[oracle.generators.index(p.gen)]
+    return near, (far, near[1], scale - near[2])
 
 
 def _gap(sources: tuple, target: tuple) -> Optional[int]:
@@ -368,7 +371,8 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
     for seg in A.segments:
         edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
         _offer(sources, seg.element, edge, scaled(seg.lo))
-        _offer(sources, oracle.multiply(seg.element, (seg.gen,)), edge, scale - scaled(seg.hi))
+        far = oracle.successors(seg.element)[oracle.generators.index(seg.gen)]
+        _offer(sources, far, edge, scale - scaled(seg.hi))
     for seg in B.segments:
         edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
         _offer(targets, seg.element, edge, scaled(seg.lo))
@@ -460,7 +464,7 @@ class GammaOracle(SemimetricSpace):
         candidates = monoid.in_ball_candidates(center, depth + 1, horizon)
         if candidates is None:
             raise HorizonTooSmall(f"{monoid.name}: cannot enumerate in-ball candidates")
-        edges = {m: [monoid.multiply(m, (s,)) for s in monoid.generators] for m in candidates}
+        edges = {m: monoid.successors(m) for m in candidates}
         into: dict[Word, list[Word]] = {}
         for m, products in edges.items():
             for p in products:

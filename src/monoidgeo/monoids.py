@@ -91,13 +91,27 @@ class MonoidOracle:
     # -- distance fields and ball enumeration -----------------------------
 
     def __init__(self):
-        # One BFS field per source and an intern table shared by the fields'
-        # elements.  Every interned word is a normal form: a field's source
-        # is normalized before it is interned, and its other elements are
-        # products.  RewritingMonoid.multiply and FreeProductMonoid.multiply
+        # One BFS field per source, one out-edge table (the Cayley graph as
+        # far as anything has asked for it) and an intern table shared by
+        # both.  Every interned word is a normal form: a field's source is
+        # normalized before it is interned, and every other interned word is
+        # a product.  RewritingMonoid.multiply and FreeProductMonoid.multiply
         # rely on this.
         self._fields: dict[Word, DistanceField] = {}
+        self._successors: dict[Word, tuple[Word, ...]] = {}
         self._interned: dict[Word, Word] = {}
+
+    def successors(self, m: Word) -> tuple[Word, ...]:
+        """The interned products m·s, one for each generator s in generator
+        order: m's out-edges in the Cayley graph.  Each is computed by
+        `multiply` once per oracle; every distance field, ball and
+        one-letter right product reads it from this table."""
+        out = self._successors.get(m)
+        if out is None:
+            interned = self._interned
+            products = [self.multiply(m, (s,)) for s in self.generators]
+            out = self._successors[m] = tuple([interned.setdefault(p, p) for p in products])
+        return out
 
     def distance_field(self, source: Word) -> "DistanceField":
         """The lazily grown BFS field of right multiplication from `source`."""
@@ -133,7 +147,9 @@ class MonoidOracle:
 
 class DistanceField:
     """Breadth-first search over right multiplication by the generators from
-    one source element, grown lazily and only in whole levels.
+    one source element, grown lazily and only in whole levels.  It reads each
+    element's out-edges from the oracle's `successors` table, so fields that
+    overlap share their products instead of computing them again.
 
     ``reached`` maps every element found so far to (depth, parent, letter),
     where parent*letter is the first product in BFS order that reached it;
@@ -157,10 +173,8 @@ class DistanceField:
             level = len(self.sizes)
             frontier = []
             for m in self.frontier:
-                for s in oracle.generators:
-                    p = oracle.multiply(m, (s,))
+                for s, p in zip(oracle.generators, oracle.successors(m)):
                     if p not in reached:
-                        p = oracle._interned.setdefault(p, p)
                         reached[p] = (level, m, s)
                         frontier.append(p)
             if frontier:
@@ -641,8 +655,9 @@ class SubmonoidOracle(MonoidOracle):
         self.name = f"{spec.name}<{parent.name}"
         self.generators = parent.generators
         # Same generators and products as the parent, so the same distance
-        # fields and interned words: share them instead of a second copy.
-        self._fields, self._interned = parent._fields, parent._interned
+        # fields, out-edges and interned words: share them instead of a
+        # second copy.
+        self._fields, self._successors, self._interned = parent._fields, parent._successors, parent._interned
 
     def normal_form(self, word: Sequence[str]) -> Word:
         return self.parent.normal_form(word)

@@ -295,7 +295,7 @@ def factor_over_generators(report: SmReport, inp: SmInput, m: Word, memo: dict) 
     for i in range(1, len(w) * q // p + 1):
         snapped = -((q - 2 * i * p) // (2 * q))  # ceil(i*l - 1/2)
         for letter in w[depth:snapped]:
-            prefix = ambient.multiply(prefix, (letter,))
+            prefix = ambient.successors(prefix)[ambient.generators.index(letter)]
         depth = snapped
         if prefix not in memo:
             memo[prefix] = next(_covering_elements(inp, report.translates, Vertex(prefix)), None)
@@ -579,7 +579,7 @@ def run_free_product(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     for n in N.elements_up_to(horizon):
         best = None
         for g in group_names:
-            m = N.multiply(n, () if g == N.group_identity else (g,))
+            m = n if g == N.group_identity else N.successors(n)[N.generators.index(g)]
             if not spec.membership(m):
                 continue
             fwd = gamma.known_distance(Vertex(m), Vertex(n))

@@ -1,5 +1,6 @@
 """Source hygiene: the benchmark's per-layer spans resolve, no import is unused,
-and ``check_axioms`` keeps the positional arguments the benchmark reads.
+``check_axioms`` keeps the positional arguments the benchmark reads, and
+every one-letter right product goes through the oracle's out-edge table.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -157,3 +158,54 @@ def test_check_axioms_takes_space_and_sample_first():
         ("space", inspect.Parameter.POSITIONAL_OR_KEYWORD),
         ("sample", inspect.Parameter.POSITIONAL_OR_KEYWORD),
     ]
+
+
+def _one_letter_multiplies(path: str) -> list[str]:
+    """Calls multiply(x, (s,)) outside a function named ``successors``: any
+    call of a ``multiply`` whose second argument holds a one-item tuple or
+    list literal, such as ``(s,)`` or ``() if ... else (g,)``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == "successors"
+        if isinstance(node, ast.Call) and not inside and len(node.args) >= 2:
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name == "multiply" and any(
+                isinstance(n, (ast.Tuple, ast.List)) and len(n.elts) == 1 for n in ast.walk(node.args[1])
+            ):
+                found.append(f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_one_letter_products_read_the_out_edge_table(module):
+    # MonoidOracle.successors computes each m·s once per oracle; a product
+    # computed anywhere else is computed again for every caller.
+    assert _one_letter_multiplies(os.path.join(PACKAGE, module)) == []
+
+
+ONE_LETTER = """\
+class Oracle:
+    def successors(self, m):
+        return tuple(self.multiply(m, (s,)) for s in self.generators)
+
+
+def step(oracle, m, s, g):
+    a = oracle.multiply(m, (s,))
+    b = oracle.multiply(m, () if g is None else (g,))
+    c = oracle.multiply(m, s)
+    return a, b, c
+"""
+
+
+def test_one_letter_multiply_check_flags_products_outside_successors(tmp_path):
+    path = tmp_path / "one_letter.py"
+    path.write_text(ONE_LETTER, encoding="utf-8")
+    assert _one_letter_multiplies(str(path)) == ["line 7", "line 8"]
