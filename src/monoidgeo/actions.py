@@ -5,7 +5,6 @@ other than left translation, under which the condition holds by definition."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -22,13 +21,13 @@ def apply_translation(oracle: MonoidOracle, m: Word, p: CayleyPoint) -> CayleyPo
     return EdgePoint(oracle.multiply(m, p.element), p.gen, p.mu)
 
 
-@dataclass
 class ActionOracle:
     """A monoid acting on a semimetric space."""
 
-    monoid: MonoidOracle
-    space: object  # duck-typed: known_distance / distance(p, q, horizon) / format_point
-    apply: Callable[[Word, object], object]
+    def __init__(self, monoid: MonoidOracle, space: object, apply: Callable[[Word, object], object]):
+        self.monoid = monoid
+        self.space = space  # duck-typed: known_distance / distance(p, q, horizon) / format_point
+        self.apply = apply
 
 
 def translation_action(gamma: GammaOracle) -> ActionOracle:
@@ -40,13 +39,14 @@ def translation_action(gamma: GammaOracle) -> ActionOracle:
     )
 
 
-@dataclass
 class PropertyReport:
-    property: str
-    verdict: str  # "pass" | "fail" | "holds_at_horizon" | "unknown"
-    horizon: int
-    witnesses: list = field(default_factory=list)
-    artifacts: dict = field(default_factory=dict)
+    def __init__(self, property: str, verdict: str, horizon: int, witnesses: Optional[list] = None,
+                 artifacts: Optional[dict] = None):
+        self.property = property
+        self.verdict = verdict  # "pass" | "fail" | "holds_at_horizon" | "unknown"
+        self.horizon = horizon
+        self.witnesses = [] if witnesses is None else witnesses
+        self.artifacts = {} if artifacts is None else artifacts
 
     @property
     def passed(self) -> bool:

@@ -38,13 +38,12 @@ pair of base vertices, not per pair of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import HorizonTooSmall, InvalidElement, NoPath
-from .extnum import INF, ExtNonNeg, TruncatedDistance
+from .extnum import INF, ExtNonNeg, Frozen, TruncatedDistance
 from .monoids import MonoidOracle, Word, format_word
 from .spaces import SemimetricSpace, Violation, ViolationReport
 
@@ -102,25 +101,27 @@ def shortest_word(oracle: MonoidOracle, x: Word, y: Word, horizon: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vertex:
-    element: Word
+class Vertex(Frozen):
+    __slots__ = ("element",)
+
+    def __init__(self, element: Word):
+        object.__setattr__(self, "element", element)
 
     def __str__(self) -> str:
         return f"v:{format_word(self.element)}"
 
 
-@dataclass(frozen=True)
-class EdgePoint:
-    element: Word
-    gen: str
-    mu: Fraction
+class EdgePoint(Frozen):
+    __slots__ = ("element", "gen", "mu")
 
-    def __post_init__(self):
-        if not isinstance(self.mu, Fraction):
-            object.__setattr__(self, "mu", Fraction(self.mu))
-        if not (0 < self.mu < 1):
-            raise InvalidElement(f"edge offset must lie strictly between 0 and 1, got {self.mu}")
+    def __init__(self, element: Word, gen: str, mu: Fraction):
+        if not isinstance(mu, Fraction):
+            mu = Fraction(mu)
+        if not (0 < mu < 1):
+            raise InvalidElement(f"edge offset must lie strictly between 0 and 1, got {mu}")
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "mu", mu)
 
     def __str__(self) -> str:
         return f"e:{format_word(self.element)}:{self.gen}:{self.mu.numerator}/{self.mu.denominator}"
@@ -223,16 +224,16 @@ def gamma_distance(oracle: MonoidOracle, p: CayleyPoint, q: CayleyPoint, horizon
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
-    element: Word
-    gen: str
-    lo: Fraction
-    hi: Fraction
+class Segment(Frozen):
+    __slots__ = ("element", "gen", "lo", "hi")
 
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise InvalidElement(f"bad segment bounds [{self.lo}, {self.hi}]")
+    def __init__(self, element: Word, gen: str, lo: Fraction, hi: Fraction):
+        if not (0 <= lo <= hi <= 1):
+            raise InvalidElement(f"bad segment bounds [{lo}, {hi}]")
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 class CellSet:
@@ -508,6 +509,8 @@ class GammaOracle(SemimetricSpace):
         return CellSet(vertices, segments)
 
     def ball_cellset(self, center: Word, radius: Fraction, kind: str, horizon: Optional[int] = None) -> CellSet:
+        if radius < 0:
+            return CellSet()  # no point lies at a negative distance
         if kind == "out":
             return self.out_ball_cellset(center, radius, horizon)
         if kind == "in":

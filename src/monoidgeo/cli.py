@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import __version__
 from .actions import check_action_laws, check_isometric_embedding_action, translation_action
@@ -40,7 +41,10 @@ def parse_monoid_spec(path: str) -> tuple[MonoidOracle, dict]:
 
 
 def _rat(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None  # argparse reports it as an invalid value, exit 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,25 +204,61 @@ def _run(args) -> tuple[int, dict]:
     return exit_code, doc
 
 
+def _encode(doc) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, ensure_ascii=False,
+    indent=2)``, built in one recursive pass into a list of pieces; the
+    stdlib encodes with an indent in pure Python, one generator per level,
+    and writes a list of ints one piece per item."""
+    pieces: list[str] = []
+    add = pieces.append
+
+    def enc(o, pad: str) -> None:  # pad: a newline and the indent of o's own line
+        inner = pad + "  "
+        if isinstance(o, str):
+            add(encode_basestring(o))
+        elif type(o) is int:
+            add(int.__repr__(o))
+        elif not isinstance(o, (list, tuple, dict)):
+            add(json.dumps(o))  # None, a bool, a float (the --timing duration) or a TypeError
+        elif not o:
+            add("{}" if isinstance(o, dict) else "[]")
+        elif isinstance(o, dict):
+            for i, (k, v) in enumerate(sorted(o.items())):
+                if not isinstance(k, str):
+                    if not (k is None or isinstance(k, (int, float))):
+                        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+                    k = json.dumps(k)
+                add(("," if i else "{") + inner + encode_basestring(k) + ": ")
+                enc(v, inner)
+            add(pad + "}")
+        elif set(map(type, o)) == {int}:
+            add("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
+        else:
+            for i, x in enumerate(o):
+                add(("," if i else "[") + inner)
+                enc(x, inner)
+            add(pad + "]")
+
+    enc(doc, "\n")
+    return "".join(pieces)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
         exit_code, doc = _run(args)
-    except MonoidGeoError as exc:
+        if args.timing:
+            doc["duration_seconds"] = time.monotonic() - started
+        text = _encode(doc) + "\n"
+        if args.json_path:  # before stdout: a path that cannot be written is a usage error
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (MonoidGeoError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.timing:
-        doc["duration_seconds"] = time.monotonic() - started
-    text = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     sys.stdout.write(text)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return exit_code
 
 

@@ -8,8 +8,8 @@ infinite) or only known to exceed a finite bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import UndefinedProduct
@@ -24,24 +24,58 @@ def nonneg_fraction(x: Rational | str) -> Fraction:
     return f
 
 
-@dataclass(frozen=True)
-class ExtNonNeg:
+class Frozen:
+    """Base of the immutable value types, which behave as frozen dataclasses.
+
+    A subclass names its fields in ``__slots__``, after those of the value
+    type it extends, and sets each once in ``__init__`` through
+    ``object.__setattr__``.  An instance equals only an instance of its own
+    class with equal fields, and hashes as the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._names = names = tuple(name for k in reversed(cls.__mro__) for name in vars(k).get("__slots__", ()))
+        get = attrgetter(*names)  # the value of one name, a tuple of more
+        cls._fields = (lambda self: (get(self),)) if len(names) == 1 else (lambda self: get(self))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class ExtNonNeg(Frozen):
     """A value in Q>=0 with infinity adjoined.  ``None`` encodes infinity."""
 
-    frac: Fraction | None
+    __slots__ = ("frac",)
 
-    def __post_init__(self):
-        if self.frac is not None:
-            if not isinstance(self.frac, Fraction):
-                object.__setattr__(self, "frac", Fraction(self.frac))
-            if self.frac < 0:
-                raise ValueError(f"negative value {self.frac} not allowed")
+    def __init__(self, frac: Fraction | None):
+        if frac is not None:
+            if not isinstance(frac, Fraction):
+                frac = Fraction(frac)
+            if frac < 0:
+                raise ValueError(f"negative value {frac} not allowed")
+        object.__setattr__(self, "frac", frac)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(x: Rational | str) -> "ExtNonNeg":
-        # __post_init__ re-validates, so skip the extra conversion pass.
+        # __init__ re-validates, so skip the extra conversion pass.
         return ExtNonNeg(x if isinstance(x, Fraction) else Fraction(x))
 
     @staticmethod
@@ -144,8 +178,7 @@ def ext_max(values: Iterable[ExtNonNeg]) -> ExtNonNeg:
     return best
 
 
-@dataclass(frozen=True)
-class TruncatedDistance:
+class TruncatedDistance(Frozen):
     """A distance answer under a computation horizon.
 
     ``known`` carries an exact value (finite or certified infinite);
@@ -154,14 +187,15 @@ class TruncatedDistance:
     conflated: infinity is a definite value, not missing knowledge.
     """
 
-    kind: str  # "known" | "unknown_above"
-    value: ExtNonNeg
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind not in ("known", "unknown_above"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == "unknown_above" and self.value.is_infinite:
+    def __init__(self, kind: str, value: ExtNonNeg):  # kind: "known" | "unknown_above"
+        if kind not in ("known", "unknown_above"):
+            raise ValueError(f"bad kind {kind!r}")
+        if kind == "unknown_above" and value.is_infinite:
             raise ValueError("unknown_above bound must be finite")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
 
     @staticmethod
     def known(v: ExtNonNeg | Rational) -> "TruncatedDistance":

@@ -10,7 +10,6 @@ ever checked on word-length balls and reported as ``holds_at_horizon``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -634,12 +633,12 @@ def zero_monoid() -> RewritingMonoid:
     return RewritingMonoid(["a", "z"], rules, fast_path="zero", name="zero")
 
 
-@dataclass
 class SubmonoidSpec:
     """A submonoid given by a membership predicate."""
 
-    membership: Callable[[Word], bool]
-    name: str = "submonoid"
+    def __init__(self, membership: Callable[[Word], bool], name: str = "submonoid"):
+        self.membership = membership
+        self.name = name
 
 
 class SubmonoidOracle(MonoidOracle):
@@ -690,11 +689,11 @@ def ends_in_group_identity_submonoid(monoid: FreeProductMonoid) -> SubmonoidSpec
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Verdict:
-    status: str  # "holds_at_horizon" | "fails"
-    horizon: int
-    witness: Optional[dict] = None
+    def __init__(self, status: str, horizon: int, witness: Optional[dict] = None):
+        self.status = status  # "holds_at_horizon" | "fails"
+        self.horizon = horizon
+        self.witness = witness
 
     @property
     def holds(self) -> bool:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import HorizonTooSmall
-from .extnum import INF, ZERO, ExtNonNeg, TruncatedDistance, nonneg_fraction
+from .extnum import INF, ZERO, ExtNonNeg, Frozen, TruncatedDistance, nonneg_fraction
 from .monoids import MonoidOracle, Word, format_word
 
 
@@ -81,12 +80,14 @@ class WordMetricSpace(SemimetricSpace):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    points: tuple
-    inequality: str
-    lhs: ExtNonNeg
-    rhs: ExtNonNeg
+class Violation(Frozen):
+    __slots__ = ("points", "inequality", "lhs", "rhs")
+
+    def __init__(self, points: tuple, inequality: str, lhs: ExtNonNeg, rhs: ExtNonNeg):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "inequality", inequality)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def to_json(self) -> dict:
         return {
@@ -97,10 +98,10 @@ class Violation:
         }
 
 
-@dataclass
 class ViolationReport:
-    check: str
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self, check: str, violations: Optional[list[Violation]] = None):
+        self.check = check
+        self.violations = [] if violations is None else violations
 
     @property
     def verdict(self) -> str:

@@ -15,7 +15,6 @@ rational arithmetic; verdicts are relative to the stated horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -49,15 +48,18 @@ from .monoids import (
 )
 
 
-@dataclass
 class SmInput:
-    action: ActionOracle  # space must be a GammaOracle; the basepoint is the identity vertex
-    radius: Fraction
-    horizon: int
-    covering_candidates: Optional[Callable[[Word], list[Word]]] = None
-
-    def __post_init__(self):
-        self.radius = Fraction(self.radius)
+    def __init__(
+        self,
+        action: ActionOracle,  # space must be a GammaOracle; the basepoint is the identity vertex
+        radius: Fraction,
+        horizon: int,
+        covering_candidates: Optional[Callable[[Word], list[Word]]] = None,
+    ):
+        self.action = action
+        self.radius = Fraction(radius)
+        self.horizon = horizon
+        self.covering_candidates = covering_candidates
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
         if self.radius > self.horizon:
@@ -69,22 +71,28 @@ class SmInput:
         return max(self.horizon, int(5 * self.radius) + 1)
 
 
-@dataclass
 class SmReport:
-    generators: list[Word]
-    ball: CellSet
-    ball_radius: Fraction
-    outer_ball_radius: Fraction  # 5R, the radius of the reference out-ball C
-    q_translates: list[tuple[Word, ExtNonNeg]]
-    r: Fraction
-    l: Fraction
-    lam: ExtNonNeg
-    separations: dict
-    claim1: PropertyReport
-    claim2: PropertyReport
-    hypotheses: dict
-    contact: PropertyReport
-    translates: Translates  # the run's translates mB, shared by every later check
+    def __init__(
+        self,
+        generators: list[Word],
+        ball: CellSet,
+        ball_radius: Fraction,
+        outer_ball_radius: Fraction,  # 5R, the radius of the reference out-ball C
+        q_translates: list[tuple[Word, ExtNonNeg]],
+        r: Fraction,
+        l: Fraction,
+        lam: ExtNonNeg,
+        separations: dict,
+        claim1: PropertyReport,
+        claim2: PropertyReport,
+        hypotheses: dict,
+        contact: PropertyReport,
+        translates: Translates,  # the run's translates mB, shared by every later check
+    ):
+        self.generators, self.ball, self.q_translates = generators, ball, q_translates
+        self.ball_radius, self.outer_ball_radius, self.r, self.l, self.lam = ball_radius, outer_ball_radius, r, l, lam
+        self.separations, self.claim1, self.claim2 = separations, claim1, claim2
+        self.hypotheses, self.contact, self.translates = hypotheses, contact, translates
 
     def to_json(self) -> dict:
         return {

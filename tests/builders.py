@@ -1,6 +1,13 @@
-"""Test-side builders of small stock monoids."""
+"""Test-side builders of small stock monoids, and a copier of records."""
 
 from monoidgeo import FiniteGroup, SpecValidationError
+
+
+def replaced(record, **changes):
+    """A copy of a record with the given fields changed, in the manner of
+    ``dataclasses.replace``: the record's class is called again on all of its
+    fields, so its constructor's checks run on the copy too."""
+    return type(record)(**{**vars(record), **changes})
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:

@@ -261,3 +261,27 @@ def test_json_output_file(tmp_path):
 def test_seed_echoed():
     _, doc, _ = run_cli("--monoid", fx("free1.json"), "--seed", "7", "dist", "ε", "a")
     assert doc["input"]["seed"] == 7
+
+
+@pytest.mark.parametrize("kind", ["out", "in", "strong"])
+def test_ball_of_negative_radius_is_empty(kind):
+    code, doc, _ = run_cli("--monoid", fx("bicyclic.json"), "--horizon", "1", "ball", "ε", "-1", kind)
+    assert code == 0
+    assert doc["result"]["ball"] == {"vertices": [], "segments": []}
+
+
+@pytest.mark.parametrize("argv", [["ball", "ε", "1/0", "out"], ["check", "quasimetric", "--lambda", "1/0"],
+                                  ["svarc-milnor", "-R", "1/0"]])
+def test_zero_denominator_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--monoid", fx("free1.json"), *argv])
+    assert exc.value.code == 2
+    assert "invalid _rat value: '1/0'" in capsys.readouterr().err
+
+
+def test_unwritable_json_path_exits_2_without_a_report(tmp_path, capsys):
+    code = main(["--monoid", fx("free1.json"), "--json", str(tmp_path), "dist", "ε", "a"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -13,7 +13,6 @@ distinct pair of consecutive chain elements, and one cover search per
 distinct sample vertex.
 """
 
-import dataclasses
 import io
 import os
 from collections import Counter
@@ -36,6 +35,7 @@ from monoidgeo import (
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
 from monoidgeo.svarcmilnor import _covering_elements, _gamma_of
+from builders import replaced
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -224,13 +224,13 @@ def test_free2_below_half_radius_fails_on_generation_witnesses(recorded):
 def _free2_input(horizon=4, **changes):
     oracle, _ = parse_monoid_spec(os.path.join(FIXTURES, "free2.json"))
     inp = SmInput(action=translation_action(GammaOracle(oracle, horizon)), radius=Fraction(1), horizon=horizon)
-    return dataclasses.replace(inp, **changes)
+    return replaced(inp, **changes)
 
 
 def test_planted_missing_letter_gives_the_same_witnesses():
     inp = _free2_input()
     report = extract_generators(inp)
-    planted = dataclasses.replace(report, generators=[s for s in report.generators if s != ("b",)])
+    planted = replaced(report, generators=[s for s in report.generators if s != ("b",)])
     generation = svarcmilnor.verify_generation_bound(planted, inp)
     _agree(generation, reference_generation(planted, inp))
     by_m = {w["m"]: w for w in generation.witnesses}
@@ -296,7 +296,7 @@ def test_generation_searches_once_per_pair_and_vertex(monkeypatch, args):
         with monkeypatch.context() as m:
             m.setattr(oracle, "multiply", counted_multiply)
             m.setattr(svarcmilnor, "_covering_elements", counted_covering)
-            generation = real(dataclasses.replace(report, generators=S), inp)
+            generation = real(replaced(report, generators=S), inp)
         seen.update(generation=generation, searches=searches, covered=covered, oracle=oracle)
         return generation
 

@@ -1,6 +1,7 @@
 """Source hygiene: the benchmark's per-layer spans resolve, no import is unused,
-``check_axioms`` keeps the positional arguments the benchmark reads, and
-every one-letter right product goes through the oracle's out-edge table.
+``check_axioms`` keeps the positional arguments the benchmark reads,
+every one-letter right product goes through the oracle's out-edge table, and
+importing the CLI loads no ``dataclasses`` machinery.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -14,6 +15,8 @@ import importlib
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -209,3 +212,56 @@ def test_one_letter_multiply_check_flags_products_outside_successors(tmp_path):
     path = tmp_path / "one_letter.py"
     path.write_text(ONE_LETTER, encoding="utf-8")
     assert _one_letter_multiplies(str(path)) == ["line 7", "line 8"]
+
+
+# Each CLI run is a short process, so start-up is part of every command's
+# cost: ``import dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
+# ``tokenize``, and each decorated class execs its generated methods.
+START_UP_FREE = ("dataclasses", "inspect")
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    code = f"import sys, monoidgeo.cli; print([m for m in {START_UP_FREE!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _dataclasses_imports(path: str) -> list[str]:
+    """Every ``import dataclasses`` or ``from dataclasses import ...``, at any depth."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names):
+            found.append(f"line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_no_dataclasses_import(module):
+    assert _dataclasses_imports(os.path.join(PACKAGE, module)) == []
+
+
+DATACLASSES = """\
+import dataclasses
+from dataclasses import dataclass, field
+import os, dataclasses as dc
+
+
+def late():
+    from dataclasses import replace
+    return replace
+
+
+class Point:
+    dataclass = None
+"""
+
+
+def test_dataclasses_import_check_flags_every_form(tmp_path):
+    path = tmp_path / "uses_dataclasses.py"
+    path.write_text(DATACLASSES, encoding="utf-8")
+    assert _dataclasses_imports(str(path)) == ["line 1", "line 2", "line 3", "line 7"]

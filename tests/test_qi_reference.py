@@ -13,7 +13,6 @@ d <= lambda d_S as a lemma.  The pairs the loop checked beyond that
 distance are counted here, so what the new claim leaves out stays measured.
 """
 
-import dataclasses
 import io
 import os
 from contextlib import redirect_stdout
@@ -37,6 +36,7 @@ from monoidgeo import (
 )
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
+from builders import replaced
 from test_distance_field import symmetric_group_5
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -179,7 +179,7 @@ def test_qi_verdict_matches_the_pair_loop_on_s5_at_its_diameter(recorded):
 
 
 def _without_b(report):
-    return dataclasses.replace(report, generators=[s for s in report.generators if s != ("b",)])
+    return replaced(report, generators=[s for s in report.generators if s != ("b",)])
 
 
 def test_planted_missing_generator_fails_both_ways():
