@@ -29,15 +29,17 @@ instead, so offsets from an edge both sides lie on are never paired with
 each other; interval gaps cover those pairs.
 
 Offsets are exact ints over one common denominator L, the lcm of the offset
-denominators in play.  Word distances are read through a memo, one lookup
-per pair of base vertices: a point or set call has a memo of its own, and a
-table shares one among all its pairs, so it costs one word distance per
-pair of base vertices, not per pair of points.
+denominators in play.  A point or set call reads word distances through a
+memo of its own, one lookup per pair of base vertices.  A table takes one
+word distance per pair of base vertices, not per pair of points: it builds
+one integer row per source base over the target bases, and each point's
+row is the least of its sources' rows shifted by their offsets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -141,7 +143,7 @@ CayleyPoint = Union[Vertex, EdgePoint]
 
 
 def _base_pair_distance(
-    oracle: MonoidOracle, sources, targets, best: Optional[int], scale: int, memo: dict, horizon: int
+    oracle: MonoidOracle, sources, targets, best: Optional[int], scale: int, horizon: int
 ) -> tuple[Optional[int], bool]:
     """The least of ``best`` and L*d(s, t) + a + b over sources (s, e, a) and
     targets (t, f, b) with e None or e != f, where L is ``scale``; and
@@ -150,13 +152,12 @@ def _base_pair_distance(
     ``best`` is a known starting minimum (a same-edge gap) or None, and a
     least value of None is infinity.  Adding a known finite offset keeps the
     order and kind of truncated distances, so each pair of bases costs one
-    word distance, read through ``memo``: (s, t) -> (L*d(s, t) or None,
-    known).  A point or set call passes a fresh dict, a table one dict for
-    all its pairs.
+    word distance, read through a memo: (s, t) -> (L*d(s, t) or None, known).
     """
     # Running minimum in truncated_min's order: least value first (None is
     # infinity), and a known value before an unknown bound of the same size.
     best_known = best is not None
+    memo: dict = {}
     for s, s_edge, a in sources:
         for t, t_edge, b in targets:
             if s_edge is not None and s_edge == t_edge:
@@ -215,7 +216,7 @@ def gamma_distance(oracle: MonoidOracle, p: CayleyPoint, q: CayleyPoint, horizon
         return word_distance(oracle, p.element, q.element, horizon)
     scale = math.lcm(*(r.mu.denominator for r in (p, q) if isinstance(r, EdgePoint)))
     sources, target = _sources(oracle, p, scale), _target(q, scale)
-    best, known = _base_pair_distance(oracle, sources, (target,), _gap(sources, target), scale, {}, horizon)
+    best, known = _base_pair_distance(oracle, sources, (target,), _gap(sources, target), scale, horizon)
     return _truncated(best, known, scale)
 
 
@@ -379,7 +380,7 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
         _offer(targets, seg.element, edge, scaled(seg.lo))
     best, known = _base_pair_distance(
         oracle, [(*k, a) for k, a in sources.items()], [(*k, b) for k, b in targets.items()],
-        None if least_gap is None else scaled(least_gap), scale, {}, horizon,
+        None if least_gap is None else scaled(least_gap), scale, horizon,
     )
     return _truncated(best, known, scale)
 
@@ -403,31 +404,62 @@ class GammaOracle(SemimetricSpace):
         return gamma_set_distance(self.monoid, A, B, self.horizon if horizon is None else horizon)
 
     def distance_rows(self, sample: Sequence[CayleyPoint]) -> tuple[list[list[int]], int, int]:
-        """The default's rows over the lcm of the sample's offset denominators.
+        """The default's rows over the lcm L of the sample's offset denominators.
 
-        Each point is reduced to its sources and its target once, and one
-        memo of word distances serves the whole table, so each pair of base
-        vertices costs one word distance.
+        Each point is reduced to its sources and its target once.  Each
+        distinct source base s gets one row over the distinct target bases
+        t, one word distance each: 2*L*d(s, t), plus 1 when that is only a
+        bound, so that a plain min keeps truncated_min's order (least value
+        first, known before unknown on a tie).  Gathered at the sample's
+        targets (t, f, b), with 2b added, it gives each point's row as the
+        elementwise least, over the point's sources (s, e, a), of that row
+        plus 2a.  Only a target on the point's own edge goes through
+        ``_base_pair_distance``, for the same-edge gap.
         """
+        monoid, horizon = self.monoid, self.horizon
         scale = math.lcm(*(p.mu.denominator for p in sample if isinstance(p, EdgePoint)))
         targets = [_target(q, scale) for q in sample]
-        memo: dict = {}
+        sources = [_sources(monoid, p, scale) for p in sample]
+        columns: dict[Word, int] = {}
+        on_edge: dict[tuple, list[int]] = {}
+        for k, (t, edge, _) in enumerate(targets):
+            columns.setdefault(t, len(columns))
+            if edge is not None:
+                on_edge.setdefault(edge, []).append(k)
+        at = [columns[t] for t, _, _ in targets]
+        doubled = [2 * b for _, _, b in targets]
+        base_rows: dict[Word, list] = {}  # None for a known infinity
+        for s, _, _ in (entry for entries in sources for entry in entries):
+            if s not in base_rows:
+                row = base_rows[s] = []
+                for t in columns:
+                    d = word_distance(monoid, s, t, horizon)
+                    v = d.value.frac  # word distances and horizons are whole
+                    row.append(None if v is None else 2 * scale * v.numerator + (not d.is_known))
+        # Infinity: even, and above every finite entry plus 2(a + b) <= 4L.
+        infinity = 2 * max((v for row in base_rows.values() for v in row if v is not None), default=0) + 4 * scale + 2
+        gathered = {}
+        for s, row in base_rows.items():
+            row = [infinity if v is None else v for v in row]
+            gathered[s] = list(map(operator.add, map(row.__getitem__, at), doubled))
         rows = []
-        for p in sample:
-            sources = _sources(self.monoid, p, scale)
-            row = []
-            for q, target in zip(sample, targets):
+        for p, entries in zip(sample, sources):
+            row = None
+            for s, _, a in entries:
+                shifted = map((2 * a).__add__, gathered[s])
+                row = list(shifted) if row is None else list(map(min, row, shifted))
+            for k in on_edge.get(entries[0][1], ()):
                 best, known = _base_pair_distance(
-                    self.monoid, sources, (target,), _gap(sources, target), scale, memo, self.horizon
+                    monoid, entries, (targets[k],), _gap(entries, targets[k]), scale, horizon
                 )
-                if not known:
-                    raise HorizonTooSmall(
-                        f"d({self.format_point(p)}, {self.format_point(q)}) "
-                        f"only known to exceed {Fraction(best, scale)}"
-                    )
-                row.append(best)
+                row[k] = 2 * best + (not known)
+            if any(map((1).__and__, row)):
+                k = next(k for k, v in enumerate(row) if v & 1)
+                raise self._unknown(p, sample[k], Fraction(row[k] >> 1, scale))
             rows.append(row)
-        return self._with_sentinel(rows, scale)
+        top = max((max(filter(infinity.__gt__, row), default=0) for row in rows), default=0) >> 1
+        inf = 2 * top + 1
+        return [[v >> 1 if v < infinity else inf for v in row] for row in rows], scale, inf
 
     # -- ball cell sets ----------------------------------------------------
 

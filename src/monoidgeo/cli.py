@@ -119,6 +119,8 @@ def _run(args) -> tuple[int, dict]:
         }
 
     elif args.command == "check":
+        if args.depth is not None and args.depth < 0:
+            raise MonoidGeoError("--depth must be >= 0")  # not a vacuous pass on an empty sample
         depth = args.depth if args.depth is not None else min(horizon, 4)
         if args.what == "axioms":
             vertices, points = _sample_for_axioms(oracle, depth)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import HorizonTooSmall
@@ -27,10 +28,12 @@ class SemimetricSpace:
     def known_distance(self, p, q) -> ExtNonNeg:
         d = self.distance(p, q)
         if not d.is_known:
-            raise HorizonTooSmall(
-                f"d({self.format_point(p)}, {self.format_point(q)}) only known to exceed {d.value}"
-            )
+            raise self._unknown(p, q, d.value)
         return d.value
+
+    def _unknown(self, p, q, bound) -> HorizonTooSmall:
+        """The error for a d(p, q) only known to exceed ``bound``."""
+        return HorizonTooSmall(f"d({self.format_point(p)}, {self.format_point(q)}) only known to exceed {bound}")
 
     def distance_rows(self, sample: Sequence) -> tuple[list[list[int]], int, int]:
         """d on the sample as exact ints: (rows, scale, inf) with
@@ -70,6 +73,23 @@ class WordMetricSpace(SemimetricSpace):
         from .cayley import word_distance
 
         return word_distance(self.oracle, p, q, self.horizon)
+
+    def distance_rows(self, sample: Sequence[Word]) -> tuple[list[list[int]], int, int]:
+        """The default's rows over scale 1, since word distances are whole."""
+        from .cayley import word_distance
+
+        oracle, horizon = self.oracle, self.horizon
+        rows = []
+        for p in sample:
+            row = []
+            for q in sample:
+                d = word_distance(oracle, p, q, horizon)
+                if not d.is_known:
+                    raise self._unknown(p, q, d.value)
+                v = d.value.frac
+                row.append(None if v is None else v.numerator)
+            rows.append(row)
+        return self._with_sentinel(rows, 1)
 
     def format_point(self, p: Word) -> str:
         return format_word(p)
@@ -129,8 +149,10 @@ def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
 
     Both read one exact table, ``space.distance_rows``: ints D over one
     denominator, with infinity a sentinel above any sum of two finite D.  So
-    with d(x,y) finite, z fails exactly when D(x,z) - D(y,z) > D(x,y).
-    ExtNonNeg values are built for violations only.
+    with d(x,y) finite, z fails exactly when D(x,z) - D(y,z) > D(x,y).  No z
+    with d(y,z) infinite fails, since the sentinel is at least D(x,z); so the
+    pass runs over the finite support of each row.  ExtNonNeg values are
+    built for violations only.
     """
     sample = list(sample)
     rows, scale, inf = space.distance_rows(sample)
@@ -152,14 +174,19 @@ def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
                         rhs=ZERO if equal else ext(dpq),
                     )
                 )
+    # support[y]: the z with d(y,z) finite, and finite[y] those d(y,z).
+    support = [list(compress(range(n), map(inf.__ne__, row))) for row in rows]
+    finite = [list(compress(row, map(inf.__ne__, row))) for row in rows]
     for i, row_x in enumerate(rows):
-        for j, row_y in enumerate(rows):
+        at_x = row_x.__getitem__
+        for j in support[i]:
             dij = row_x[j]
-            # An infinite d(x,y) bounds every sum; otherwise one C-level pass
-            # clears the row, and only a failing row is rescanned in z order.
-            # A failing d(y,z) is below d(x,z), so finite.
-            if dij == inf or max(map(operator.sub, row_x, row_y)) <= dij:
+            # An infinite d(x,y) bounds every sum, so y runs over x's support.
+            # One C-level pass over y's support clears the pair; only a
+            # failing row is rescanned in z order.
+            if max(map(operator.sub, map(at_x, support[j]), finite[j]), default=0) <= dij:
                 continue
+            row_y = rows[j]
             for k in range(n):
                 if row_x[k] - row_y[k] > dij:
                     violations.append(

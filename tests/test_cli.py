@@ -279,6 +279,14 @@ def test_zero_denominator_is_a_usage_error(argv, capsys):
     assert "invalid _rat value: '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what", ["axioms", "qi", "quasimetric", "cancellative", "fgt", "unitary", "action"])
+def test_negative_depth_is_an_input_error(what, capsys):
+    # An empty sample would pass every check vacuously.
+    code, _, text = run_cli("--monoid", fx("fp_r1_z2.json"), "--horizon", "3", "check", what, "--depth", "-2")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: --depth must be >= 0\n"
+
+
 def test_unwritable_json_path_exits_2_without_a_report(tmp_path, capsys):
     code = main(["--monoid", fx("free1.json"), "--json", str(tmp_path), "dist", "ε", "a"])
     out, err = capsys.readouterr()

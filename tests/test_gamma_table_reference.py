@@ -1,12 +1,14 @@
-"""The integer five-case kernel and Γ's distance table against the Fraction code they replaced.
+"""The integer five-case kernel and Γ's distance table against the code they replaced.
 
 ``_base_pair_distance``, ``gamma_distance`` and ``gamma_set_distance`` below
 are the former Fraction evaluators of ``monoidgeo.cayley``, and
 ``_distance_table`` and ``_integer_rows`` the former table of
-``monoidgeo.spaces.check_axioms``.  They are kept here verbatim as the
-specification: the integer kernel must give the same answers, kind
-included, and ``GammaOracle.distance_rows`` the same table, raising at the
-same first unknown pair with the same text.
+``monoidgeo.spaces.check_axioms``.  ``per_pair_rows`` is the former
+``GammaOracle.distance_rows``: one integer kernel call per pair of points.
+They are kept here as the specification: the integer kernel must give the
+same answers, kind included, and ``GammaOracle.distance_rows``, built from
+rows of base vertices, the same table, raising at the same first unknown
+pair with the same text.
 """
 
 import math
@@ -26,6 +28,7 @@ from monoidgeo import (
     Segment,
     TruncatedDistance,
     Vertex,
+    WordMetricSpace,
     cayley,
     check_axioms,
     word_distance,
@@ -36,7 +39,7 @@ from monoidgeo.spaces import SemimetricSpace
 from builders import cyclic_group
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FIXTURES = ("free1", "free2", "z3", "bicyclic", "zero", "fp_r1_z2", "fp_r2_z2", "n3")
+FIXTURES = ("free1", "free2", "z3", "s3", "bicyclic", "zero", "fp_r1_z2", "fp_r2_z2", "n3")
 
 
 def load(name):
@@ -148,6 +151,29 @@ def _integer_rows(d: dict, n: int) -> tuple[list[list[int]], int]:
     return [[scaled(d[i, k]) for k in range(n)] for i in range(n)], inf
 
 
+def per_pair_rows(gamma: GammaOracle, sample) -> tuple[list[list[int]], int, int]:
+    """The former ``GammaOracle.distance_rows``: each point reduced to its
+    sources and its target once, then one kernel call per pair of points."""
+    scale = math.lcm(*(p.mu.denominator for p in sample if isinstance(p, EdgePoint)))
+    targets = [cayley._target(q, scale) for q in sample]
+    rows = []
+    for p in sample:
+        sources = cayley._sources(gamma.monoid, p, scale)
+        row = []
+        for q, target in zip(sample, targets):
+            best, known = cayley._base_pair_distance(
+                gamma.monoid, sources, (target,), cayley._gap(sources, target), scale, gamma.horizon
+            )
+            if not known:
+                raise HorizonTooSmall(
+                    f"d({gamma.format_point(p)}, {gamma.format_point(q)}) "
+                    f"only known to exceed {Fraction(best, scale)}"
+                )
+            row.append(best)
+        rows.append(row)
+    return SemimetricSpace._with_sentinel(rows, scale)
+
+
 class ReferenceGamma(SemimetricSpace):
     """Γ through the reference ``gamma_distance``, with the default table."""
 
@@ -199,6 +225,20 @@ def new_rows(space, sample):
         return str(exc)
 
 
+def exact_rows(rows_of, space, sample):
+    """``rows_of(space, sample)`` as (rows, scale, inf), or its HorizonTooSmall text."""
+    try:
+        return rows_of(space, sample)
+    except HorizonTooSmall as exc:
+        return str(exc)
+
+
+def assert_rows_match_per_pair(monoid, reference_monoid, horizon, sample):
+    expected = exact_rows(per_pair_rows, GammaOracle(reference_monoid, horizon), sample)
+    assert exact_rows(GammaOracle.distance_rows, GammaOracle(monoid, horizon), sample) == expected
+    return expected
+
+
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_gamma_table_matches_reference(name, depth):
@@ -208,6 +248,14 @@ def test_gamma_table_matches_reference(name, depth):
     assert new_rows(GammaOracle(oracle, 8), sample) == expected
     if name == "n3":
         assert isinstance(expected, str)  # d(a, ε) is never certified infinite
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_gamma_table_matches_per_pair_rows(name, depth):
+    # The same ints, scale and sentinel, or the same error text.
+    expected = assert_rows_match_per_pair(load(name), load(name), 8, mixed_sample(load(name), depth))
+    assert isinstance(expected, str) == (name == "n3")
 
 
 @pytest.mark.parametrize("name", ["free2", "zero", "fp_r1_z2"])
@@ -235,6 +283,8 @@ def test_table_tie_keeps_the_known_value():
     expected = reference_rows(ReferenceGamma(z5, 0), sample)
     assert expected == [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
     assert new_rows(GammaOracle(cyclic_group(5), 0), sample) == expected
+    rows = assert_rows_match_per_pair(cyclic_group(5), cyclic_group(5), 0, sample)
+    assert rows == ([[0, 1], [1, 0]], 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +309,7 @@ def test_check_axioms_names_the_reference_pair_when_the_horizon_is_too_small():
     with pytest.raises(HorizonTooSmall) as exc:
         check_axioms(GammaOracle(n3, 4), points)
     assert str(exc.value) == expected
+    assert assert_rows_match_per_pair(n3, load("n3"), 4, points) == expected
 
 
 def test_gamma_check_takes_one_word_distance_per_base_pair(monkeypatch):
@@ -280,6 +331,38 @@ def test_gamma_check_takes_one_word_distance_per_base_pair(monkeypatch):
     assert bases == 63
     assert len(calls) <= bases * bases
     assert len(set(calls)) == len(calls)
+
+
+def test_word_table_takes_one_word_distance_per_pair(monkeypatch):
+    free2 = load("free2")
+    calls = []
+    real = cayley.word_distance
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(cayley, "word_distance", counting)
+    assert check_axioms(WordMetricSpace(free2, 8), free2.elements_up_to(5)).passed
+    assert len(calls) == len(set(calls)) == 63 * 63
+
+
+def test_gamma_table_takes_the_kernel_for_same_edge_pairs_only(monkeypatch):
+    # The CLI sample at depth 5 has 62 edge points, one on each edge, so the
+    # only same-edge pairs are (p, p) for those.
+    free2 = load("free2")
+    points = cli_sample(free2, 5)
+    calls = []
+    real = cayley._base_pair_distance
+
+    def counting(oracle, sources, targets, *rest):
+        calls.append((sources, targets))
+        return real(oracle, sources, targets, *rest)
+
+    monkeypatch.setattr(cayley, "_base_pair_distance", counting)
+    GammaOracle(free2, 8).distance_rows(points)
+    assert len(calls) == sum(isinstance(p, EdgePoint) for p in points) == 62
+    assert all(len(targets) == 1 and targets[0][1] == sources[0][1] is not None for sources, targets in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +411,27 @@ def test_point_distance_matches_reference(case):
     name, p, q, h = case
     expected = gamma_distance(REFERENCE_ORACLES[name], p, q, h)
     assert cayley.gamma_distance(ORACLES[name], p, q, h) == expected
+
+
+@st.composite
+def edge_samples(draw):
+    """A fixture, a horizon and a sample in shuffled order: a few vertices,
+    and edges carrying one, two or three points at offsets 1/3, 1/2, 2/3."""
+    name = draw(st.sampled_from(sorted(ORACLES)))
+    elements = ORACLES[name].elements_up_to(2)
+    edges = [(m, s) for m in elements for s in ORACLES[name].generators]
+    points = [Vertex(m) for m in draw(st.lists(st.sampled_from(elements), max_size=4, unique=True))]
+    for m, s in draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3, unique=True)):
+        for mu in draw(st.lists(st.sampled_from(OFFSETS), min_size=1, max_size=3, unique=True)):
+            points.append(EdgePoint(m, s, mu))
+    return name, draw(st.integers(min_value=0, max_value=5)), draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_samples())
+def test_gamma_table_matches_per_pair_rows_on_shared_edges(case):
+    name, h, sample = case
+    assert_rows_match_per_pair(ORACLES[name], REFERENCE_ORACLES[name], h, sample)
 
 
 @st.composite

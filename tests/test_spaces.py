@@ -170,6 +170,30 @@ def test_check_axioms_matches_reference_on_random_matrices(rows):
     _triangle_report(rows)
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """n <= 8 rows with at least half of the entries infinite, as on a tree."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    cells = n * n
+    infinite = set(draw(st.lists(st.integers(0, cells - 1), min_size=(cells + 1) // 2, max_size=cells, unique=True)))
+    finite = iter(draw(st.lists(_ENTRIES.filter(lambda v: v is not None), min_size=cells, max_size=cells)))
+    flat = [None if c in infinite else next(finite) for c in range(cells)]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_check_axioms_matches_reference_on_sparse_matrices(rows):
+    _triangle_report(rows)
+
+
+def test_triangle_failure_outside_the_first_points_support():
+    # d(0,2) is infinite, so 2 lies outside 0's finite support, but d(0,1)
+    # and d(1,2) are finite: the pass over 1's support still finds it.
+    rows = [[0, None, None, 1], [None, 0, 2, None], [None, None, 0, None], [None, 3, None, 0]]
+    assert _triangle_report(rows) == [(("0", "3", "1"), "inf", "4"), (("3", "1", "2"), "inf", "5")]
+
+
 def _set_distance(oracle, A, B):
     """The least word distance over A x B, read off the vertex cell sets."""
     return gamma_set_distance(oracle, CellSet(A), CellSet(B), 8)
