@@ -36,7 +36,6 @@ from .monoids import (
     MonoidOracle,
     RewritingMonoid,
     SubmonoidOracle,
-    SubmonoidSpec,
     TableMonoid,
     Verdict,
     Word,

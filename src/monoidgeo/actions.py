@@ -1,7 +1,12 @@
-"""Monoid actions on semimetric spaces and the action properties that feed
-the generating-set extraction: isometric embeddings, coboundedness and
-contact sets for outward properness.  The idealistic sampler serves actions
-other than left translation, under which the condition holds by definition."""
+"""Monoid actions on semimetric spaces, and the action properties that the
+generating-set extraction rests on.
+
+The extraction itself runs one action, left translation on the continuous
+Cayley graph, so `check_cobounded` and `compute_contact_set` take the acting
+monoid and its translates of B directly.  `ActionOracle` and its samplers
+(action laws, isometric embedding, idealistic) serve `check action` and
+actions other than left translation; under left translation the
+idealistic condition holds by definition."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .cayley import CayleyPoint, CellSet, EdgePoint, GammaOracle, Translates, Vertex, word_distance
 from .errors import HorizonTooSmall
-from .extnum import INF, ZERO, ExtNonNeg
+from .extnum import ZERO, ExtNonNeg
 from .monoids import MonoidOracle, Word, format_word
 
 
@@ -124,14 +129,14 @@ def check_isometric_embedding_action(
 
 
 def check_cobounded(
-    action: ActionOracle, B: CellSet, ambient_sample: Sequence[CayleyPoint], horizon: int,
+    oracle: MonoidOracle, B: CellSet, ambient_sample: Sequence[CayleyPoint], horizon: int,
     translates: Optional[Translates] = None,
 ) -> PropertyReport:
-    """Every sampled point lies in some translate mB with |m| <= horizon.
+    """Every sampled point lies in some translate mB with m in the acting
+    monoid `oracle` and |m| <= horizon.
 
     `translates` is a run's cache of the translates of B, shared with the
     checks that follow; a fresh one is made when none is given."""
-    oracle = action.monoid
     translates = Translates(oracle, B) if translates is None else translates
     covers = [translates[m] for m in oracle.elements_up_to(horizon)]
     uncovered = []
@@ -143,39 +148,19 @@ def check_cobounded(
 
 
 def compute_contact_set(
-    action: ActionOracle, B: CellSet, horizon: int, translates: Optional[Translates] = None
-) -> PropertyReport:
-    """The set {m : d(B, mB) = 0} over the horizon ball, with the least
-    positive separation seen (which feeds the constant r downstream).
-    `translates` is as in check_cobounded."""
-    oracle = action.monoid
-    gamma: GammaOracle = action.space
+    oracle: MonoidOracle, gamma: GammaOracle, B: CellSet, horizon: int, translates: Optional[Translates] = None
+) -> tuple[list[Word], dict[Word, ExtNonNeg]]:
+    """(S, separations): the contact set S = {m : d(B, mB) = 0} of the
+    acting monoid `oracle` over the horizon ball, in BFS order, and d(B, mB)
+    for every m of that ball.  `translates` is as in check_cobounded."""
     translates = Translates(oracle, B) if translates is None else translates
-    contact = []
-    min_positive: Optional[ExtNonNeg] = None
     separations = {}
     for m in oracle.elements_up_to(horizon):
         d = gamma.set_distance(B, translates[m], horizon)
         if not d.is_known:
             raise HorizonTooSmall(f"d(B, {format_word(m)}B) not known at horizon {horizon}")
         separations[m] = d.value
-        if d.value == ZERO:
-            contact.append(m)
-        elif not d.value.is_infinite:
-            if min_positive is None or d.value < min_positive:
-                min_positive = d.value
-    return PropertyReport(
-        "contact_set",
-        "holds_at_horizon",
-        horizon,
-        [],
-        artifacts={
-            "contact_set": [format_word(m) for m in contact],
-            "contact_elements": contact,
-            "separations": separations,
-            "min_positive_separation": min_positive if min_positive is not None else INF,
-        },
-    )
+    return [m for m, d in separations.items() if d == ZERO], separations
 
 
 def check_idealistic(action: ActionOracle, x0, depth: int, horizon: int) -> PropertyReport:

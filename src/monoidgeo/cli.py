@@ -161,21 +161,13 @@ def _run(args) -> tuple[int, dict]:
             exit_code = 0 if laws.passed and iso.passed else 1
 
     elif args.command == "svarc-milnor":
-        action = translation_action(gamma)
-        out = run_pipeline(SmInput(action=action, radius=args.radius, horizon=horizon))
-        report = out["report"]
-        ok = (
-            report.claim1.passed
-            and report.claim2.passed
-            and out["generation"].passed
-            and out["qi"].passed
-        )
+        out = run_pipeline(SmInput(oracle, gamma, args.radius, horizon))
         result = {
-            "extraction": report.to_json(),
+            "extraction": out["report"].to_json(),
             "generation": out["generation"].to_json(),
             "qi": out["qi"].to_json(),
         }
-        exit_code = 0 if ok else 1
+        exit_code = 0 if out["passed"] else 1
 
     elif args.command in ("submonoid", "free-product"):
         if not isinstance(oracle, FreeProductMonoid):

@@ -633,25 +633,18 @@ def zero_monoid() -> RewritingMonoid:
     return RewritingMonoid(["a", "z"], rules, fast_path="zero", name="zero")
 
 
-class SubmonoidSpec:
-    """A submonoid given by a membership predicate."""
-
-    def __init__(self, membership: Callable[[Word], bool], name: str = "submonoid"):
-        self.membership = membership
-        self.name = name
-
-
 class SubmonoidOracle(MonoidOracle):
-    """A submonoid of a parent oracle, enumerated by filtering parent balls.
+    """The submonoid of a parent oracle on which the predicate `contains`
+    holds, enumerated by filtering parent balls.
 
     Word length is measured in the parent's generators; the submonoid's own
     generating set is exactly what the extraction pipeline discovers.
     """
 
-    def __init__(self, parent: MonoidOracle, spec: SubmonoidSpec):
+    def __init__(self, parent: MonoidOracle, contains: Callable[[Word], bool]):
         self.parent = parent
-        self.spec = spec
-        self.name = f"{spec.name}<{parent.name}"
+        self.contains = contains
+        self.name = f"submonoid<{parent.name}>"
         self.generators = parent.generators
         # Same generators and products as the parent, so the same distance
         # fields, out-edges and interned words: share them instead of a
@@ -667,21 +660,19 @@ class SubmonoidOracle(MonoidOracle):
     def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
         return self.parent.exact_quotient(x, y)
 
-    def contains(self, m: Word) -> bool:
-        return self.spec.membership(m)
-
     def elements_up_to(self, n: int) -> list[Word]:
         return [m for m in self.parent.elements_up_to(n) if self.contains(m)]
 
 
-def ends_in_group_identity_submonoid(monoid: FreeProductMonoid) -> SubmonoidSpec:
-    """Elements of F*G whose normal form ends in a free letter or is empty,
-    that is, whose last group part is the identity."""
+def ends_in_group_identity_submonoid(monoid: FreeProductMonoid) -> Callable[[Word], bool]:
+    """The membership predicate of the elements of F*G whose normal form
+    ends in a free letter or is empty, that is, whose last group part is
+    the identity."""
 
-    def member(m: Word) -> bool:
+    def ends_in_e(m: Word) -> bool:
         return not m or m[-1] in monoid.free_letters
 
-    return SubmonoidSpec(member, name="ends_in_e")
+    return ends_in_e
 
 
 # ---------------------------------------------------------------------------
@@ -755,17 +746,18 @@ def check_finite_geometric_type(oracle: MonoidOracle, horizon: int, threshold: i
     return Verdict("holds_at_horizon", horizon)
 
 
-def check_left_unitary(oracle: MonoidOracle, sub: SubmonoidSpec, horizon: int) -> Verdict:
-    """Search for s in the submonoid and t outside it with s*t inside."""
+def check_left_unitary(oracle: MonoidOracle, contains: Callable[[Word], bool], horizon: int) -> Verdict:
+    """Search for s in the submonoid where `contains` holds and t outside
+    it with s*t inside."""
     ball = oracle.elements_up_to(horizon)
-    members = [m for m in ball if sub.membership(m)]
-    non_members = [m for m in ball if not sub.membership(m)]
-    if not sub.membership(oracle.identity):
+    members = [m for m in ball if contains(m)]
+    non_members = [m for m in ball if not contains(m)]
+    if not contains(oracle.identity):
         return Verdict("fails", horizon, {"reason": "identity not a member"})
     for s in members:
         for t in non_members:
             st = oracle.multiply(s, t)
-            if sub.membership(st):
+            if contains(st):
                 w = {"s": format_word(s), "t": format_word(t), "st": format_word(st)}
                 return Verdict("fails", horizon, w)
     return Verdict("holds_at_horizon", horizon)

@@ -18,13 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .actions import (
-    ActionOracle,
-    PropertyReport,
-    apply_translation,
-    check_cobounded,
-    compute_contact_set,
-)
+from .actions import PropertyReport, check_cobounded, compute_contact_set
 from .cayley import (
     CayleyPoint,
     CellSet,
@@ -40,6 +34,7 @@ from .extnum import ZERO, ExtNonNeg, ext_max
 from .monoids import (
     FreeMonoid,
     FreeProductMonoid,
+    MonoidOracle,
     SubmonoidOracle,
     Word,
     check_cancellative,
@@ -49,14 +44,20 @@ from .monoids import (
 
 
 class SmInput:
+    """The acting monoid, a submonoid of gamma's monoid or that monoid
+    itself, acting on gamma by left translation; the basepoint is the
+    identity vertex."""
+
     def __init__(
         self,
-        action: ActionOracle,  # space must be a GammaOracle; the basepoint is the identity vertex
+        monoid: MonoidOracle,
+        gamma: GammaOracle,
         radius: Fraction,
         horizon: int,
         covering_candidates: Optional[Callable[[Word], list[Word]]] = None,
     ):
-        self.action = action
+        self.monoid = monoid
+        self.gamma = gamma
         self.radius = Fraction(radius)
         self.horizon = horizon
         self.covering_candidates = covering_candidates
@@ -86,13 +87,12 @@ class SmReport:
         claim1: PropertyReport,
         claim2: PropertyReport,
         hypotheses: dict,
-        contact: PropertyReport,
         translates: Translates,  # the run's translates mB, shared by every later check
     ):
         self.generators, self.ball, self.q_translates = generators, ball, q_translates
         self.ball_radius, self.outer_ball_radius, self.r, self.l, self.lam = ball_radius, outer_ball_radius, r, l, lam
         self.separations, self.claim1, self.claim2 = separations, claim1, claim2
-        self.hypotheses, self.contact, self.translates = hypotheses, contact, translates
+        self.hypotheses, self.translates = hypotheses, translates
 
     def to_json(self) -> dict:
         return {
@@ -116,16 +116,9 @@ class SmReport:
         }
 
 
-def _gamma_of(action: ActionOracle) -> GammaOracle:
-    space = action.space
-    if not isinstance(space, GammaOracle):
-        raise HypothesisFailed("space", "extraction requires a continuous Cayley graph space")
-    return space
-
-
 def _cobounded_sample(inp: SmInput, B: CellSet) -> list[CayleyPoint]:
     """The points of B and of the out-ball of radius min(h, 3), without repeats."""
-    gamma = _gamma_of(inp.action)
+    gamma = inp.gamma
     ambient = gamma.out_ball_cellset(gamma.monoid.identity, Fraction(min(inp.horizon, 3)), inp.far)
     return list(dict.fromkeys(B.sample_points() + ambient.sample_points()))
 
@@ -133,11 +126,11 @@ def _cobounded_sample(inp: SmInput, B: CellSet) -> list[CayleyPoint]:
 def _isometric_embedding(inp: SmInput) -> PropertyReport:
     """Left translation by each multiplier is an isometric embedding (see
     extract_generators): by N's cancellation theorem, else checked."""
-    n = _gamma_of(inp.action).monoid
+    n = inp.gamma.monoid
     if n.cancellation_theorem is not None:
         return PropertyReport("isometric_embedding_action", "pass", inp.horizon, [],
                               artifacts={"basis": f"theorem: {n.cancellation_theorem}"})
-    w = check_cancellative(n, "left", inp.far, inp.action.monoid.elements_up_to(inp.horizon)).witness
+    w = check_cancellative(n, "left", inp.far, inp.monoid.elements_up_to(inp.horizon)).witness
     if w is not None:
         raise HypothesisFailed(
             "isometric_embedding",
@@ -152,9 +145,9 @@ def extract_generators(inp: SmInput) -> SmReport:
     """The contact set S of the strong ball B, the constants r, l and lambda,
     the translates Q, and claims 1 and 2, after the hypothesis pre-checks.
 
-    The action must be left translation on Gamma, the continuous Cayley
-    graph of the space's monoid N (translates are CellSet.translate).  Then
-    x -> m*x is an isometric embedding of Gamma exactly when m is
+    The acting monoid acts by left translation on Gamma, the continuous
+    Cayley graph of gamma's monoid N (translates are CellSet.translate).
+    Then x -> m*x is an isometric embedding of Gamma exactly when m is
     left-cancellable: paths labelled w map to paths labelled w, so
     d(mp, mq) <= d(p, q), with equality when m*x*w = m*y forces x*w = y (on
     edge points too, since translation keeps edges and offsets), while
@@ -176,9 +169,8 @@ def extract_generators(inp: SmInput) -> SmReport:
     cancellation.  So claim 2 compares B with each qB, in BFS order, and
     every witness has m = e.
     """
-    action = inp.action
-    oracle = action.monoid
-    gamma = _gamma_of(action)
+    oracle = inp.monoid
+    gamma = inp.gamma
     R = inp.radius
     horizon = inp.horizon
     far = inp.far
@@ -190,7 +182,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     translates = Translates(oracle, B)
 
     hypotheses = {"isometric_embedding": _isometric_embedding(inp)}
-    cob = check_cobounded(action, B, _cobounded_sample(inp, B), horizon, translates)
+    cob = check_cobounded(oracle, B, _cobounded_sample(inp, B), horizon, translates)
     cob.artifacts["basis"] = f"sampled: the points of B and of the out-ball of radius {min(horizon, 3)}"
     hypotheses["cobounded"] = cob
     if not cob.passed:
@@ -201,9 +193,7 @@ def extract_generators(inp: SmInput) -> SmReport:
                   " free products: s*t ends in t's last group letter)")
     hypotheses["idealistic"] = PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})
 
-    contact = compute_contact_set(action, B, horizon, translates)
-    S: list[Word] = contact.artifacts["contact_elements"]
-    separations: dict[Word, ExtNonNeg] = contact.artifacts["separations"]
+    S, separations = compute_contact_set(oracle, gamma, B, horizon, translates)
 
     # Q: separated translates that still touch the out-ball C of radius 5R.
     # Every unknown bound is at least far > 5R, so d(x0, mB) is known and
@@ -263,7 +253,6 @@ def extract_generators(inp: SmInput) -> SmReport:
         claim1=claim1,
         claim2=claim2,
         hypotheses=hypotheses,
-        contact=contact,
         translates=translates,
     )
 
@@ -271,7 +260,7 @@ def extract_generators(inp: SmInput) -> SmReport:
 def _covering_elements(inp: SmInput, translates: Translates, x: CayleyPoint) -> Iterator[Word]:
     """The covering candidates of x's base vertex, in order, that lie in the
     acting monoid and whose B-translate contains x."""
-    oracle = inp.action.monoid
+    oracle = inp.monoid
     v = x.element
     for m in inp.covering_candidates(v) if inp.covering_candidates else [v]:
         if isinstance(oracle, SubmonoidOracle) and not oracle.contains(m):
@@ -294,8 +283,8 @@ def factor_over_generators(report: SmReport, inp: SmInput, m: Word, memo: dict) 
     u in S with x*u = y (a word's letters are strings, so the two kinds of
     key never meet).
     """
-    oracle = inp.action.monoid
-    ambient = _gamma_of(inp.action).monoid
+    oracle = inp.monoid
+    ambient = inp.gamma.monoid
     w = shortest_word(ambient, oracle.identity, m, inp.far)
     p, q = report.l.numerator, report.l.denominator
     chain = [oracle.identity]
@@ -325,9 +314,7 @@ def factor_over_generators(report: SmReport, inp: SmInput, m: Word, memo: dict) 
 
 def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
     """Every ball element factors over S within the subdivision bound k+1."""
-    action = inp.action
-    oracle = action.monoid
-    gamma = _gamma_of(inp.action)
+    oracle = inp.monoid
     x0 = Vertex(oracle.identity)
     witnesses = []
     factorizations = {}
@@ -343,7 +330,7 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
         for u in letters:
             if u:  # multiply(p, ε) = p on normal forms
                 product = oracle.multiply(product, u)
-        D = gamma.known_distance(x0, Vertex(m)).finite_value()
+        D = inp.gamma.known_distance(x0, Vertex(m)).finite_value()
         bound = D / l + 1
         ok = product == m and Fraction(len(letters)) <= bound
         factorizations[format_word(m)] = {
@@ -389,27 +376,20 @@ def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport)
       M is left unitary (see run_submonoid_theorem).
 
     So each failing generation certificate is one witness naming its q.
+
+    Coverage: every sampled point x lies in some translate hB.  Then x is
+    within R of the orbit point h in both directions, as B lies in the
+    strong R-ball about e and left translation by h maps paths to paths.
     """
-    action = inp.action
-    oracle = action.monoid
-    gamma = _gamma_of(inp.action)
-    far = inp.far
     l, lam = report.l, report.lam
     witnesses = [
         {"q": w["m"], "inequality": "d_S(m1,m2) <= (1/l) d(f(m1),f(m2)) + 1"}
         for w in generation.witnesses
     ]
-    # Coverage: every sampled point is within R of the orbit of its covering
-    # translate, in both directions.
-    coverage_failures = []
-    sample = gamma.out_ball_cellset(oracle.identity, Fraction(min(inp.horizon, 3)), far).sample_points()
-    R = ExtNonNeg.of(inp.radius)
-    for x in sample:
-        if not any(
-            gamma.known_distance(Vertex(h), x) <= R and gamma.known_distance(x, Vertex(h)) <= R
-            for h in _covering_elements(inp, report.translates, x)
-        ):
-            coverage_failures.append(str(x))
+    sample = inp.gamma.out_ball_cellset(inp.monoid.identity, Fraction(min(inp.horizon, 3)), inp.far).sample_points()
+    coverage_failures = [
+        str(x) for x in sample if next(_covering_elements(inp, report.translates, x), None) is None
+    ]
     if coverage_failures:
         witnesses.append({"reason": "coverage", "points": coverage_failures})
     return PropertyReport(
@@ -426,11 +406,13 @@ def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport)
 
 
 def run_pipeline(inp: SmInput) -> dict:
-    """extract + verify; returns {"report", "generation", "qi"}."""
+    """extract + verify; returns {"report", "generation", "qi", "passed"},
+    where "passed" is the verdict of both claims and both checks."""
     report = extract_generators(inp)
     generation = verify_generation_bound(report, inp)
     qi = verify_qi_bounds(report, inp, generation)
-    return {"report": report, "generation": generation, "qi": qi}
+    passed = report.claim1.passed and report.claim2.passed and generation.passed and qi.passed
+    return {"report": report, "generation": generation, "qi": qi, "passed": passed}
 
 
 # ---------------------------------------------------------------------------
@@ -444,33 +426,19 @@ def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     The normal form theorem for free products gives two of its hypotheses,
     so neither is searched for: M is left unitary, since s*t ends in t's
     last group letter, and each p of P is a unit whose inverse is the unique
-    exact quotient of e by p.  MP = N is checked on the horizon ball.
+    exact quotient of e by p.  It also gives MP = N: each n is its normal
+    form without the last group letter, which is in M, times that letter.
+    The factorizations of the horizon ball are listed.
     """
     gamma = GammaOracle(N, max(horizon, 8))
-    spec = ends_in_group_identity_submonoid(N)
     P = [() if g == N.group_identity else (g,) for g in N.group.element_names]
     inverses = {p: N.exact_quotient(p, N.identity) for p in P}
-
-    # Hypothesis: MP = N on the ball.
     mp_witnesses = {}
     for n in N.elements_up_to(horizon):
-        # m*p = n with p*q = e forces m = n*q, so one candidate per p suffices.
-        found = None
-        for p in P:
-            m = N.multiply(n, inverses[p])
-            if spec.membership(m) and N.multiply(m, p) == n:
-                found = (m, p)
-                break
-        if found is None:
-            raise HypothesisFailed("MP=N", f"no factorization m*p = {format_word(n)}")
-        mp_witnesses[format_word(n)] = (format_word(found[0]), format_word(found[1]))
+        m, _ = N._split_last(n)
+        mp_witnesses[format_word(n)] = (format_word(m), format_word(n[len(m):]))
 
-    M = SubmonoidOracle(N, spec)
-    action = ActionOracle(
-        monoid=M,
-        space=gamma,
-        apply=lambda m, pt: apply_translation(N, m, pt),
-    )
+    M = SubmonoidOracle(N, ends_in_group_identity_submonoid(N))
     # B must absorb P's displacement: radius 1 + max strong distance to P.
     disp = ext_max(
         max(gamma.known_distance(Vertex(N.identity), Vertex(p)),
@@ -485,20 +453,9 @@ def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
             cands.append(N.multiply(v, inverses[p]))
         return cands
 
-    sm_inp = SmInput(
-        action=action,
-        radius=radius,
-        horizon=horizon,
-        covering_candidates=covering,
-    )
-    result = run_pipeline(sm_inp)
+    result = run_pipeline(SmInput(M, gamma, radius, horizon, covering))
     report: SmReport = result["report"]
-    ok = (
-        report.claim1.passed
-        and report.claim2.passed
-        and result["generation"].passed
-        and result["qi"].passed
-    )
+    ok = result["passed"]
     return PropertyReport(
         "submonoid_theorem",
         "pass" if ok else "fail",
@@ -525,7 +482,7 @@ def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
 
 def run_free_product(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     """F*G: verify the free basis {g f_i} of M and the submonoid pipeline."""
-    spec = ends_in_group_identity_submonoid(N)
+    in_m = ends_in_group_identity_submonoid(N)
     group_names = N.group.element_names
 
     # Candidate free basis: one element per (group element, free letter).
@@ -560,11 +517,11 @@ def run_free_product(N: FreeProductMonoid, horizon: int) -> PropertyReport:
                  "words": [format_word(images[img]), format_word(bword)]}
             )
         images[img] = bword
-        if not spec.membership(img):
+        if not in_m(img):
             witnesses.append({"reason": "basis word leaves M", "word": format_word(bword)})
         if free_length(img) != len(bword):
             witnesses.append({"reason": "basis letters not length-preserving", "word": format_word(bword)})
-    m_ball = [m for m in N.elements_up_to(horizon) if spec.membership(m)]
+    m_ball = [m for m in N.elements_up_to(horizon) if in_m(m)]
     for m in m_ball:
         if free_length(m) <= depth and m not in images:
             witnesses.append({"reason": "M-element misses basis factorization", "m": format_word(m)})
@@ -588,7 +545,7 @@ def run_free_product(N: FreeProductMonoid, horizon: int) -> PropertyReport:
         best = None
         for g in group_names:
             m = n if g == N.group_identity else N.successors(n)[N.generators.index(g)]
-            if not spec.membership(m):
+            if not in_m(m):
                 continue
             fwd = gamma.known_distance(Vertex(m), Vertex(n))
             back = gamma.known_distance(Vertex(n), Vertex(m))

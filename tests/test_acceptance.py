@@ -223,10 +223,8 @@ def _f1_brute_force_constants(horizon=8, R=Fraction(1)):
 def test_criterion_4_extraction_with_independent_oracle():
     ok = True
     detail = []
-    gamma = GammaOracle(FreeMonoid(1, ["a"]), 8)
-    out = run_pipeline(
-        SmInput(action=translation_action(gamma), radius=Fraction(1), horizon=8)
-    )
+    f1 = FreeMonoid(1, ["a"])
+    out = run_pipeline(SmInput(f1, GammaOracle(f1, 8), Fraction(1), 8))
     rep = out["report"]
     oracle_vals = _f1_brute_force_constants()
     if sorted(rep.generators) != sorted(oracle_vals["S"]):
@@ -253,11 +251,8 @@ def test_criterion_4_extraction_with_independent_oracle():
         ok = False
         detail.append("generation or QI verification failed")
     for name, oracle in (("Z/3", cyclic_group(3)), ("F2", FreeMonoid(2, ["a", "b"]))):
-        g = GammaOracle(oracle, 8)
-        res = run_pipeline(
-            SmInput(action=translation_action(g), radius=Fraction(1), horizon=8)
-        )
-        if not all(p.passed for p in (res["report"].claim1, res["report"].claim2, res["generation"], res["qi"])):
+        res = run_pipeline(SmInput(oracle, GammaOracle(oracle, 8), Fraction(1), 8))
+        if not res["passed"]:
             ok = False
             detail.append(f"{name} pipeline failed")
     announce("criterion 4: extraction constants verified against interval oracle", ok, "; ".join(detail))

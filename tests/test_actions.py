@@ -13,6 +13,7 @@ from monoidgeo import (
     GammaOracle,
     INF,
     SemimetricSpace,
+    SmInput,
     TableMonoid,
     TruncatedDistance,
     Vertex,
@@ -24,6 +25,7 @@ from monoidgeo import (
     check_idealistic,
     check_isometric_embedding_action,
     compute_contact_set,
+    run_pipeline,
     translation_action,
     zero_monoid,
 )
@@ -95,62 +97,52 @@ def test_zero_monoid_isometry_witness_rechecks():
 
 def test_cobounded_strong_ball_covers():
     gamma = GammaOracle(F1, 8)
-    action = translation_action(gamma)
     B = gamma.strong_ball_cellset((), Fraction(1))
     sample = gamma.out_ball_cellset((), Fraction(3)).sample_points()
-    assert check_cobounded(action, B, sample, 8).passed
+    assert check_cobounded(F1, B, sample, 8).passed
 
 
 def test_cobounded_fails_for_vertex_only():
     from monoidgeo import CellSet
 
-    gamma = GammaOracle(F1, 8)
-    action = translation_action(gamma)
     B = CellSet([()])
-    report = check_cobounded(action, B, [EdgePoint((), "a", Fraction(1, 2))], 8)
+    report = check_cobounded(F1, B, [EdgePoint((), "a", Fraction(1, 2))], 8)
     assert not report.passed
     assert report.witnesses == ["e:ε:a:1/2"]
 
 
 def test_contact_set_f1():
     gamma = GammaOracle(F1, 8)
-    action = translation_action(gamma)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    report = compute_contact_set(action, B, 8)
-    assert report.artifacts["contact_set"] == ["ε", "a"]
-    seps = report.artifacts["separations"]
+    S, seps = compute_contact_set(F1, gamma, B, 8)
+    assert S == [(), ("a",)]
     assert seps[("a", "a")] == ExtNonNeg.of(1)
     assert seps[("a",) * 3] == ExtNonNeg.of(2)
-    assert report.artifacts["min_positive_separation"] == ExtNonNeg.of(1)
+    assert list(seps) == F1.elements_up_to(8)
 
 
 def test_contact_set_z3():
     gamma = GammaOracle(Z3, 8)
-    action = translation_action(gamma)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    report = compute_contact_set(action, B, 8)
-    assert report.artifacts["contact_set"] == ["ε", "g"]
-    assert report.artifacts["separations"][("g", "g")] == ExtNonNeg.of(1)
+    S, seps = compute_contact_set(Z3, gamma, B, 8)
+    assert S == [(), ("g",)]
+    assert seps[("g", "g")] == ExtNonNeg.of(1)
 
 
 def test_contact_set_trivial():
     t = TableMonoid(["e"], [[0]], identity="e", generators=[], name="trivial")
     gamma = GammaOracle(t, 4)
-    action = translation_action(gamma)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    report = compute_contact_set(action, B, 4)
-    assert report.artifacts["contact_set"] == ["ε"]
     # the contact set is exact over the horizon ball it is asked about
-    assert report.verdict == "holds_at_horizon"
+    assert compute_contact_set(t, gamma, B, 4) == ([()], {(): ExtNonNeg.of(0)})
 
 
 def test_contact_set_contains_identity_always():
     for name, oracle in FIXTURES:
         gamma = GammaOracle(oracle, 6)
-        action = translation_action(gamma)
         B = gamma.strong_ball_cellset((), Fraction(1), 6)
-        report = compute_contact_set(action, B, 4)
-        assert "ε" in report.artifacts["contact_set"], name
+        S, _ = compute_contact_set(oracle, gamma, B, 4)
+        assert () in S, name
 
 
 @pytest.mark.parametrize("name,oracle", [f for f in FIXTURES if f[0] in ("F1", "F2", "Z3", "F1*Z2")])
@@ -197,8 +189,8 @@ def test_idealistic_fails_for_free_monoid_in_free_group():
 
 
 def test_property_report_json_encodes_exact_values():
-    gamma = GammaOracle(F1, 8)
-    action = translation_action(gamma)
-    B = gamma.strong_ball_cellset((), Fraction(1))
-    doc = compute_contact_set(action, B, 8).to_json()
-    assert doc["artifacts"]["min_positive_separation"] == {"kind": "exact", "num": 1, "den": 1}
+    # The QI report carries lambda, the basepoint displacement of a contact element.
+    out = run_pipeline(SmInput(F1, GammaOracle(F1, 8), Fraction(1), 8))
+    doc = out["qi"].to_json()
+    assert doc["artifacts"]["lambda"] == {"kind": "exact", "num": 1, "den": 1}
+    assert doc["artifacts"]["l"] == [1, 4]

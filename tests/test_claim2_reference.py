@@ -27,7 +27,6 @@ from monoidgeo import (
     Vertex,
     extract_generators,
     format_word,
-    translation_action,
 )
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
@@ -39,8 +38,8 @@ RADII = (Fraction(1), Fraction(3, 2), Fraction(2))
 
 def reference_claim2(report, inp):
     """The number of pairs the former loop checked, and its witnesses."""
-    oracle = inp.action.monoid
-    gamma = inp.action.space
+    oracle = inp.monoid
+    gamma = inp.gamma
     far = inp.far
     r = report.r
     pair_ball = oracle.elements_up_to(inp.horizon)
@@ -68,7 +67,7 @@ def reference_claim2(report, inp):
 
 def _agree(report, inp):
     """The reference's witnesses, after checking the new claim 2 against them."""
-    oracle = inp.action.monoid
+    oracle = inp.monoid
     _, witnesses = reference_claim2(report, inp)
     ours = report.claim2.witnesses
     assert report.claim2.verdict == ("fail" if witnesses else "pass")
@@ -81,8 +80,7 @@ def _agree(report, inp):
 
 
 def _svarc_milnor_input(oracle, horizon, radius):
-    action = translation_action(GammaOracle(oracle, horizon))
-    return SmInput(action=action, radius=radius, horizon=horizon)
+    return SmInput(oracle, GammaOracle(oracle, horizon), radius, horizon)
 
 
 def _fixture_oracle(name):
@@ -173,11 +171,10 @@ def _drop_from_contact_set(monkeypatch, *dropped):
     real = svarcmilnor.compute_contact_set
 
     def drop(*args, **kwargs):
-        contact = real(*args, **kwargs)
-        S = contact.artifacts["contact_elements"]
+        S, separations = real(*args, **kwargs)
         for u in dropped:
             S.remove(u)
-        return contact
+        return S, separations
 
     monkeypatch.setattr(svarcmilnor, "compute_contact_set", drop)
 

@@ -6,10 +6,12 @@ unitary and each group letter's inverse to be its exact quotient, by the
 normal form theorem for free products, and read the realized lambda off one
 pass over basis words by left translation.  This file keeps what they did
 before as references: the left-unitary search, the ball search for right
-inverses, and the loop over all pairs of basis images.  On F1*Z2, F2*Z2,
-F1*S3 and F2*Z3 at horizons 3 to 6 the references agree with the pipelines.
+inverses, the search over P for MP = N, and the loop over all pairs of basis
+images.  On F1*Z2, F2*Z2, F1*S3 and F2*Z3 at horizons 3 to 6 the references
+agree with the pipelines.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,10 @@ from monoidgeo import (
     svarcmilnor,
     word_distance,
 )
+from monoidgeo.cli import parse_monoid_spec
 from builders import cyclic_group, symmetric_group_3
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 PRODUCTS = {
     "F1*Z2": lambda: FreeProductMonoid(1, cyclic_group(2)),
@@ -78,6 +83,43 @@ def reference_realized_lambda(N: FreeProductMonoid, horizon: int) -> tuple[Fract
                 continue
             realized_lambda = max(realized_lambda, Fraction(b, a), Fraction(a, b))
     return realized_lambda, witnesses
+
+
+def reference_mp_factorizations(N: FreeProductMonoid, horizon: int) -> dict:
+    """{n: (m, p)} with m in M, p in P and m*p = n for every n of the
+    horizon ball, by the search over P that the pipeline made."""
+    member = ends_in_group_identity_submonoid(N)
+    P = [() if g == N.group_identity else (g,) for g in N.group.element_names]
+    inverses = {p: N.exact_quotient(p, N.identity) for p in P}
+    factorizations = {}
+    for n in N.elements_up_to(horizon):
+        # m*p = n with p*q = e forces m = n*q, so one candidate per p suffices.
+        found = None
+        for p in P:
+            m = N.multiply(n, inverses[p])
+            if member(m) and N.multiply(m, p) == n:
+                found = (m, p)
+                break
+        assert found is not None, f"no factorization m*p = {format_word(n)}"
+        factorizations[format_word(n)] = (format_word(found[0]), format_word(found[1]))
+    return factorizations
+
+
+MP_PRODUCTS = {
+    "fp_r1_z2": lambda: parse_monoid_spec(os.path.join(FIXTURES, "fp_r1_z2.json"))[0],
+    "fp_r2_z2": lambda: parse_monoid_spec(os.path.join(FIXTURES, "fp_r2_z2.json"))[0],
+    "F1*S3": PRODUCTS["F1*S3"],
+}
+
+
+# At horizon 1 the pipeline stops before it reports: its ball radius is 2.
+@pytest.mark.parametrize("name,h", [(name, h) for name in MP_PRODUCTS for h in range(2, 7)])
+def test_mp_factorizations_match_the_search_over_p(name, h):
+    N = MP_PRODUCTS[name]()
+    read_off = run_submonoid_theorem(N, h).artifacts["MP_factorizations"]
+    searched = reference_mp_factorizations(N, h)
+    assert list(read_off.items()) == list(searched.items())
+    assert len(searched) == len(N.elements_up_to(h))
 
 
 _runs: dict = {}

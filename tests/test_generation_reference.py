@@ -30,11 +30,10 @@ from monoidgeo import (
     extract_generators,
     format_word,
     shortest_word,
-    translation_action,
 )
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
-from monoidgeo.svarcmilnor import _covering_elements, _gamma_of
+from monoidgeo.svarcmilnor import _covering_elements
 from builders import replaced
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -62,9 +61,8 @@ def factor_over_generators(report, inp, m, cover_cache=None):
     edge-interior samples to the covering translate of the nearer vertex,
     and reads off one contact element per step.
     """
-    action = inp.action
-    oracle = action.monoid
-    gamma = _gamma_of(inp.action)
+    oracle = inp.monoid
+    gamma = inp.gamma
     e = oracle.identity
     far = inp.far
     dist = gamma.known_distance(Vertex(e), Vertex(m))
@@ -110,9 +108,8 @@ def factor_over_generators(report, inp, m, cover_cache=None):
 
 def reference_generation(report, inp):
     """Every ball element factors over S within the subdivision bound k+1."""
-    action = inp.action
-    oracle = action.monoid
-    gamma = _gamma_of(inp.action)
+    oracle = inp.monoid
+    gamma = inp.gamma
     x0 = Vertex(oracle.identity)
     witnesses = []
     factorizations = {}
@@ -223,7 +220,7 @@ def test_free2_below_half_radius_fails_on_generation_witnesses(recorded):
 
 def _free2_input(horizon=4, **changes):
     oracle, _ = parse_monoid_spec(os.path.join(FIXTURES, "free2.json"))
-    inp = SmInput(action=translation_action(GammaOracle(oracle, horizon)), radius=Fraction(1), horizon=horizon)
+    inp = SmInput(oracle, GammaOracle(oracle, horizon), Fraction(1), horizon)
     return replaced(inp, **changes)
 
 
@@ -277,7 +274,7 @@ def test_generation_searches_once_per_pair_and_vertex(monkeypatch, args):
     seen = {}
 
     def guarded(report, inp):
-        oracle = inp.action.monoid
+        oracle = inp.monoid
         searches, covered = [], Counter()
         S = _SearchedS(report.generators, searches)
         multiply, covering = oracle.multiply, svarcmilnor._covering_elements

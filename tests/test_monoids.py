@@ -406,28 +406,26 @@ def test_fgt_holds_for_free_and_bicyclic():
 
 def test_ends_in_identity_is_left_unitary():
     m = fp_z2()
-    sub = ends_in_group_identity_submonoid(m)
-    assert sub.membership(("f",))
-    assert sub.membership(("g", "f"))
-    assert not sub.membership(("g",))
-    assert check_left_unitary(m, sub, 4).holds
+    member = ends_in_group_identity_submonoid(m)
+    assert member(("f",))
+    assert member(("g", "f"))
+    assert not member(("g",))
+    assert check_left_unitary(m, member, 4).holds
 
 
 def test_non_unitary_submonoid_fails_with_witness():
     m = fp_z2()
     # free length 0 or >= 2: a submonoid (lengths add) but not left unitary,
     # since ff ∈ M and ff·f ∈ M while f is excluded
-    from monoidgeo import SubmonoidSpec
-
-    def member(w):
+    def nf_not_one(w):
         n = sum(x == "f" for x in w)
         return n == 0 or n >= 2
 
-    v = check_left_unitary(m, SubmonoidSpec(member, name="nf_not_one"), 3)
+    v = check_left_unitary(m, nf_not_one, 3)
     assert not v.holds
     w = v.witness
     s, t = m.parse_word(w["s"]), m.parse_word(w["t"])
-    assert member(s) and not member(t) and member(m.multiply(s, t))
+    assert nf_not_one(s) and not nf_not_one(t) and nf_not_one(m.multiply(s, t))
 
 
 # -- spec documents ---------------------------------------------------------

@@ -11,6 +11,12 @@ the loop asks for is reached, or at the loop's cap int(max depth / l) + 1.
 certificates, for every pair at orbit distance <= horizon, and takes
 d <= lambda d_S as a lemma.  The pairs the loop checked beyond that
 distance are counted here, so what the new claim leaves out stays measured.
+
+``reference_coverage`` is the former coverage loop.  It asked, for each
+sample point x, for a covering element h with d(h, x) <= R and d(x, h) <= R.
+``verify_qi_bounds`` now asks only for a covering element, since x in hB
+puts x within R of h both ways; the reference checks that for every
+covering element of every sample point.
 """
 
 import io
@@ -29,13 +35,13 @@ from monoidgeo import (
     extract_generators,
     format_word,
     shortest_word,
-    translation_action,
     verify_generation_bound,
     verify_qi_bounds,
     word_distance,
 )
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
+from monoidgeo.svarcmilnor import _covering_elements
 from builders import replaced
 from test_distance_field import symmetric_group_5
 
@@ -66,8 +72,8 @@ def distances_over_generators(oracle, S, targets, cap):
 def reference_qi_witnesses(report, inp):
     """The inequality witnesses of the former pair loop over the horizon
     ball, and the number of finite pairs it checked beyond the horizon."""
-    oracle = inp.action.monoid
-    gamma = inp.action.space
+    oracle = inp.monoid
+    gamma = inp.gamma
     x0 = Vertex(oracle.identity)
     far = inp.far
     l, lam = report.l, report.lam
@@ -112,6 +118,25 @@ def reference_qi_witnesses(report, inp):
             )
     beyond = sum(D > inp.horizon for _, D in quotients.values())
     return witnesses, beyond
+
+
+def reference_coverage(report, inp):
+    """The sample points the former coverage loop reported, after checking
+    d(h, x) <= R and d(x, h) <= R for every covering element h of every
+    sample point x; and the number of (x, h) pairs checked."""
+    gamma = inp.gamma
+    R = ExtNonNeg.of(inp.radius)
+    sample = gamma.out_ball_cellset(inp.monoid.identity, Fraction(min(inp.horizon, 3)), inp.far).sample_points()
+    failures, pairs = [], 0
+    for x in sample:
+        covering = list(_covering_elements(inp, report.translates, x))
+        for h in covering:
+            assert gamma.known_distance(Vertex(h), x) <= R, (x, h)
+            assert gamma.known_distance(x, Vertex(h)) <= R, (x, h)
+        pairs += len(covering)
+        if not covering:
+            failures.append(str(x))
+    return failures, pairs
 
 
 @pytest.fixture
@@ -170,12 +195,29 @@ def test_qi_verdict_matches_the_pair_loop(recorded, fixture, args):
 
 def test_qi_verdict_matches_the_pair_loop_on_s5_at_its_diameter(recorded):
     gamma = GammaOracle(symmetric_group_5(), 11)
-    inp = SmInput(action=translation_action(gamma), radius=Fraction(1), horizon=11)
+    inp = SmInput(gamma.monoid, gamma, Fraction(1), 11)
     out = svarcmilnor.run_pipeline(inp)
     ((qi, reference),) = recorded
     assert qi is out["qi"]
     _agree(qi, reference)
     assert reference[1] == 0
+
+
+@pytest.mark.parametrize("fixture,args", sorted(CLI_CASES), ids=[" ".join(c) for c in sorted(CLI_CASES)])
+def test_every_covering_element_is_within_R_both_ways(monkeypatch, fixture, args):
+    checked = []
+    real = svarcmilnor.verify_qi_bounds
+
+    def record(report, inp, generation):
+        qi = real(report, inp, generation)
+        checked.append((qi, reference_coverage(report, inp)))
+        return qi
+
+    monkeypatch.setattr(svarcmilnor, "verify_qi_bounds", record)
+    assert _run_cli(fixture, *args.split()) == 0
+    ((qi, (failures, pairs)),) = checked
+    assert failures == [] and pairs > 0
+    assert [w for w in qi.witnesses if w.get("reason") == "coverage"] == []
 
 
 def _without_b(report):
@@ -184,7 +226,7 @@ def _without_b(report):
 
 def test_planted_missing_generator_fails_both_ways():
     oracle, _ = parse_monoid_spec(os.path.join(FIXTURES, "free2.json"))
-    inp = SmInput(action=translation_action(GammaOracle(oracle, 4)), radius=Fraction(1), horizon=4)
+    inp = SmInput(oracle, GammaOracle(oracle, 4), Fraction(1), 4)
     planted = _without_b(extract_generators(inp))
     witnesses, _ = reference_qi_witnesses(planted, inp)
     assert {"m1": "ε", "m2": "b", "reason": "quotient b not reachable over S within cap 17"} in witnesses

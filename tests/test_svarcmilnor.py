@@ -30,7 +30,6 @@ from monoidgeo import (
     run_free_product,
     run_pipeline,
     run_submonoid_theorem,
-    translation_action,
     verify_generation_bound,
     verify_qi_bounds,
     zero_monoid,
@@ -44,12 +43,12 @@ F1 = FreeMonoid(1, ["a"])
 
 
 def make_input(oracle, radius=1, horizon=8):
-    gamma = GammaOracle(oracle, horizon)
-    return SmInput(
-        action=translation_action(gamma),
-        radius=Fraction(radius),
-        horizon=horizon,
-    )
+    return SmInput(oracle, GammaOracle(oracle, horizon), Fraction(radius), horizon)
+
+
+def _translation(inp):
+    """The acting monoid of `inp` translating its graph on the left, as an action."""
+    return ActionOracle(inp.monoid, inp.gamma, lambda u, pt: apply_translation(inp.gamma.monoid, u, pt))
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +147,7 @@ def _hypothesis_case(name):
         n = FreeProductMonoid(1, cyclic_group(2))
         gamma = GammaOracle(n, 8)
         m = SubmonoidOracle(n, ends_in_group_identity_submonoid(n))
-        action = ActionOracle(m, gamma, lambda u, pt: apply_translation(n, u, pt))
-        return n, SmInput(action=action, radius=Fraction(2), horizon=4)
+        return n, SmInput(m, gamma, Fraction(2), 4)
     build, horizon, _, _ = ORACLES[name]
     oracle = build()
     return oracle, make_input(oracle, horizon=horizon)
@@ -160,8 +158,8 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
     # The sampler's multipliers (depth <= 3) and points (B and the depth-3
     # out-ball), as the pipeline drew them before it stopped sampling.
     n, inp = _hypothesis_case(name)
-    gamma = inp.action.space
-    ms = inp.action.monoid.elements_up_to(min(inp.horizon, 3))
+    gamma, action = inp.gamma, _translation(inp)
+    ms = inp.monoid.elements_up_to(min(inp.horizon, 3))
     try:
         B = gamma.strong_ball_cellset((), inp.radius, inp.far)
     except HorizonTooSmall:
@@ -171,9 +169,9 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
         points = _cobounded_sample(inp, B)
         if name in SAMPLER_UNDECIDED:
             with pytest.raises(HorizonTooSmall):
-                check_isometric_embedding_action(inp.action, ms, points, inp.horizon)
+                check_isometric_embedding_action(action, ms, points, inp.horizon)
         else:
-            iso = check_isometric_embedding_action(inp.action, ms, points, inp.horizon)
+            iso = check_isometric_embedding_action(action, ms, points, inp.horizon)
             assert canc.holds == iso.passed
     if not canc.holds:
         w = canc.witness
@@ -201,7 +199,7 @@ def test_theorem_classes_are_the_free_and_group_fixtures():
 def test_cancellation_theorem_agrees_with_the_far_ball_check(name):
     # What the pipeline would check if the class named no theorem.
     n, inp = _hypothesis_case(name)
-    assert check_cancellative(n, "left", inp.far, inp.action.monoid.elements_up_to(inp.horizon)).holds
+    assert check_cancellative(n, "left", inp.far, inp.monoid.elements_up_to(inp.horizon)).holds
     iso = extract_generators(inp).hypotheses["isometric_embedding"]
     assert iso.verdict == "pass"
     assert iso.artifacts["basis"] == f"theorem: {n.cancellation_theorem}"
@@ -213,7 +211,7 @@ def test_non_cancellative_oracles_fail_the_far_ball_check(name):
     # horizon ball: the first bad multiplier fails at once on the far ball.
     n, inp = _hypothesis_case(name)
     assert n.cancellation_theorem is None
-    w = check_cancellative(n, "left", inp.horizon, inp.action.monoid.elements_up_to(min(inp.horizon, 3))).witness
+    w = check_cancellative(n, "left", inp.horizon, inp.monoid.elements_up_to(min(inp.horizon, 3))).witness
     with pytest.raises(HypothesisFailed) as exc:
         extract_generators(inp)
     assert exc.value.hypothesis == "isometric_embedding"
@@ -254,7 +252,7 @@ def test_s5_runs_below_its_diameter_with_the_same_constants(tmp_path):
     assert code == 0
     for horizon in (4, 6, 8, 10):
         inp = make_input(ORACLES["S5"][0](), horizon=horizon)
-        ide = check_idealistic(inp.action, Vertex(()), 4, inp.far)
+        ide = check_idealistic(_translation(inp), Vertex(()), 4, inp.far)
         assert ide.verdict == "unknown" and ide.artifacts["unresolved_pairs"] > 0
         assert _s5_cli(tmp_path, horizon) == (0, full)
 

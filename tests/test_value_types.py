@@ -21,13 +21,11 @@ from monoidgeo import (
     PropertyReport,
     Segment,
     SmInput,
-    SubmonoidSpec,
     TruncatedDistance,
     Verdict,
     Vertex,
     Violation,
     ViolationReport,
-    translation_action,
 )
 from builders import cyclic_group
 
@@ -133,21 +131,21 @@ def test_truncated_distance_rejects_a_bad_kind_and_an_infinite_bound():
 
 
 @pytest.fixture(scope="module")
-def action():
-    return translation_action(GammaOracle(cyclic_group(3), 4))
+def gamma():
+    return GammaOracle(cyclic_group(3), 4)
 
 
 @pytest.mark.parametrize("radius", [0, Fraction(-1, 2), 5, Fraction(9, 2)])
-def test_sm_input_radius_must_be_positive_and_within_the_horizon(action, radius):
+def test_sm_input_radius_must_be_positive_and_within_the_horizon(gamma, radius):
     with pytest.raises(ValueError):
-        SmInput(action=action, radius=radius, horizon=4)
+        SmInput(gamma.monoid, gamma, radius=radius, horizon=4)
 
 
-def test_sm_input_converts_its_radius(action):
-    inp = SmInput(action, "3/2", 4)
+def test_sm_input_converts_its_radius(gamma):
+    inp = SmInput(gamma.monoid, gamma, "3/2", 4)
     assert inp.radius == Fraction(3, 2) and type(inp.radius) is Fraction
     assert inp.covering_candidates is None
-    assert SmInput(action, 4, 4).radius == 4
+    assert SmInput(gamma.monoid, gamma, 4, 4).radius == 4
 
 
 def test_records_keep_their_defaults_and_fresh_containers():
@@ -160,4 +158,3 @@ def test_records_keep_their_defaults_and_fresh_containers():
     r1.violations.append(1)
     assert r2.violations == [] and r2.passed
     assert Verdict("holds_at_horizon", 3).witness is None
-    assert SubmonoidSpec(bool).name == "submonoid"
