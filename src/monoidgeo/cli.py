@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a named checker")
     p.add_argument("what", choices=["axioms", "qi", "quasimetric", "cancellative", "fgt", "unitary", "action"])
     p.add_argument("--lambda", dest="lam", type=_rat, default=Fraction(1))
-    p.add_argument("--epsilon", type=_rat, default=Fraction(0))
     p.add_argument("--mu", type=_rat, default=Fraction(0))
     p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--threshold", type=int, default=8)

@@ -84,7 +84,7 @@ def command_lines(draw) -> list[str]:
         argv += [word(), pick(RADII), pick(KINDS)]
     elif command == "check":
         argv.append(pick(WHATS))
-        flags = [("--lambda", RADII), ("--epsilon", RADII), ("--mu", RADII), ("--side", SIDES),
+        flags = [("--lambda", RADII), ("--mu", RADII), ("--side", SIDES),
                  ("--threshold", THRESHOLDS), ("--depth", DEPTHS)]
         for flag, choices in draw(st.permutations(flags)):
             argv += maybe(flag, choices)
@@ -105,7 +105,7 @@ def command_lines(draw) -> list[str]:
 # hold no --json, which would write its next token as a path.
 TOKENS = (
     ["dist", "ball", "check", "svarc-milnor", "submonoid", "free-product", "--monoid", "--seed", "--timing",
-     "-R", "--radius", "--lambda", "--epsilon", "--mu", "--side", "--threshold", "--depth", "out", "in",
+     "-R", "--radius", "--lambda", "--mu", "--side", "--threshold", "--depth", "out", "in",
      "strong", "left", "right", "0", "1", "2", "3", "-1", "1/2", "1/0", "x", "ε"]
     + WHATS[0] + WHATS[1] + SPECS + LETTERS
 )
