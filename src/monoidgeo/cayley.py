@@ -34,6 +34,18 @@ memo of its own, one lookup per pair of base vertices.  A table takes one
 word distance per pair of base vertices, not per pair of points: it builds
 one integer row per source base over the target bases, and each point's
 row is the least of its sources' rows shifted by their offsets.
+
+Cell sets keep their cells in ints as well: each edge's merged bounds over
+the set's own denominator, beside the Fraction segments that describe the
+set.  A translate mB takes one product m·v per distinct base v of B and
+keeps B's integer bounds; when m identifies no two bases, as a
+left-cancellable m never does, nothing is merged, checked or sorted again,
+and its Fraction segments are built only when read.  Membership is a lookup
+of the point's edge and an integer comparison.  Each set caches its
+distance entries, base -> least offset as a source and as a target, so a
+set distance between sets that share no edge scales two cached lists to a
+common L and reads the word distances; only a shared edge makes it rebuild
+the entries around that edge and scan the same-edge gaps.
 """
 
 from __future__ import annotations
@@ -238,7 +250,15 @@ class Segment(Frozen):
 
 
 class CellSet:
-    """Finitely many vertices plus edge segments, read as a closed region."""
+    """Finitely many vertices plus edge segments, read as a closed region.
+
+    ``vertices`` and ``segments`` describe it with Fraction bounds.  Beside
+    them each set keeps its cells in ints, built on first use: ``_edges``
+    maps an edge (m, s) to its merged bounds as sorted (lo, hi) pairs over
+    the set's own denominator ``_scale``, the lcm of its bound denominators.
+    A translate is made from those ints alone and builds its Fraction
+    segments only when they are read.
+    """
 
     def __init__(self, vertices: Iterable[Word] = (), segments: Iterable[Segment] = ()):
         self.vertices = frozenset(vertices)
@@ -255,10 +275,38 @@ class CellSet:
                 else:
                     acc.append([lo, hi])
             out.extend(Segment(m, s, lo, hi) for lo, hi in acc)
-        self.segments = tuple(sorted(out, key=lambda g: (g.element, g.gen, g.lo)))
+        self._segments: Optional[tuple[Segment, ...]] = tuple(sorted(out, key=lambda g: (g.element, g.gen, g.lo)))
+        self._edges: Optional[dict[tuple[Word, str], tuple[tuple[int, int], ...]]] = None
+        self._scale = 1
+        self._plain: dict[Optional[MonoidOracle], list[tuple]] = {}
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments, sorted by edge and lower bound."""
+        if self._segments is None:
+            L = self._scale
+            self._segments = tuple(
+                Segment(m, s, Fraction(lo, L), Fraction(hi, L))
+                for (m, s), bounds in sorted(self._edges.items())
+                for lo, hi in bounds
+            )
+        return self._segments
+
+    def _cells(self) -> dict[tuple[Word, str], tuple[tuple[int, int], ...]]:
+        """``_edges``, read off the segments on first use."""
+        if self._edges is None:
+            segments = self._segments
+            L = self._scale = math.lcm(*(f.denominator for seg in segments for f in (seg.lo, seg.hi)))
+            edges: dict = {}
+            for seg in segments:
+                edges.setdefault((seg.element, seg.gen), []).append(
+                    (seg.lo.numerator * (L // seg.lo.denominator), seg.hi.numerator * (L // seg.hi.denominator))
+                )
+            self._edges = {edge: tuple(bounds) for edge, bounds in edges.items()}
+        return self._edges
 
     def __bool__(self) -> bool:
-        return bool(self.vertices) or bool(self.segments)
+        return bool(self.vertices) or bool(self._cells())
 
     def __eq__(self, other) -> bool:
         return (
@@ -271,19 +319,57 @@ class CellSet:
         return hash((self.vertices, self.segments))
 
     def translate(self, oracle: MonoidOracle, m: Word) -> "CellSet":
-        return CellSet(
-            (oracle.multiply(m, v) for v in self.vertices),
-            (Segment(oracle.multiply(m, s.element), s.gen, s.lo, s.hi) for s in self.segments),
-        )
+        """mB: one product m*v per distinct base v, with the offsets kept.
+
+        When m is injective on the bases, as every left-cancellable m is,
+        the bounds of each edge are already merged and stay valid, so the
+        edges are relabelled as they are.  Otherwise the constructor merges
+        the segments that now share an edge.
+        """
+        edges = self._cells()
+        image = {v: oracle.multiply(m, v) for v in self.vertices.union(v for v, _ in edges)}
+        vertices = map(image.__getitem__, self.vertices)
+        if len(set(image.values())) < len(image):
+            return CellSet(vertices, (Segment(image[s.element], s.gen, s.lo, s.hi) for s in self.segments))
+        mB = CellSet(vertices)
+        mB._segments, mB._scale = None, self._scale
+        mB._edges = {(image[v], s): bounds for (v, s), bounds in edges.items()}
+        return mB
 
     def contains(self, p: CayleyPoint) -> bool:
         """Membership in the closed region (segment endpoints included)."""
         if isinstance(p, Vertex):
             return p.element in self.vertices
-        for seg in self.segments:
-            if seg.element == p.element and seg.gen == p.gen and seg.lo <= p.mu <= seg.hi:
-                return True
-        return False
+        bounds = self._cells().get((p.element, p.gen))
+        if bounds is None:
+            return False
+        # lo/L <= n/d <= hi/L, cross-multiplied.
+        n, d = p.mu.numerator * self._scale, p.mu.denominator
+        return any(lo * d <= n <= hi * d for lo, hi in bounds)
+
+    def _entries(self, oracle: Optional[MonoidOracle], shared, factor: int) -> list[tuple]:
+        """The set's distance entries (base, edge, least offset), offsets
+        over factor*L: as a target its vertices and the lower end of each
+        segment, and with an oracle also, as a source, the far end m·s of
+        each segment's edge at 1 - hi.  Entries from an edge in ``shared``
+        carry that edge; the others carry None."""
+        L = self._scale
+        entries = dict.fromkeys(((v, None) for v in self.vertices), 0)
+        for (m, s), bounds in self._cells().items():
+            edge = (m, s) if (m, s) in shared else None
+            _offer(entries, m, edge, bounds[0][0] * factor)
+            if oracle is not None:
+                far = oracle.successors(m)[oracle.generators.index(s)]
+                _offer(entries, far, edge, (L - bounds[-1][1]) * factor)
+        return [(*key, a) for key, a in entries.items()]
+
+    def _plain_entries(self, oracle: Optional[MonoidOracle]) -> list[tuple]:
+        """``_entries`` with no edge shared, over L, cached: as a source of
+        the oracle's Cayley graph, or as a target when it is None."""
+        entries = self._plain.get(oracle)
+        if entries is None:
+            entries = self._plain[oracle] = self._entries(oracle, (), 1)
+        return entries
 
     def sample_points(self, offsets: Sequence[Fraction] = (Fraction(1, 2),)) -> list[CayleyPoint]:
         """Honest CayleyPoints in the set: vertices plus interior edge samples."""
@@ -328,12 +414,8 @@ def _offer(entries: dict, base: Word, edge, offset: int) -> None:
         entries[key] = offset
 
 
-def _interval_gap(a_lo, a_hi, b_lo, b_hi) -> Fraction:
-    if a_hi < b_lo:
-        return b_lo - a_hi
-    if b_hi < a_lo:
-        return a_lo - b_hi
-    return Fraction(0)
+def _scaled(entries: list[tuple], factor: int) -> list[tuple]:
+    return entries if factor == 1 else [(b, e, a * factor) for b, e, a in entries]
 
 
 def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: int) -> TruncatedDistance:
@@ -344,43 +426,30 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
     target (m, lo), as the points at its ends would.  Two points on one edge
     are |mu - nu| apart instead, which the interval gaps bound from below;
     so offsets from an edge on which both sets have segments keep that edge.
-    Offsets are scaled by the lcm of the segment bounds' denominators.
+    Each set's entries are over its own L, scaled to the lcm of the two;
+    when no edge is shared they are read from each set's cache.
     """
     if not A or not B:
         return TruncatedDistance.known(INF)
-    scale = math.lcm(*(f.denominator for seg in A.segments + B.segments for f in (seg.lo, seg.hi)))
-
-    def scaled(f: Fraction) -> int:
-        return f.numerator * (scale // f.denominator)
-
+    a_edges, b_edges = A._cells(), B._cells()
+    scale = math.lcm(A._scale, B._scale)
+    fa, fb = scale // A._scale, scale // B._scale
+    shared = a_edges.keys() & b_edges.keys()
+    if not shared:
+        best, known = _base_pair_distance(
+            oracle, _scaled(A._plain_entries(oracle), fa), _scaled(B._plain_entries(None), fb), None, scale, horizon
+        )
+        return _truncated(best, known, scale)
     # Same-edge overlaps need the interior: |mu - nu| is convex, so interval
     # intersection (distance 0) is not visible from endpoints alone.
-    least_gap: Optional[Fraction] = None
-    b_by_edge: dict[tuple[Word, str], list[Segment]] = {}
-    for seg in B.segments:
-        b_by_edge.setdefault((seg.element, seg.gen), []).append(seg)
-    shared = set()
-    for seg in A.segments:
-        for other in b_by_edge.get((seg.element, seg.gen), ()):
-            shared.add((seg.element, seg.gen))
-            gap = _interval_gap(seg.lo, seg.hi, other.lo, other.hi)
-            if least_gap is None or gap < least_gap:
-                least_gap = gap
-
-    # (base, edge) -> least scaled offset
-    sources: dict[tuple, int] = dict.fromkeys(((v, None) for v in A.vertices), 0)
-    targets: dict[tuple, int] = dict.fromkeys(((v, None) for v in B.vertices), 0)
-    for seg in A.segments:
-        edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
-        _offer(sources, seg.element, edge, scaled(seg.lo))
-        far = oracle.successors(seg.element)[oracle.generators.index(seg.gen)]
-        _offer(sources, far, edge, scale - scaled(seg.hi))
-    for seg in B.segments:
-        edge = (seg.element, seg.gen) if (seg.element, seg.gen) in shared else None
-        _offer(targets, seg.element, edge, scaled(seg.lo))
+    least_gap = min(
+        max(0, b_lo * fb - a_hi * fa, a_lo * fa - b_hi * fb)
+        for edge in shared
+        for a_lo, a_hi in a_edges[edge]
+        for b_lo, b_hi in b_edges[edge]
+    )
     best, known = _base_pair_distance(
-        oracle, [(*k, a) for k, a in sources.items()], [(*k, b) for k, b in targets.items()],
-        None if least_gap is None else scaled(least_gap), scale, horizon,
+        oracle, A._entries(oracle, shared, fa), B._entries(None, shared, fb), least_gap, scale, horizon
     )
     return _truncated(best, known, scale)
 

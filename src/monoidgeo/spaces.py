@@ -20,7 +20,8 @@ from .monoids import MonoidOracle, Word, format_word
 
 
 class SemimetricSpace:
-    """Oracle interface: a distance and point equality."""
+    """Oracle interface: a distance.  Points are equal when they compare equal
+    with ``==``, and must hash alike then."""
 
     def distance(self, p, q) -> TruncatedDistance:
         raise NotImplementedError
@@ -54,9 +55,6 @@ class SemimetricSpace:
         """(rows, scale, inf) with None, for infinity, replaced by 2*max + 1."""
         inf = 2 * max((v for row in rows for v in row if v is not None), default=0) + 1
         return [[inf if v is None else v for v in row] for row in rows], scale, inf
-
-    def points_equal(self, p, q) -> bool:
-        return p == q
 
     def format_point(self, p) -> str:
         return str(p)
@@ -162,9 +160,15 @@ def check_axioms(space: SemimetricSpace, sample: Sequence) -> ViolationReport:
 
     violations = []
     n = len(sample)
-    for p, row in zip(sample, rows):
-        for q, dpq in zip(sample, row):
-            equal = space.points_equal(p, q)
+    # Axiom (i): each point is numbered by its first occurrence, so a row
+    # passes when its zeros are exactly where its point's number recurs.
+    first: dict = {}
+    ids = [first.setdefault(p, k) for k, p in enumerate(sample)]
+    for p, row, c in zip(sample, rows, ids):
+        same = list(map(c.__eq__, ids))
+        if list(map((0).__eq__, row)) == same:
+            continue
+        for q, dpq, equal in zip(sample, row, same):
             if (dpq == 0) != equal:
                 violations.append(
                     Violation(

@@ -88,11 +88,12 @@ class SmReport:
         claim2: PropertyReport,
         hypotheses: dict,
         translates: Translates,  # the run's translates mB, shared by every later check
+        out_ball_sample: list[CayleyPoint],  # the sample points of the out-ball of radius min(h, 3)
     ):
         self.generators, self.ball, self.q_translates = generators, ball, q_translates
         self.ball_radius, self.outer_ball_radius, self.r, self.l, self.lam = ball_radius, outer_ball_radius, r, l, lam
         self.separations, self.claim1, self.claim2 = separations, claim1, claim2
-        self.hypotheses, self.translates = hypotheses, translates
+        self.hypotheses, self.translates, self.out_ball_sample = hypotheses, translates, out_ball_sample
 
     def to_json(self) -> dict:
         return {
@@ -114,13 +115,6 @@ class SmReport:
             "claim2": self.claim2.to_json(),
             "hypotheses": {k: v.to_json() for k, v in self.hypotheses.items()},
         }
-
-
-def _cobounded_sample(inp: SmInput, B: CellSet) -> list[CayleyPoint]:
-    """The points of B and of the out-ball of radius min(h, 3), without repeats."""
-    gamma = inp.gamma
-    ambient = gamma.out_ball_cellset(gamma.monoid.identity, Fraction(min(inp.horizon, 3)), inp.far)
-    return list(dict.fromkeys(B.sample_points() + ambient.sample_points()))
 
 
 def _isometric_embedding(inp: SmInput) -> PropertyReport:
@@ -182,7 +176,9 @@ def extract_generators(inp: SmInput) -> SmReport:
     translates = Translates(oracle, B)
 
     hypotheses = {"isometric_embedding": _isometric_embedding(inp)}
-    cob = check_cobounded(oracle, B, _cobounded_sample(inp, B), horizon, translates)
+    out_ball_sample = gamma.out_ball_cellset(e, Fraction(min(horizon, 3)), far).sample_points()
+    cob_sample = list(dict.fromkeys(B.sample_points() + out_ball_sample))
+    cob = check_cobounded(oracle, B, cob_sample, horizon, translates)
     cob.artifacts["basis"] = f"sampled: the points of B and of the out-ball of radius {min(horizon, 3)}"
     hypotheses["cobounded"] = cob
     if not cob.passed:
@@ -254,6 +250,7 @@ def extract_generators(inp: SmInput) -> SmReport:
         claim2=claim2,
         hypotheses=hypotheses,
         translates=translates,
+        out_ball_sample=out_ball_sample,
     )
 
 
@@ -386,9 +383,8 @@ def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport)
         {"q": w["m"], "inequality": "d_S(m1,m2) <= (1/l) d(f(m1),f(m2)) + 1"}
         for w in generation.witnesses
     ]
-    sample = inp.gamma.out_ball_cellset(inp.monoid.identity, Fraction(min(inp.horizon, 3)), inp.far).sample_points()
     coverage_failures = [
-        str(x) for x in sample if next(_covering_elements(inp, report.translates, x), None) is None
+        str(x) for x in report.out_ball_sample if next(_covering_elements(inp, report.translates, x), None) is None
     ]
     if coverage_failures:
         witnesses.append({"reason": "coverage", "points": coverage_failures})

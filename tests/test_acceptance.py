@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from monoidgeo import (
     INF,
-    ActionOracle,
     CellSet,
     EdgePoint,
     ExtNonNeg,
@@ -32,7 +31,6 @@ from monoidgeo import (
     run_free_product,
     run_pipeline,
     translation_action,
-    word_distance,
     zero_monoid,
 )
 from monoidgeo.cli import main as cli_main

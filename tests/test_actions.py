@@ -11,7 +11,6 @@ from monoidgeo import (
     FreeMonoid,
     FreeProductMonoid,
     GammaOracle,
-    INF,
     SemimetricSpace,
     SmInput,
     TableMonoid,

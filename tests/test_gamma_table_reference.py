@@ -33,10 +33,10 @@ from monoidgeo import (
     check_axioms,
     word_distance,
 )
-from monoidgeo.cayley import _interval_gap
 from monoidgeo.cli import parse_monoid_spec
 from monoidgeo.spaces import SemimetricSpace
 from builders import cyclic_group
+from test_set_distance import _interval_gap
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = ("free1", "free2", "z3", "s3", "bicyclic", "zero", "fp_r1_z2", "fp_r2_z2", "n3")

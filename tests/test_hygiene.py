@@ -150,11 +150,14 @@ def _module_loads(tree) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "module", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
+    "module",
+    sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
+    + sorted(f"tests/{f}" for f in os.listdir(HERE) if f.endswith(".py")),
 )
 def test_no_unused_import(module):
-    # __init__.py is exempt: its imports are the package's public names.
-    assert _unused_imports(os.path.join(PACKAGE, module)) == []
+    # The package's __init__.py is exempt: its imports are its public names.
+    path = os.path.join(ROOT, module) if module.startswith("tests/") else os.path.join(PACKAGE, module)
+    assert _unused_imports(path) == []
 
 
 SHADOWED = """\

@@ -31,7 +31,6 @@ from monoidgeo import (
     truncated_min,
     word_distance,
 )
-from monoidgeo.cayley import _interval_gap
 from builders import cyclic_group
 from test_distance_field import FIELD_OUTCOMES, ORACLES, ReferenceBall, _outcome
 
@@ -80,6 +79,14 @@ def closure_reps(cells: CellSet) -> list[_ExtPoint]:
         if seg.hi != seg.lo:
             reps.append(("e", seg.element, seg.gen, seg.hi))
     return reps
+
+
+def _interval_gap(a_lo, a_hi, b_lo, b_hi) -> Fraction:
+    if a_hi < b_lo:
+        return b_lo - a_hi
+    if b_hi < a_lo:
+        return a_lo - b_hi
+    return Fraction(0)
 
 
 def reference_set_distance(oracle, A, B, horizon):

@@ -38,8 +38,10 @@ def test_axioms_pass_on_fixtures():
 
 def test_axioms_catch_broken_space():
     class Broken(WordMetricSpace):
-        def points_equal(self, p, q):
-            return False  # claims ε != ε, so d = 0 on the diagonal violates (i)
+        def distance_rows(self, sample):
+            rows, scale, inf = super().distance_rows(sample)
+            rows[0][0] = scale  # d(ε, ε) = 1 violates (i)
+            return rows, scale, inf
 
     report = check_axioms(Broken(F1, 8), F1.elements_up_to(1))
     assert not report.passed
@@ -56,7 +58,7 @@ def _check_axioms_reference(space, sample):
     n = len(sample)
     for i in range(n):
         for j in range(n):
-            equal = space.points_equal(sample[i], sample[j])
+            equal = sample[i] == sample[j]
             zero = d[i, j] == ZERO
             if zero != equal:
                 violations.append(
@@ -126,6 +128,18 @@ def test_triangle_infinite_lhs_over_finite_sum():
     assert _triangle_report(rows) == [(("0", "1", "2"), "inf", "2")]
     report = check_axioms(MatrixSpace(rows), range(3))
     assert report.violations[0].to_json()["lhs"] == {"kind": "infinite"}
+
+
+def test_axiom_i_on_repeated_points_matches_reference():
+    # Point 0 occurs twice, so d(0, 0) = 0 passes at both of its positions;
+    # d(0, 1) = 0 and d(2, 2) = 1 each fail (i).
+    space = MatrixSpace([[0, 0, 1], [1, 0, 1], [1, 1, 1]])
+    sample = [0, 1, 0, 2]
+    report = check_axioms(space, sample)
+    assert report.to_json() == _check_axioms_reference(space, sample).to_json()
+    assert [v.points for v in report.violations if v.inequality == "d(x,y) = 0 iff x = y"] == [
+        ("0", "1"), ("0", "1"), ("2", "2")
+    ]
 
 
 def test_triangle_exact_ties_pass():

@@ -30,12 +30,9 @@ from monoidgeo import (
     run_free_product,
     run_pipeline,
     run_submonoid_theorem,
-    verify_generation_bound,
-    verify_qi_bounds,
     zero_monoid,
 )
 from monoidgeo.cli import main
-from monoidgeo.svarcmilnor import _cobounded_sample
 from builders import cyclic_group
 from test_distance_field import ORACLES
 
@@ -166,7 +163,8 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
         B = None  # the pipeline stops here, before any hypothesis
     canc = check_cancellative(n, "left", inp.horizon, ms)
     if B is not None:
-        points = _cobounded_sample(inp, B)
+        out_ball = gamma.out_ball_cellset((), Fraction(min(inp.horizon, 3)), inp.far)
+        points = list(dict.fromkeys(B.sample_points() + out_ball.sample_points()))
         if name in SAMPLER_UNDECIDED:
             with pytest.raises(HorizonTooSmall):
                 check_isometric_embedding_action(action, ms, points, inp.horizon)
