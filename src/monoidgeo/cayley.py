@@ -41,11 +41,11 @@ set.  A translate mB takes one product m·v per distinct base v of B and
 keeps B's integer bounds; when m identifies no two bases, as a
 left-cancellable m never does, nothing is merged, checked or sorted again,
 and its Fraction segments are built only when read.  Membership is a lookup
-of the point's edge and an integer comparison.  Each set caches its
-distance entries, base -> least offset as a source and as a target, so a
-set distance between sets that share no edge scales two cached lists to a
-common L and reads the word distances; only a shared edge makes it rebuild
-the entries around that edge and scan the same-edge gaps.
+of the point's edge and an integer comparison.  A set distance reads each
+set's entries, base -> least offset, from its integer bounds, scaled to a
+common L; a source set caches its own, the ones that take products, for
+use against every set it shares no edge with.  Only a shared edge makes it
+key the entries on that edge and scan the same-edge gaps.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class CellSet:
         self._segments: Optional[tuple[Segment, ...]] = tuple(sorted(out, key=lambda g: (g.element, g.gen, g.lo)))
         self._edges: Optional[dict[tuple[Word, str], tuple[tuple[int, int], ...]]] = None
         self._scale = 1
-        self._plain: dict[Optional[MonoidOracle], list[tuple]] = {}
+        self._sources: Optional[tuple[MonoidOracle, list[tuple]]] = None
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -363,13 +363,14 @@ class CellSet:
                 _offer(entries, far, edge, (L - bounds[-1][1]) * factor)
         return [(*key, a) for key, a in entries.items()]
 
-    def _plain_entries(self, oracle: Optional[MonoidOracle]) -> list[tuple]:
-        """``_entries`` with no edge shared, over L, cached: as a source of
-        the oracle's Cayley graph, or as a target when it is None."""
-        entries = self._plain.get(oracle)
-        if entries is None:
-            entries = self._plain[oracle] = self._entries(oracle, (), 1)
-        return entries
+    def _source_entries(self, oracle: MonoidOracle) -> list[tuple]:
+        """``_entries`` as a source with no edge shared, over L, cached for
+        the last oracle asked.  Targets are not cached: they take no
+        products, and a cache on every translate costs more memory than
+        the loop costs time."""
+        if self._sources is None or self._sources[0] is not oracle:
+            self._sources = (oracle, self._entries(oracle, (), 1))
+        return self._sources[1]
 
     def sample_points(self, offsets: Sequence[Fraction] = (Fraction(1, 2),)) -> list[CayleyPoint]:
         """Honest CayleyPoints in the set: vertices plus interior edge samples."""
@@ -414,10 +415,6 @@ def _offer(entries: dict, base: Word, edge, offset: int) -> None:
         entries[key] = offset
 
 
-def _scaled(entries: list[tuple], factor: int) -> list[tuple]:
-    return entries if factor == 1 else [(b, e, a * factor) for b, e, a in entries]
-
-
 def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: int) -> TruncatedDistance:
     """Exact inf { d(a,b) : a in closure(A), b in closure(B) }.
 
@@ -426,8 +423,9 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
     target (m, lo), as the points at its ends would.  Two points on one edge
     are |mu - nu| apart instead, which the interval gaps bound from below;
     so offsets from an edge on which both sets have segments keep that edge.
-    Each set's entries are over its own L, scaled to the lcm of the two;
-    when no edge is shared they are read from each set's cache.
+    Each set's entries are over its own L, scaled to the lcm of the two; a
+    source set that shares no edge and needs no scaling reads its cached
+    entries.
     """
     if not A or not B:
         return TruncatedDistance.known(INF)
@@ -435,22 +433,19 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
     scale = math.lcm(A._scale, B._scale)
     fa, fb = scale // A._scale, scale // B._scale
     shared = a_edges.keys() & b_edges.keys()
-    if not shared:
-        best, known = _base_pair_distance(
-            oracle, _scaled(A._plain_entries(oracle), fa), _scaled(B._plain_entries(None), fb), None, scale, horizon
-        )
-        return _truncated(best, known, scale)
     # Same-edge overlaps need the interior: |mu - nu| is convex, so interval
     # intersection (distance 0) is not visible from endpoints alone.
     least_gap = min(
-        max(0, b_lo * fb - a_hi * fa, a_lo * fa - b_hi * fb)
-        for edge in shared
-        for a_lo, a_hi in a_edges[edge]
-        for b_lo, b_hi in b_edges[edge]
+        (
+            max(0, b_lo * fb - a_hi * fa, a_lo * fa - b_hi * fb)
+            for edge in shared
+            for a_lo, a_hi in a_edges[edge]
+            for b_lo, b_hi in b_edges[edge]
+        ),
+        default=None,
     )
-    best, known = _base_pair_distance(
-        oracle, A._entries(oracle, shared, fa), B._entries(None, shared, fb), least_gap, scale, horizon
-    )
+    sources = A._source_entries(oracle) if not shared and fa == 1 else A._entries(oracle, shared, fa)
+    best, known = _base_pair_distance(oracle, sources, B._entries(None, shared, fb), least_gap, scale, horizon)
     return _truncated(best, known, scale)
 
 
