@@ -86,9 +86,9 @@ def test_translates_match_the_former_construction(name, R):
         collisions = _check_translates(oracle, plain, B, far, points)
         if oracle.cancellation_theorem is not None:
             assert collisions == 0, kind
-        elif kind == "out" and R == 2:
+        elif name in ("zero", "bicyclic") and kind == "out" and R == 2:
             # z*x = z in zero, and p*(q p) = p = p*e in bicyclic.
-            assert collisions > 0 or name == "n3", kind
+            assert collisions > 0
 
 
 # ---------------------------------------------------------------------------
