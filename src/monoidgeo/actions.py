@@ -3,20 +3,21 @@ generating-set extraction rests on.
 
 The extraction itself runs one action, left translation on the continuous
 Cayley graph, so `check_cobounded` and `compute_contact_set` take the acting
-monoid and its translates of B directly.  `ActionOracle` and its samplers
-(action laws, isometric embedding, idealistic) serve `check action` and
-actions other than left translation; under left translation the
+monoid and its translates of B directly, and neither samples.  `ActionOracle`
+and its samplers (action laws, isometric embedding, idealistic) serve `check
+action` and actions other than left translation; under left translation the
 idealistic condition holds by definition."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cayley import CayleyPoint, CellSet, EdgePoint, GammaOracle, Translates, Vertex, word_distance
 from .errors import HorizonTooSmall
 from .extnum import ZERO, ExtNonNeg
-from .monoids import MonoidOracle, Word, format_word
+from .monoids import MonoidOracle, SubmonoidOracle, Word, format_word
 
 
 def apply_translation(oracle: MonoidOracle, m: Word, p: CayleyPoint) -> CayleyPoint:
@@ -129,38 +130,56 @@ def check_isometric_embedding_action(
 
 
 def check_cobounded(
-    oracle: MonoidOracle, B: CellSet, ambient_sample: Sequence[CayleyPoint], horizon: int,
-    translates: Optional[Translates] = None,
+    oracle: MonoidOracle, gamma: GammaOracle, B: CellSet, radius: Fraction,
+    representatives: Sequence[Word], horizon: int, translates: Optional[Translates] = None,
 ) -> PropertyReport:
-    """Every sampled point lies in some translate mB with m in the acting
-    monoid `oracle` and |m| <= horizon.
+    """Every point of Gamma lies in some translate mB with m in the acting
+    monoid M = `oracle`, exactly, given N = M·T for the `representatives` T
+    and d(e, v) <= floor(`radius`) for each base v of B, as in a strong ball.
 
-    `translates` is a run's cache of the translates of B, shared with the
-    checks that follow; a fresh one is made when none is given."""
+    Left translation by M carries a cover of each t in T and of the open
+    interior of its out-edges (t, s) to every point.  Only an m with d(m, t)
+    <= floor(R), a vertex of that in-ball about t asked at `horizon`, can
+    put a base of B on t.  A witness is an uncovered t or the midpoint of
+    the first gap on an edge.  `translates` is a run's cache of the
+    translates of B, shared with the checks that follow."""
     translates = Translates(oracle, B) if translates is None else translates
-    covers = [translates[m] for m in oracle.elements_up_to(horizon)]
     uncovered = []
-    for x in ambient_sample:
-        if not any(t.contains(x) for t in covers):
-            uncovered.append(str(x))
-    verdict = "fail" if uncovered else "pass"
-    return PropertyReport("cobounded", verdict, horizon, uncovered)
+    for t in representatives:
+        candidates = sorted(gamma.in_ball_cellset(t, Fraction(math.floor(radius)), horizon).vertices)
+        covers = [translates[m] for m in candidates if not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)]
+        if not any(t in mB.vertices for mB in covers):
+            uncovered.append(str(Vertex(t)))
+        for s in gamma.monoid.generators:
+            reach = Fraction(0)  # [0, reach] of the edge (t, s) is covered
+            for lo, hi in sorted(b for mB in covers for b in mB.edge_bounds((t, s))) + [(Fraction(1), 1)]:
+                if lo > reach:
+                    uncovered.append(str(EdgePoint(t, s, (reach + lo) / 2)))
+                    break
+                reach = max(reach, hi)
+    return PropertyReport("cobounded", "fail" if uncovered else "pass", horizon, uncovered)
 
 
 def compute_contact_set(
-    oracle: MonoidOracle, gamma: GammaOracle, B: CellSet, horizon: int, translates: Optional[Translates] = None
+    oracle: MonoidOracle, gamma: GammaOracle, B: CellSet, radius: Fraction, horizon: int,
+    translates: Optional[Translates] = None,
 ) -> tuple[list[Word], dict[Word, ExtNonNeg]]:
     """(S, separations): the contact set S = {m : d(B, mB) = 0} of the
-    acting monoid `oracle` over the horizon ball, in BFS order, and d(B, mB)
-    for every m of that ball.  `translates` is as in check_cobounded."""
+    acting monoid `oracle`, in BFS order, and d(B, mB) for every m of the
+    horizon ball.  B holds e and lies in the strong `radius`-ball about e, so
+    d(B, mB) >= d(e, m) - 2R puts S in the ball of radius floor(2R), whatever
+    the horizon; at the larger of the two, d(B, mB) <= d(e, m) is known."""
     translates = Translates(oracle, B) if translates is None else translates
+    depth = math.floor(2 * radius)
+    far = max(horizon, depth)
     separations = {}
-    for m in oracle.elements_up_to(horizon):
-        d = gamma.set_distance(B, translates[m], horizon)
+    for m in oracle.elements_up_to(far):
+        d = gamma.set_distance(B, translates[m], far)
         if not d.is_known:
-            raise HorizonTooSmall(f"d(B, {format_word(m)}B) not known at horizon {horizon}")
+            raise HorizonTooSmall(f"d(B, {format_word(m)}B) not known at horizon {far}")
         separations[m] = d.value
-    return [m for m, d in separations.items() if d == ZERO], separations
+    S = [m for m in oracle.elements_up_to(depth) if separations[m] == ZERO]
+    return S, {m: separations[m] for m in oracle.elements_up_to(horizon)}
 
 
 def check_idealistic(action: ActionOracle, x0, depth: int, horizon: int) -> PropertyReport:

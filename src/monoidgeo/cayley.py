@@ -372,15 +372,10 @@ class CellSet:
             self._sources = (oracle, self._entries(oracle, (), 1))
         return self._sources[1]
 
-    def sample_points(self, offsets: Sequence[Fraction] = (Fraction(1, 2),)) -> list[CayleyPoint]:
-        """Honest CayleyPoints in the set: vertices plus interior edge samples."""
-        points: list[CayleyPoint] = [Vertex(v) for v in sorted(self.vertices)]
-        for seg in self.segments:
-            for off in sorted(set(offsets)):
-                mu = seg.lo + (seg.hi - seg.lo) * off
-                if 0 < mu < 1 and seg.lo <= mu <= seg.hi:
-                    points.append(EdgePoint(seg.element, seg.gen, mu))
-        return points
+    def edge_bounds(self, edge: tuple[Word, str]) -> list[tuple[Fraction, Fraction]]:
+        """The merged bounds of the set's segments on one edge (m, s)."""
+        bounds = self._cells().get(edge, ())
+        return [(Fraction(lo, self._scale), Fraction(hi, self._scale)) for lo, hi in bounds]
 
     def to_json(self) -> dict:
         return {

@@ -4,9 +4,9 @@ Given a monoid acting on its continuous Cayley graph (or a submonoid acting
 on the ambient one), the pipeline computes the contact set S of a strong
 ball B, the separation constants r and l, the Lipschitz constant of the
 orbit map, then instance-verifies the two covering claims and the generation
-bound with explicit factorizations, and samples ball coverage.  Claim 2
-compares B only with its right neighbours qB, q in the ball of radius
-ceil(2R + r) - 1: left translation carries that comparison to every pair.
+bound with explicit factorizations.  Claim 2 compares B only with its right
+neighbours qB, q in the ball of radius ceil(2R + r) - 1, and coboundedness
+is checked on the orbit representatives: left translation does the rest.
 The two quasi-isometry inequalities are not checked pair by pair: one is a
 lemma, the other is read off the generation certificates.  Everything is exact
 rational arithmetic; verdicts are relative to the stated horizon.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .actions import PropertyReport, check_cobounded, compute_contact_set
 from .cayley import (
@@ -44,9 +44,9 @@ from .monoids import (
 
 
 class SmInput:
-    """The acting monoid, a submonoid of gamma's monoid or that monoid
+    """The acting monoid M, a submonoid of gamma's monoid N or that monoid
     itself, acting on gamma by left translation; the basepoint is the
-    identity vertex."""
+    identity vertex.  `representatives` is a set T of units with N = M·T."""
 
     def __init__(
         self,
@@ -54,13 +54,13 @@ class SmInput:
         gamma: GammaOracle,
         radius: Fraction,
         horizon: int,
-        covering_candidates: Optional[Callable[[Word], list[Word]]] = None,
+        representatives: Optional[Sequence[Word]] = None,
     ):
         self.monoid = monoid
         self.gamma = gamma
         self.radius = Fraction(radius)
         self.horizon = horizon
-        self.covering_candidates = covering_candidates
+        self.representatives = (monoid.identity,) if representatives is None else tuple(representatives)
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
         if self.radius > self.horizon:
@@ -88,12 +88,11 @@ class SmReport:
         claim2: PropertyReport,
         hypotheses: dict,
         translates: Translates,  # the run's translates mB, shared by every later check
-        out_ball_sample: list[CayleyPoint],  # the sample points of the out-ball of radius min(h, 3)
     ):
         self.generators, self.ball, self.q_translates = generators, ball, q_translates
         self.ball_radius, self.outer_ball_radius, self.r, self.l, self.lam = ball_radius, outer_ball_radius, r, l, lam
         self.separations, self.claim1, self.claim2 = separations, claim1, claim2
-        self.hypotheses, self.translates, self.out_ball_sample = hypotheses, translates, out_ball_sample
+        self.hypotheses, self.translates = hypotheses, translates
 
     def to_json(self) -> dict:
         return {
@@ -154,7 +153,8 @@ def extract_generators(inp: SmInput) -> SmReport:
     The idealistic condition holds by definition: d(m x0, n x0) < inf iff
     n = m*t for some t in N, and in the submonoid pipeline t is in M since
     M = ends_in_e is left unitary by the normal form theorem for free
-    products (see run_submonoid_theorem).  Coboundedness is sampled.
+    products (see run_submonoid_theorem).  Coboundedness is checked exactly
+    on the representatives T (see check_cobounded).
 
     Claim 2: translates closer than r differ by a contact element.  As
     d(mB, nB) >= d(m x0, n x0) - 2R and finite word distances are integers,
@@ -176,10 +176,9 @@ def extract_generators(inp: SmInput) -> SmReport:
     translates = Translates(oracle, B)
 
     hypotheses = {"isometric_embedding": _isometric_embedding(inp)}
-    out_ball_sample = gamma.out_ball_cellset(e, Fraction(min(horizon, 3)), far).sample_points()
-    cob_sample = list(dict.fromkeys(B.sample_points() + out_ball_sample))
-    cob = check_cobounded(oracle, B, cob_sample, horizon, translates)
-    cob.artifacts["basis"] = f"sampled: the points of B and of the out-ball of radius {min(horizon, 3)}"
+    cob = check_cobounded(oracle, gamma, B, R, inp.representatives, horizon, translates)
+    T = ", ".join(map(format_word, inp.representatives))
+    cob.artifacts["basis"] = f"checked: B's translates cover T = {{{T}}} and its out-edges, hence all of Γ"
     hypotheses["cobounded"] = cob
     if not cob.passed:
         raise HypothesisFailed("cobounded", f"uncovered: {cob.witnesses[:3]}")
@@ -189,7 +188,7 @@ def extract_generators(inp: SmInput) -> SmReport:
                   " free products: s*t ends in t's last group letter)")
     hypotheses["idealistic"] = PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})
 
-    S, separations = compute_contact_set(oracle, gamma, B, horizon, translates)
+    S, separations = compute_contact_set(oracle, gamma, B, R, horizon, translates)
 
     # Q: separated translates that still touch the out-ball C of radius 5R.
     # Every unknown bound is at least far > 5R, so d(x0, mB) is known and
@@ -207,7 +206,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     r = (R if min_q is None else min(R, min_q)) / 2
     l = r / 2
 
-    lam = ext_max(gamma.known_distance(x0, Vertex(s)) for s in S)
+    lam = ext_max(gamma.distance(x0, Vertex(s), far).value for s in S)  # known: d(e, s) <= 2R < far
     if lam.is_infinite:
         raise HypothesisFailed("lambda", "basepoint displacement of a contact element is infinite")
 
@@ -250,19 +249,16 @@ def extract_generators(inp: SmInput) -> SmReport:
         claim2=claim2,
         hypotheses=hypotheses,
         translates=translates,
-        out_ball_sample=out_ball_sample,
     )
 
 
 def _covering_elements(inp: SmInput, translates: Translates, x: CayleyPoint) -> Iterator[Word]:
-    """The covering candidates of x's base vertex, in order, that lie in the
-    acting monoid and whose B-translate contains x."""
-    oracle = inp.monoid
-    v = x.element
-    for m in inp.covering_candidates(v) if inp.covering_candidates else [v]:
-        if isinstance(oracle, SubmonoidOracle) and not oracle.contains(m):
-            continue
-        if translates[m].contains(x):
+    """The candidates v·t⁻¹ of x's base vertex v, t⁻¹ = exact_quotient(t, ε)
+    for each representative t in order, in M and with mB holding x."""
+    oracle, n, v = inp.monoid, inp.gamma.monoid, x.element
+    for t in inp.representatives:
+        m = v if t == n.identity else n.multiply(v, n.exact_quotient(t, n.identity))
+        if (not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)) and translates[m].contains(x):
             yield m
 
 
@@ -354,7 +350,7 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
 
 
 def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport) -> PropertyReport:
-    """The two quasi-isometry inequalities for f(m) = m*x0, plus coverage.
+    """The two quasi-isometry inequalities for f(m) = m*x0.
 
     x0 is the identity vertex, so f(m) is the vertex m and the orbit
     distance D = d(f(m1), f(m2)) is the word distance from m1 to m2.  Both
@@ -374,20 +370,15 @@ def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport)
 
     So each failing generation certificate is one witness naming its q.
 
-    Coverage: every sampled point x lies in some translate hB.  Then x is
-    within R of the orbit point h in both directions, as B lies in the
-    strong R-ball about e and left translation by h maps paths to paths.
+    Coverage within R is a lemma: the exact cobounded check puts each point x
+    in some hB, so d(h, x) <= R and d(x, h) <= R, as B lies in the strong
+    R-ball about e and left translation by h maps paths to paths.
     """
     l, lam = report.l, report.lam
     witnesses = [
         {"q": w["m"], "inequality": "d_S(m1,m2) <= (1/l) d(f(m1),f(m2)) + 1"}
         for w in generation.witnesses
     ]
-    coverage_failures = [
-        str(x) for x in report.out_ball_sample if next(_covering_elements(inp, report.translates, x), None) is None
-    ]
-    if coverage_failures:
-        witnesses.append({"reason": "coverage", "points": coverage_failures})
     return PropertyReport(
         "qi_bounds",
         "fail" if witnesses else "pass",
@@ -424,11 +415,11 @@ def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     last group letter, and each p of P is a unit whose inverse is the unique
     exact quotient of e by p.  It also gives MP = N: each n is its normal
     form without the last group letter, which is in M, times that letter.
-    The factorizations of the horizon ball are listed.
+    So P is the set T of orbit representatives that coboundedness is checked
+    on.  The factorizations of the horizon ball are listed.
     """
     gamma = GammaOracle(N, max(horizon, 8))
     P = [() if g == N.group_identity else (g,) for g in N.group.element_names]
-    inverses = {p: N.exact_quotient(p, N.identity) for p in P}
     mp_witnesses = {}
     for n in N.elements_up_to(horizon):
         m, _ = N._split_last(n)
@@ -443,13 +434,7 @@ def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     )
     radius = Fraction(1) + disp.finite_value()
 
-    def covering(v: Word) -> list[Word]:
-        cands = [v]
-        for p in P:
-            cands.append(N.multiply(v, inverses[p]))
-        return cands
-
-    result = run_pipeline(SmInput(M, gamma, radius, horizon, covering))
+    result = run_pipeline(SmInput(M, gamma, radius, horizon, P))
     report: SmReport = result["report"]
     ok = result["passed"]
     return PropertyReport(

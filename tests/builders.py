@@ -1,6 +1,9 @@
-"""Test-side builders of small stock monoids, and a copier of records."""
+"""Test-side builders of small stock monoids, a copier of records, and the
+sample points of a cell set."""
 
-from monoidgeo import FiniteGroup, SpecValidationError
+from fractions import Fraction
+
+from monoidgeo import EdgePoint, FiniteGroup, SpecValidationError, Vertex
 
 
 def replaced(record, **changes):
@@ -8,6 +11,18 @@ def replaced(record, **changes):
     ``dataclasses.replace``: the record's class is called again on all of its
     fields, so its constructor's checks run on the copy too."""
     return type(record)(**{**vars(record), **changes})
+
+
+def sample_points(cells, offsets=(Fraction(1, 2),)) -> list:
+    """Honest CayleyPoints in a cell set: its vertices, then the points of
+    each segment at the given relative offsets that lie inside an edge."""
+    points = [Vertex(v) for v in sorted(cells.vertices)]
+    for seg in cells.segments:
+        for off in sorted(set(offsets)):
+            mu = seg.lo + (seg.hi - seg.lo) * off
+            if 0 < mu < 1 and seg.lo <= mu <= seg.hi:
+                points.append(EdgePoint(seg.element, seg.gen, mu))
+    return points
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:

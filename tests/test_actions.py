@@ -97,15 +97,15 @@ def test_zero_monoid_isometry_witness_rechecks():
 def test_cobounded_strong_ball_covers():
     gamma = GammaOracle(F1, 8)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    sample = gamma.out_ball_cellset((), Fraction(3)).sample_points()
-    assert check_cobounded(F1, B, sample, 8).passed
+    report = check_cobounded(F1, gamma, B, Fraction(1), [()], 8)
+    assert report.passed and report.witnesses == []
 
 
 def test_cobounded_fails_for_vertex_only():
     from monoidgeo import CellSet
 
-    B = CellSet([()])
-    report = check_cobounded(F1, B, [EdgePoint((), "a", Fraction(1, 2))], 8)
+    gamma = GammaOracle(F1, 8)
+    report = check_cobounded(F1, gamma, CellSet([()]), Fraction(1), [()], 8)
     assert not report.passed
     assert report.witnesses == ["e:ε:a:1/2"]
 
@@ -113,7 +113,7 @@ def test_cobounded_fails_for_vertex_only():
 def test_contact_set_f1():
     gamma = GammaOracle(F1, 8)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    S, seps = compute_contact_set(F1, gamma, B, 8)
+    S, seps = compute_contact_set(F1, gamma, B, Fraction(1), 8)
     assert S == [(), ("a",)]
     assert seps[("a", "a")] == ExtNonNeg.of(1)
     assert seps[("a",) * 3] == ExtNonNeg.of(2)
@@ -123,7 +123,7 @@ def test_contact_set_f1():
 def test_contact_set_z3():
     gamma = GammaOracle(Z3, 8)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    S, seps = compute_contact_set(Z3, gamma, B, 8)
+    S, seps = compute_contact_set(Z3, gamma, B, Fraction(1), 8)
     assert S == [(), ("g",)]
     assert seps[("g", "g")] == ExtNonNeg.of(1)
 
@@ -133,14 +133,14 @@ def test_contact_set_trivial():
     gamma = GammaOracle(t, 4)
     B = gamma.strong_ball_cellset((), Fraction(1))
     # the contact set is exact over the horizon ball it is asked about
-    assert compute_contact_set(t, gamma, B, 4) == ([()], {(): ExtNonNeg.of(0)})
+    assert compute_contact_set(t, gamma, B, Fraction(1), 4) == ([()], {(): ExtNonNeg.of(0)})
 
 
 def test_contact_set_contains_identity_always():
     for name, oracle in FIXTURES:
         gamma = GammaOracle(oracle, 6)
         B = gamma.strong_ball_cellset((), Fraction(1), 6)
-        S, _ = compute_contact_set(oracle, gamma, B, 4)
+        S, _ = compute_contact_set(oracle, gamma, B, Fraction(1), 4)
         assert () in S, name
 
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoidgeo import CellSet, EdgePoint, GammaOracle, HorizonTooSmall, Segment, gamma_set_distance
 from monoidgeo.cayley import Translates
+from builders import sample_points
 from test_distance_field import ORACLES
 from test_gamma_table_reference import FIXTURES, load
 from test_set_distance import reference_set_distance
@@ -58,7 +59,7 @@ def _check_translates(oracle, plain, B: CellSet, far: int, points) -> int:
         mB, former = translates[m], former_translate(plain, B, m)
         assert mB == former and mB.to_json() == former.to_json(), m
         assert all(isinstance(s.lo, Fraction) and isinstance(s.hi, Fraction) for s in mB.segments)
-        for x in points + former.sample_points(SAMPLE_OFFSETS):
+        for x in points + sample_points(former, SAMPLE_OFFSETS):
             assert mB.contains(x) == former_contains(former, x), (m, x)
         d = gamma_set_distance(oracle, B, mB, far)
         assert d == gamma_set_distance(plain, B, former, far), m
@@ -82,7 +83,7 @@ def test_translates_match_the_former_construction(name, R):
         except HorizonTooSmall:
             assert name == "n3" and kind != "out"
     for kind, B in balls.items():
-        points = B.sample_points(SAMPLE_OFFSETS) + out_ball.sample_points(SAMPLE_OFFSETS)
+        points = sample_points(B, SAMPLE_OFFSETS) + sample_points(out_ball, SAMPLE_OFFSETS)
         collisions = _check_translates(oracle, plain, B, far, points)
         if oracle.cancellation_theorem is not None:
             assert collisions == 0, kind
@@ -133,7 +134,7 @@ def test_random_shared_edge_sets_match_the_former_construction(case):
     mA, nB = A.translate(oracle, m), B.translate(oracle, n)
     former_mA, former_nB = former_translate(plain, A, m), former_translate(plain, B, n)
     assert (mA, nB) == (former_mA, former_nB)
-    for x in former_mA.sample_points(SAMPLE_OFFSETS) + former_nB.sample_points(SAMPLE_OFFSETS):
+    for x in sample_points(former_mA, SAMPLE_OFFSETS) + sample_points(former_nB, SAMPLE_OFFSETS):
         assert mA.contains(x) == former_contains(former_mA, x)
         assert nB.contains(x) == former_contains(former_nB, x)
     for P, Q, former_P, former_Q in ((A, B, A, B), (mA, nB, former_mA, former_nB), (nB, mA, former_nB, former_mA)):

@@ -132,6 +132,23 @@ def test_svarc_milnor_rejects_non_cancellative_fixtures(name, capsys):
     assert "hypothesis failed: isometric_embedding" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,uncovered", [("z3", ["e:ε:g:3/4"]), ("free2", ["e:ε:a:3/4", "e:ε:b:3/4"])])
+def test_svarc_milnor_below_half_radius_is_not_cobounded(name, uncovered, capsys):
+    # B holds [0, 1/2] of each edge out of ε, and no translate holds the rest.
+    code, _, text = run_cli("--monoid", fx(f"{name}.json"), "--horizon", "5", "svarc-milnor", "-R", "1/2")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert f"hypothesis failed: cobounded (uncovered: {uncovered})" in err
+
+
+def test_fp_r1_z2_takes_its_contact_set_past_the_horizon():
+    # S lies in the ball of radius floor(2R) = 4, past h = 2: claim 2's
+    # neighbour gfg is a contact element at depth 3.
+    code, doc, _ = run_cli("--monoid", fx("fp_r1_z2.json"), "--horizon", "2", "svarc-milnor", "-R", "2")
+    assert code == 0
+    assert doc["result"]["extraction"]["S"] == ["ε", "f", "g", "fg", "gf", "gfg"]
+
+
 def test_fast_path_tag_off_the_stock_presentation_exits_2(tmp_path):
     # With these rules p*q is pq, not ε, yet the bicyclic closed form answered
     # `dist p ε` with distance 1 and witness q.

@@ -194,6 +194,11 @@ SVARC_MILNOR_CASES = [
 )
 def test_svarc_milnor_matches_the_fraction_walk(recorded, fixture, horizon, radius):
     code = _run_cli(fixture, "--horizon", str(horizon), "svarc-milnor", "-R", radius)
+    if radius == "1/2":
+        # B holds [0, 1/2] of each edge out of ε and no translate holds the
+        # rest: the run stops at the cobounded hypothesis, before the walk.
+        assert code == 2 and recorded == []
+        return
     ((generation, reference),) = recorded
     _agree(generation, reference)
     assert code == (0 if generation.passed else 1)
@@ -207,9 +212,12 @@ def test_submonoid_pipeline_matches_the_fraction_walk(recorded, fixture, horizon
     _agree(generation, reference)
 
 
-def test_free2_below_half_radius_fails_on_generation_witnesses(recorded):
+def test_free2_below_half_radius_fails_on_generation_witnesses(recorded, monkeypatch):
     # R = 1/2 leaves S = {ε}: the step from ε to a letter finds no contact
     # element, so the run exits 1 on witnesses, the same as the reference's.
+    # Such a B covers no edge out of ε beyond 1/2, so the cobounded
+    # hypothesis is passed over here to reach the walk.
+    monkeypatch.setattr(svarcmilnor, "check_cobounded", lambda *args: PropertyReport("cobounded", "pass", 5))
     assert _run_cli("free2.json", "--horizon", "5", "svarc-milnor", "-R", "1/2") == 1
     ((generation, reference),) = recorded
     _agree(generation, reference)
@@ -236,8 +244,9 @@ def test_planted_missing_letter_gives_the_same_witnesses():
 
 
 def test_planted_uncovered_vertex_gives_the_same_witnesses():
-    # No candidate covers any sample: every element but ε fails at sample 1.
-    inp = _free2_input(covering_candidates=lambda v: [])
+    # With no representative there is no candidate, so none covers any
+    # sample: every element but ε fails at sample 1.
+    inp = _free2_input(representatives=())
     report = extract_generators(inp)
     generation = svarcmilnor.verify_generation_bound(report, inp)
     _agree(generation, reference_generation(report, inp))

@@ -33,7 +33,7 @@ from monoidgeo import (
     zero_monoid,
 )
 from monoidgeo.cli import main
-from builders import cyclic_group
+from builders import cyclic_group, sample_points
 from test_distance_field import ORACLES
 
 F1 = FreeMonoid(1, ["a"])
@@ -164,7 +164,7 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
     canc = check_cancellative(n, "left", inp.horizon, ms)
     if B is not None:
         out_ball = gamma.out_ball_cellset((), Fraction(min(inp.horizon, 3)), inp.far)
-        points = list(dict.fromkeys(B.sample_points() + out_ball.sample_points()))
+        points = list(dict.fromkeys(sample_points(B) + sample_points(out_ball)))
         if name in SAMPLER_UNDECIDED:
             with pytest.raises(HorizonTooSmall):
                 check_isometric_embedding_action(action, ms, points, inp.horizon)

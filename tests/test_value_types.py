@@ -144,7 +144,7 @@ def test_sm_input_radius_must_be_positive_and_within_the_horizon(gamma, radius):
 def test_sm_input_converts_its_radius(gamma):
     inp = SmInput(gamma.monoid, gamma, "3/2", 4)
     assert inp.radius == Fraction(3, 2) and type(inp.radius) is Fraction
-    assert inp.covering_candidates is None
+    assert inp.representatives == ((),)
     assert SmInput(gamma.monoid, gamma, 4, 4).radius == 4
 
 
