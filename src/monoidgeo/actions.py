@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cayley import CayleyPoint, CellSet, EdgePoint, GammaOracle, Translates, Vertex, word_distance
+from .cayley import CayleyPoint, EdgePoint, GammaOracle, Translates, Vertex, word_distance
 from .errors import HorizonTooSmall
 from .extnum import ZERO, ExtNonNeg
 from .monoids import MonoidOracle, SubmonoidOracle, Word, format_word
@@ -130,20 +130,18 @@ def check_isometric_embedding_action(
 
 
 def check_cobounded(
-    oracle: MonoidOracle, gamma: GammaOracle, B: CellSet, radius: Fraction,
-    representatives: Sequence[Word], horizon: int, translates: Optional[Translates] = None,
+    translates: Translates, gamma: GammaOracle, radius: Fraction, representatives: Sequence[Word], horizon: int
 ) -> PropertyReport:
-    """Every point of Gamma lies in some translate mB with m in the acting
-    monoid M = `oracle`, exactly, given N = M·T for the `representatives` T
-    and d(e, v) <= floor(`radius`) for each base v of B, as in a strong ball.
+    """Every point of Gamma lies in some translate mB of the run's
+    `translates`, exactly, given N = M·T for the acting monoid M and the
+    `representatives` T, and d(e, v) <= floor(`radius`) for each base v of B.
 
     Left translation by M carries a cover of each t in T and of the open
     interior of its out-edges (t, s) to every point.  Only an m with d(m, t)
     <= floor(R), a vertex of that in-ball about t asked at `horizon`, can
     put a base of B on t.  A witness is an uncovered t or the midpoint of
-    the first gap on an edge.  `translates` is a run's cache of the
-    translates of B, shared with the checks that follow."""
-    translates = Translates(oracle, B) if translates is None else translates
+    the first gap on an edge."""
+    oracle = translates.oracle
     uncovered = []
     for t in representatives:
         candidates = sorted(gamma.in_ball_cellset(t, Fraction(math.floor(radius)), horizon).vertices)
@@ -161,25 +159,25 @@ def check_cobounded(
 
 
 def compute_contact_set(
-    oracle: MonoidOracle, gamma: GammaOracle, B: CellSet, radius: Fraction, horizon: int,
-    translates: Optional[Translates] = None,
+    translates: Translates, gamma: GammaOracle, radius: Fraction, horizon: int
 ) -> tuple[list[Word], dict[Word, ExtNonNeg]]:
-    """(S, separations): the contact set S = {m : d(B, mB) = 0} of the
-    acting monoid `oracle`, in BFS order, and d(B, mB) for every m of the
-    horizon ball.  B holds e and lies in the strong `radius`-ball about e, so
-    d(B, mB) >= d(e, m) - 2R puts S in the ball of radius floor(2R), whatever
-    the horizon; at the larger of the two, d(B, mB) <= d(e, m) is known."""
-    translates = Translates(oracle, B) if translates is None else translates
-    depth = math.floor(2 * radius)
-    far = max(horizon, depth)
+    """(S, separations): the contact set S = {m : d(B, mB) = 0} of the run's
+    `translates`, in BFS order, and d(B, mB) for every m of the horizon ball.
+    B holds e and lies in the strong `radius`-ball about e, so d(B, mB) >=
+    d(e, m) - 2R puts S in the ball of radius floor(2R): S is read off the
+    larger ball of the two, where d(B, mB) <= d(e, m) is known."""
+    oracle, B = translates.oracle, translates.B
+    far = max(horizon, math.floor(2 * radius))
     separations = {}
     for m in oracle.elements_up_to(far):
         d = gamma.set_distance(B, translates[m], far)
         if not d.is_known:
             raise HorizonTooSmall(f"d(B, {format_word(m)}B) not known at horizon {far}")
         separations[m] = d.value
-    S = [m for m in oracle.elements_up_to(depth) if separations[m] == ZERO]
-    return S, {m: separations[m] for m in oracle.elements_up_to(horizon)}
+    S = [m for m, d in separations.items() if d == ZERO]
+    if far > horizon:
+        separations = {m: separations[m] for m in oracle.elements_up_to(horizon)}
+    return S, separations
 
 
 def check_idealistic(action: ActionOracle, x0, depth: int, horizon: int) -> PropertyReport:

@@ -176,7 +176,8 @@ def extract_generators(inp: SmInput) -> SmReport:
     translates = Translates(oracle, B)
 
     hypotheses = {"isometric_embedding": _isometric_embedding(inp)}
-    cob = check_cobounded(oracle, gamma, B, R, inp.representatives, horizon, translates)
+    cob = check_cobounded(translates, gamma, R, inp.representatives, far)  # B's own search horizon
+    cob.horizon = horizon
     T = ", ".join(map(format_word, inp.representatives))
     cob.artifacts["basis"] = f"checked: B's translates cover T = {{{T}}} and its out-edges, hence all of Γ"
     hypotheses["cobounded"] = cob
@@ -188,7 +189,7 @@ def extract_generators(inp: SmInput) -> SmReport:
                   " free products: s*t ends in t's last group letter)")
     hypotheses["idealistic"] = PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})
 
-    S, separations = compute_contact_set(oracle, gamma, B, R, horizon, translates)
+    S, separations = compute_contact_set(translates, gamma, R, horizon)
 
     # Q: separated translates that still touch the out-ball C of radius 5R.
     # Every unknown bound is at least far > 5R, so d(x0, mB) is known and

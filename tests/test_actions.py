@@ -28,6 +28,7 @@ from monoidgeo import (
     translation_action,
     zero_monoid,
 )
+from monoidgeo.cayley import Translates
 from builders import cyclic_group
 
 F1 = FreeMonoid(1, ["a"])
@@ -97,7 +98,7 @@ def test_zero_monoid_isometry_witness_rechecks():
 def test_cobounded_strong_ball_covers():
     gamma = GammaOracle(F1, 8)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    report = check_cobounded(F1, gamma, B, Fraction(1), [()], 8)
+    report = check_cobounded(Translates(F1, B), gamma, Fraction(1), [()], 8)
     assert report.passed and report.witnesses == []
 
 
@@ -105,7 +106,7 @@ def test_cobounded_fails_for_vertex_only():
     from monoidgeo import CellSet
 
     gamma = GammaOracle(F1, 8)
-    report = check_cobounded(F1, gamma, CellSet([()]), Fraction(1), [()], 8)
+    report = check_cobounded(Translates(F1, CellSet([()])), gamma, Fraction(1), [()], 8)
     assert not report.passed
     assert report.witnesses == ["e:ε:a:1/2"]
 
@@ -113,7 +114,7 @@ def test_cobounded_fails_for_vertex_only():
 def test_contact_set_f1():
     gamma = GammaOracle(F1, 8)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    S, seps = compute_contact_set(F1, gamma, B, Fraction(1), 8)
+    S, seps = compute_contact_set(Translates(F1, B), gamma, Fraction(1), 8)
     assert S == [(), ("a",)]
     assert seps[("a", "a")] == ExtNonNeg.of(1)
     assert seps[("a",) * 3] == ExtNonNeg.of(2)
@@ -123,7 +124,7 @@ def test_contact_set_f1():
 def test_contact_set_z3():
     gamma = GammaOracle(Z3, 8)
     B = gamma.strong_ball_cellset((), Fraction(1))
-    S, seps = compute_contact_set(Z3, gamma, B, Fraction(1), 8)
+    S, seps = compute_contact_set(Translates(Z3, B), gamma, Fraction(1), 8)
     assert S == [(), ("g",)]
     assert seps[("g", "g")] == ExtNonNeg.of(1)
 
@@ -133,14 +134,14 @@ def test_contact_set_trivial():
     gamma = GammaOracle(t, 4)
     B = gamma.strong_ball_cellset((), Fraction(1))
     # the contact set is exact over the horizon ball it is asked about
-    assert compute_contact_set(t, gamma, B, Fraction(1), 4) == ([()], {(): ExtNonNeg.of(0)})
+    assert compute_contact_set(Translates(t, B), gamma, Fraction(1), 4) == ([()], {(): ExtNonNeg.of(0)})
 
 
 def test_contact_set_contains_identity_always():
     for name, oracle in FIXTURES:
         gamma = GammaOracle(oracle, 6)
         B = gamma.strong_ball_cellset((), Fraction(1), 6)
-        S, _ = compute_contact_set(oracle, gamma, B, Fraction(1), 4)
+        S, _ = compute_contact_set(Translates(oracle, B), gamma, Fraction(1), 4)
         assert () in S, name
 
 

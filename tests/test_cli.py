@@ -141,6 +141,18 @@ def test_svarc_milnor_below_half_radius_is_not_cobounded(name, uncovered, capsys
     assert f"hypothesis failed: cobounded (uncovered: {uncovered})" in err
 
 
+def test_cobounded_check_searches_as_far_as_b(tmp_path):
+    # Z3 as a rewriting spec has no fast path, so its in-ball candidates are
+    # the whole monoid once a ball exhausts it: the ball of radius 2 does
+    # not, the ball of B's search horizon 6 does.
+    spec = tmp_path / "z3_rewriting.json"
+    spec.write_text(json.dumps({"type": "rewriting", "generators": ["a"], "rules": [["aaa", ""]], "confluent": True}))
+    code, doc, _ = run_cli("--monoid", str(spec), "--horizon", "2", "svarc-milnor", "-R", "1")
+    assert code == 0
+    cobounded = doc["result"]["extraction"]["hypotheses"]["cobounded"]
+    assert cobounded["verdict"] == "pass" and cobounded["horizon"] == 2
+
+
 def test_fp_r1_z2_takes_its_contact_set_past_the_horizon():
     # S lies in the ball of radius floor(2R) = 4, past h = 2: claim 2's
     # neighbour gfg is a contact element at depth 3.

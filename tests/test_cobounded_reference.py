@@ -79,7 +79,7 @@ def test_exact_check_fails_wherever_the_sampler_finds_a_gap(name):
                 assert name == "n3"  # its in-ball candidates are not enumerable
                 continue
             translates = Translates(oracle, B)
-            exact = check_cobounded(oracle, gamma, B, R, [oracle.identity], horizon, translates)
+            exact = check_cobounded(translates, gamma, R, [oracle.identity], horizon)
             sampled = reference_cobounded(oracle, gamma, B, horizon, far, translates)
             assert exact.passed or exact.witnesses, (horizon, R)
             if sampled:
@@ -112,7 +112,7 @@ def test_planted_gap_past_the_midpoint_fails():
     gamma = GammaOracle(oracle, horizon)
     translates = Translates(oracle, B)
     assert reference_cobounded(oracle, gamma, B, horizon, far, translates) == []
-    report = check_cobounded(oracle, gamma, B, R, [()], horizon, translates)
+    report = check_cobounded(translates, gamma, R, [()], horizon)
     assert report.witnesses == ["e:ε:a:5/6"]
     x = _point(oracle, report.witnesses[0])
     assert (x.element, x.gen) == ((), "a") and Fraction(2, 3) < x.mu < 1
@@ -130,11 +130,11 @@ def test_planted_cover_completed_by_another_translate_passes():
     ])
     gamma = GammaOracle(z3, 4)
     assert not B.contains(EdgePoint((), "g", Fraction(3, 4)))
-    report = check_cobounded(z3, gamma, B, Fraction(1), [()], 4)
+    report = check_cobounded(Translates(z3, B), gamma, Fraction(1), [()], 4)
     assert report.passed and report.witnesses == []
     # Without the (g, g) segment nothing holds (1/2, 1) of (ε, g).
     half = CellSet([()], [Segment((), "g", Fraction(0), Fraction(1, 2))])
-    assert check_cobounded(z3, gamma, half, Fraction(1), [()], 4).witnesses == ["e:ε:g:3/4"]
+    assert check_cobounded(Translates(z3, half), gamma, Fraction(1), [()], 4).witnesses == ["e:ε:g:3/4"]
 
 
 def test_submonoid_checks_the_out_edges_of_p():
@@ -148,14 +148,14 @@ def test_submonoid_checks_the_out_edges_of_p():
     gamma = GammaOracle(n, 8)
     B = _strong_ball(n, R, far)
     P = [(), ("g",)]
-    assert check_cobounded(M, gamma, B, R, P, horizon).passed
+    assert check_cobounded(Translates(M, B), gamma, R, P, horizon).passed
     cut = _with_segment(B, Segment(("g",), "f", Fraction(0), Fraction(1, 3)))
     translates = Translates(M, cut)
-    report = check_cobounded(M, gamma, cut, R, P, horizon, translates)
+    report = check_cobounded(translates, gamma, R, P, horizon)
     assert report.witnesses == ["e:g:f:2/3"]
     assert _in_no_translate(M, translates, horizon, "e:g:f:2/3")
     assert reference_cobounded(M, gamma, cut, horizon, far, translates) != []
-    assert check_cobounded(M, gamma, cut, R, [()], horizon).passed
+    assert check_cobounded(Translates(M, cut), gamma, R, [()], horizon).passed
 
 
 def test_planted_missing_vertex_fails():
@@ -164,6 +164,6 @@ def test_planted_missing_vertex_fails():
     oracle = _load("free1")
     B = CellSet([("a",)], [Segment((), "a", Fraction(0), Fraction(1))])
     translates = Translates(oracle, B)
-    report = check_cobounded(oracle, GammaOracle(oracle, 4), B, Fraction(1), [()], 4, translates)
+    report = check_cobounded(translates, GammaOracle(oracle, 4), Fraction(1), [()], 4)
     assert report.witnesses == ["v:ε"]
     assert _in_no_translate(oracle, translates, 4, "v:ε")
