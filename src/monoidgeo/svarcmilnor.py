@@ -46,7 +46,8 @@ from .monoids import (
 class SmInput:
     """The acting monoid M, a submonoid of gamma's monoid N or that monoid
     itself, acting on gamma by left translation; the basepoint is the
-    identity vertex.  `representatives` is a set T of units with N = M·T."""
+    identity vertex.  `representatives` is a set T of units with N = M·T, {ε}
+    by default."""
 
     def __init__(
         self,
