@@ -60,12 +60,16 @@ class PropertyReport:
 
     def to_json(self) -> dict:
         def enc(v):
+            if type(v) is str or type(v) is int:
+                return v
             if hasattr(v, "to_json"):  # distances and nested reports encode themselves
                 return v.to_json()
             if isinstance(v, Fraction):
                 return [v.numerator, v.denominator]
             if isinstance(v, dict):
                 return {k: enc(x) for k, x in v.items()}
+            if type(v) is list and set(map(type, v)) == {str}:  # a factorization's letters
+                return v
             if isinstance(v, (list, tuple)):
                 return [enc(x) for x in v]
             return v if isinstance(v, (str, int, bool, type(None))) else str(v)
@@ -162,10 +166,12 @@ def compute_contact_set(
     translates: Translates, gamma: GammaOracle, radius: Fraction, horizon: int
 ) -> tuple[list[Word], dict[Word, ExtNonNeg]]:
     """(S, separations): the contact set S = {m : d(B, mB) = 0} of the run's
-    `translates`, in BFS order, and d(B, mB) for every m of the horizon ball.
-    B holds e and lies in the strong `radius`-ball about e, so d(B, mB) >=
-    d(e, m) - 2R puts S in the ball of radius floor(2R): S is read off the
-    larger ball of the two, where d(B, mB) <= d(e, m) is known."""
+    `translates`, in BFS order, and d(B, mB) for every m of the ball of radius
+    `horizon`, in BFS order (extraction asks for min(h, floor(6R)), the ball
+    that Q and claim 1 need).  B holds e and lies in the strong `radius`-ball
+    about e, so d(B, mB) >= d(e, m) - 2R puts S in the ball of radius
+    floor(2R): S is read off the larger ball of the two, where d(B, mB) <=
+    d(e, m) is known."""
     oracle, B = translates.oracle, translates.B
     far = max(horizon, math.floor(2 * radius))
     separations = {}

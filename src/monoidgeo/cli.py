@@ -201,7 +201,8 @@ def _encode(doc) -> str:
     """The text of ``json.dumps(doc, sort_keys=True, ensure_ascii=False,
     indent=2)``, built in one recursive pass into a list of pieces; the
     stdlib encodes with an indent in pure Python, one generator per level,
-    and writes a list of ints one piece per item."""
+    and writes a list of ints or strings one piece per item, where a list
+    whose items are all plain ints or all plain strings is one join here."""
     pieces: list[str] = []
     add = pieces.append
 
@@ -224,8 +225,9 @@ def _encode(doc) -> str:
                 add(("," if i else "{") + inner + encode_basestring(k) + ": ")
                 enc(v, inner)
             add(pad + "}")
-        elif set(map(type, o)) == {int}:
-            add("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
+        elif (kinds := set(map(type, o))) == {int} or kinds == {str}:
+            scalar = int.__repr__ if kinds == {int} else encode_basestring
+            add("[" + inner + ("," + inner).join(map(scalar, o)) + pad + "]")
         else:
             for i, x in enumerate(o):
                 add(("," if i else "[") + inner)

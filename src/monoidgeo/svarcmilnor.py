@@ -4,12 +4,16 @@ Given a monoid acting on its continuous Cayley graph (or a submonoid acting
 on the ambient one), the pipeline computes the contact set S of a strong
 ball B, the separation constants r and l, the Lipschitz constant of the
 orbit map, then instance-verifies the two covering claims and the generation
-bound with explicit factorizations.  Claim 2 compares B only with its right
-neighbours qB, q in the ball of radius ceil(2R + r) - 1, and coboundedness
-is checked on the orbit representatives: left translation does the rest.
-The two quasi-isometry inequalities are not checked pair by pair: one is a
-lemma, the other is read off the generation certificates.  Everything is exact
-rational arithmetic; verdicts are relative to the stated horizon.
+bound with explicit factorizations.  Each separation d(B, mB) is taken once,
+on the ball the lemmas need: Q and claim 1 lie within floor(6R) of e, and
+claim 2, which compares B only with its right neighbours qB, q in the ball
+of radius ceil(2R + r) - 1, reads them there.  Coboundedness is checked on
+the orbit representatives: left translation does the rest.  The generation
+certificates share one walk, in which a witness word extends the samples of
+its prefix.  The two quasi-isometry inequalities are not checked pair by
+pair: one is a lemma, the other is read off the generation certificates.
+Everything is exact rational arithmetic; verdicts are relative to the stated
+horizon.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class SmReport:
         r: Fraction,
         l: Fraction,
         lam: ExtNonNeg,
-        separations: dict,
+        separations: dict,  # d(B, mB) over the ball of radius min(h, floor(6R)), in BFS order
         claim1: PropertyReport,
         claim2: PropertyReport,
         hypotheses: dict,
@@ -190,23 +194,34 @@ def extract_generators(inp: SmInput) -> SmReport:
                   " free products: s*t ends in t's last group letter)")
     hypotheses["idealistic"] = PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})
 
-    S, separations = compute_contact_set(translates, gamma, R, horizon)
+    # B holds e and lies in the strong R-ball about e, and left translation is
+    # 1-Lipschitz, so d(e, m) - R <= d(x0, mB) <= d(e, m) for every m: Q lies
+    # in the ball of radius floor(6R), and so does every claim-1 witness, as
+    # d(e, m) - 2R <= d(B, mB) < r gives d(e, m) < 2R + r <= 6R.  That ball,
+    # capped at the horizon, is a BFS prefix of the horizon ball, so both
+    # keep their order.
+    five_R = 5 * R
+    S, separations = compute_contact_set(translates, gamma, R, min(horizon, math.floor(6 * R)))
 
     # Q: separated translates that still touch the out-ball C of radius 5R.
-    # Every unknown bound is at least far > 5R, so d(x0, mB) is known and
-    # within 5R exactly when some point of mB is.
-    five_R = 5 * R
+    # Each m within 5R of e touches C at its own vertex; past it, every
+    # unknown bound is at least far > 5R, so d(x0, mB) is known and within
+    # 5R exactly when some point of mB is.
+    inner = len(oracle.elements_up_to(min(horizon, math.floor(five_R))))
     center = CellSet([e])
     q_translates: list[tuple[Word, ExtNonNeg]] = []
-    for m, sep in separations.items():
+    for i, (m, sep) in enumerate(separations.items()):
         if sep == ZERO or sep.is_infinite:
             continue
-        d = gamma_set_distance(gamma.monoid, center, translates[m], far)
-        if d.is_known and d.value <= five_R:
-            q_translates.append((m, sep))
+        if i >= inner:
+            d = gamma_set_distance(gamma.monoid, center, translates[m], far)
+            if not (d.is_known and d.value <= five_R):
+                continue
+        q_translates.append((m, sep))
     min_q = min((sep.finite_value() for _, sep in q_translates), default=None)
     r = (R if min_q is None else min(R, min_q)) / 2
     l = r / 2
+    r_ext = ExtNonNeg.of(r)
 
     lam = ext_max(gamma.distance(x0, Vertex(s), far).value for s in S)  # known: d(e, s) <= 2R < far
     if lam.is_infinite:
@@ -216,22 +231,26 @@ def extract_generators(inp: SmInput) -> SmReport:
     c1_witnesses = [
         {"h": format_word(m), "d(B,hB)": sep}
         for m, sep in separations.items()
-        if not sep.is_infinite and ZERO < sep < ExtNonNeg.of(r)
+        if not sep.is_infinite and ZERO < sep < r_ext
     ]
     claim1 = PropertyReport(
         "claim1_gap", "fail" if c1_witnesses else "pass", horizon, c1_witnesses
     )
 
-    # Claim 2: B against its right neighbours qB (see above).  d(B, qB) <=
-    # d(e, q) < 2R + r <= 5R/2 < far, so none of them is past the horizon.
+    # Claim 2: B against its right neighbours qB (see above), read off the
+    # separations where they reach.  d(B, qB) <= d(e, q) < 2R + r <= 5R/2 <
+    # far, so none of them is past the horizon.
     steps = oracle.elements_up_to(math.ceil(2 * R + r) - 1)
     c2_witnesses = []
     for q in steps:
-        d = gamma_set_distance(gamma.monoid, B, translates[q], far)
-        if not d.is_known:
-            raise HorizonTooSmall(f"d(B, {format_word(q)}B) unknown")
-        if d.value < ExtNonNeg.of(r) and q not in S:
-            c2_witnesses.append({"m": format_word(e), "n": format_word(q), "d(mB,nB)": d.value})
+        sep = separations.get(q)
+        if sep is None:
+            d = gamma_set_distance(gamma.monoid, B, translates[q], far)
+            if not d.is_known:
+                raise HorizonTooSmall(f"d(B, {format_word(q)}B) unknown")
+            sep = d.value
+        if sep < r_ext and q not in S:
+            c2_witnesses.append({"m": format_word(e), "n": format_word(q), "d(mB,nB)": sep})
     claim2 = PropertyReport(
         "claim2_quotient", "fail" if c2_witnesses else "pass", horizon,
         c2_witnesses, artifacts={"pairs_checked": len(steps)},
@@ -264,83 +283,156 @@ def _covering_elements(inp: SmInput, translates: Translates, x: CayleyPoint) -> 
             yield m
 
 
-def factor_over_generators(report: SmReport, inp: SmInput, m: Word, memo: dict) -> list[Word]:
+class _Walk:
+    """The geodesic-subdivision walk of one run, shared by its certificates
+    (see factor_over_generators), by prefix extension.
+
+    The state of a word w of length D is the walk along w up to its last
+    sample, i <= k = floor(D/l): the vertex w ends at, the chain element of
+    that sample (e if k = 0), the letters of the steps between them and
+    their names, the running product of those letters, and the first
+    failure.  A sample i <= floor((D-1)/l) snaps to a prefix of length
+    ceil(i*l - 1/2) <= D-1, so w's state extends the state of w[:-1] by the
+    samples in (floor((D-1)/l), k], at most ceil(1/l) of them, each on one
+    of w's last two vertices.  States are keyed by the word, not by its
+    vertex, so a witness word need not extend the witness of its prefix.
+    The ball comes in BFS order, so only the states of the current and two
+    previous word lengths are kept: in the submonoid pipeline a witness's
+    prefix that ends in a group letter is not in M, and the prefix one
+    letter shorter is.  A missing prefix is walked again from the longest
+    one kept.
+
+    `covers` maps a vertex to its first covering element, and `steps` a pair
+    (x, y) of consecutive chain elements to the first u in S with x*u = y.
+    """
+
+    def __init__(self, report: SmReport, inp: SmInput):
+        self.report, self.inp, self.far = report, inp, inp.far
+        self.names: dict[Word, str] = {}  # u -> format_word(u), for each u a step finds
+        e = inp.monoid.identity
+        # word -> (vertex, chain element, letters, names, product, failure);
+        # a failure is (step, reason, is_cover), and a cover failure is final
+        self.states: dict[Word, tuple] = {(): (e, e, [], [], e, None)}
+        self.longest = 0  # the longest word whose state was asked for
+        self.covers: dict[Word, Optional[Word]] = {}
+        self.steps: dict[tuple[Word, Word], Optional[Word]] = {}
+
+    def _step(self, x: Word, y: Word) -> Optional[Word]:
+        if (x, y) not in self.steps:
+            multiply = self.inp.monoid.multiply
+            u = self.steps[x, y] = next((u for u in self.report.generators if multiply(x, u) == y), None)
+            if u is not None and u not in self.names:
+                self.names[u] = format_word(u)
+        return self.steps[x, y]
+
+    def _extend(self, state: tuple, w: Word) -> tuple:
+        """The state of w from the state of w[:-1]."""
+        before, last, letters, names, product, failure = state
+        ambient, D = self.inp.gamma.monoid, len(w)
+        vertex = ambient.successors(before)[ambient.generators.index(w[-1])]
+        if failure is not None and failure[2]:
+            return vertex, last, letters, names, product, failure
+        p, q = self.report.l.numerator, self.report.l.denominator
+        samples = range((D - 1) * q // p + 1, D * q // p + 1)
+        if samples:
+            letters, names = list(letters), list(names)  # the prefix's lists stay as they are
+        for i in samples:
+            v = vertex if -((q - 2 * i * p) // (2 * q)) == D else before  # ceil(i*l - 1/2)
+            if v not in self.covers:
+                self.covers[v] = next(_covering_elements(self.inp, self.report.translates, Vertex(v)), None)
+            cover = self.covers[v]
+            if cover is None:
+                return vertex, last, letters, names, product, (i, "no covering translate for sample vertex", True)
+            if failure is None:
+                u = self._step(last, cover)
+                if u is None:
+                    reason = f"no contact element carries {format_word(last)} to {format_word(cover)}"
+                    failure = (i - 1, reason, False)
+                else:
+                    letters.append(u)
+                    names.append(self.names[u])
+                    product = self.inp.monoid.multiply(product, u) if u else product  # p*ε = p on normal forms
+            last = cover
+        return vertex, last, letters, names, product, failure
+
+    def state(self, w: Word) -> tuple:
+        """The state of the word w, extending the longest prefix kept."""
+        states = self.states
+        if len(w) > self.longest:
+            self.longest = len(w)
+            self.states = states = {x: s for x, s in states.items() if not x or len(x) >= len(w) - 2}
+        j = len(w)
+        while w[:j] not in states:
+            j -= 1
+        state = states[w[:j]]
+        for j in range(j + 1, len(w) + 1):
+            state = states[w[:j]] = self._extend(state, w[:j])
+        return state
+
+    def certificate(self, m: Word) -> tuple[Word, tuple, Word]:
+        """m's witness word, its state and the last letter of m's chain,
+        or FactorizationFailed at the first uncovered sample, else at the
+        first step without a contact element."""
+        inp = self.inp
+        w = shortest_word(inp.gamma.monoid, inp.monoid.identity, m, self.far)
+        state = self.state(w)
+        _, last, _, _, _, failure = state
+        if failure is None:
+            u = self._step(last, m)
+            if u is not None:
+                return w, state, u
+            k = len(w) * self.report.l.denominator // self.report.l.numerator
+            failure = (k, f"no contact element carries {format_word(last)} to {format_word(m)}")
+        raise FactorizationFailed(format_word(m), failure[0], failure[1])
+
+
+def factor_over_generators(report: SmReport, inp: SmInput, m: Word) -> list[Word]:
     """The proof's geodesic-subdivision factorization of m over S.
 
     Let w be a shortest word for m, D = |w| and l = p/q.  The samples at
     times i*l, 0 < i <= k = floor(D/l), snap to the prefix of w of length
     ceil(i*l - 1/2), ties going to the earlier vertex; i <= k keeps that
     length <= D.  The chain is e, the first covering element of each
-    sample, then m, and one contact element is read off each step.
-
-    `memo` belongs to the run: it maps a vertex to its first covering
-    element, and a pair (x, y) of consecutive chain elements to the first
-    u in S with x*u = y (a word's letters are strings, so the two kinds of
-    key never meet).
+    sample, then m, and one contact element is read off each step.  This
+    runs, for m alone, the walk that verify_generation_bound shares across
+    the ball (see _Walk).
     """
-    oracle = inp.monoid
-    ambient = inp.gamma.monoid
-    w = shortest_word(ambient, oracle.identity, m, inp.far)
-    p, q = report.l.numerator, report.l.denominator
-    chain = [oracle.identity]
-    prefix, depth = oracle.identity, 0
-    for i in range(1, len(w) * q // p + 1):
-        snapped = -((q - 2 * i * p) // (2 * q))  # ceil(i*l - 1/2)
-        for letter in w[depth:snapped]:
-            prefix = ambient.successors(prefix)[ambient.generators.index(letter)]
-        depth = snapped
-        if prefix not in memo:
-            memo[prefix] = next(_covering_elements(inp, report.translates, Vertex(prefix)), None)
-        if memo[prefix] is None:
-            raise FactorizationFailed(format_word(m), i, "no covering translate for sample vertex")
-        chain.append(memo[prefix])
-    chain.append(m)
-    letters: list[Word] = []
-    for i, (x, y) in enumerate(zip(chain, chain[1:])):
-        if (x, y) not in memo:
-            memo[x, y] = next((u for u in report.generators if oracle.multiply(x, u) == y), None)
-        if memo[x, y] is None:
-            raise FactorizationFailed(
-                format_word(m), i, f"no contact element carries {format_word(x)} to {format_word(y)}"
-            )
-        letters.append(memo[x, y])
-    return letters
+    _, state, u = _Walk(report, inp).certificate(m)
+    return state[2] + [u]
 
 
 def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
-    """Every ball element factors over S within the subdivision bound k+1."""
+    """Every ball element factors over S within the subdivision bound k+1.
+
+    The certificates share one _Walk, so each word of the witnesses' prefix
+    tree walks only its own last samples.  The bound's D = d(e, m) is the
+    length of m's witness word.
+    """
     oracle = inp.monoid
-    x0 = Vertex(oracle.identity)
     witnesses = []
     factorizations = {}
     l = report.l
-    memo: dict = {}
+    walk = _Walk(report, inp)
     for m in oracle.elements_up_to(inp.horizon):
         try:
-            letters = factor_over_generators(report, inp, m, memo)
+            w, state, u = walk.certificate(m)
         except FactorizationFailed as exc:
             witnesses.append({"m": format_word(m), "step": exc.step, "reason": exc.detail})
             continue
-        product = oracle.identity
-        for u in letters:
-            if u:  # multiply(p, ε) = p on normal forms
-                product = oracle.multiply(product, u)
-        D = inp.gamma.known_distance(x0, Vertex(m)).finite_value()
-        bound = D / l + 1
-        ok = product == m and Fraction(len(letters)) <= bound
-        factorizations[format_word(m)] = {
-            "letters": [format_word(u) for u in letters],
-            "length": len(letters),
+        _, _, _, names, product, _ = state
+        if u:
+            product = oracle.multiply(product, u)
+        bound = len(w) / l + 1
+        name, length = format_word(m), len(names) + 1
+        factorizations[name] = {
+            "letters": names + [walk.names[u]],
+            "length": length,
             "bound": [bound.numerator, bound.denominator],
         }
-        if not ok:
+        if not (product == m and length <= bound):
             witnesses.append(
-                {
-                    "m": format_word(m),
-                    "product": format_word(product),
-                    "length": len(letters),
-                    "bound": [bound.numerator, bound.denominator],
-                }
+                {"m": name, "product": format_word(product), "length": length,
+                 "bound": [bound.numerator, bound.denominator]}
             )
     return PropertyReport(
         "generation_bound",

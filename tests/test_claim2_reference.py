@@ -20,6 +20,8 @@ from fractions import Fraction
 import pytest
 
 from monoidgeo import (
+    INF,
+    ZERO,
     ExtNonNeg,
     GammaOracle,
     HorizonTooSmall,
@@ -214,8 +216,10 @@ def test_planted_missing_contact_element_exits_1(monkeypatch):
 
 
 def test_claim2_work_is_linear_in_the_ball(monkeypatch):
-    # The pair loop made about half a million orbit distance calls at h = 6;
-    # claim 2 now takes one set distance per q, whatever the horizon.
+    # The pair loop made about half a million orbit distance calls at h = 6.
+    # Claim 2 now reads d(B, qB) off the separations, which cover the ball
+    # of radius min(h, floor(6R)), and takes a set distance only for a q
+    # outside it; Q takes one only for an m with 5R < d(e, m) <= 6R.
     calls = []
     real = svarcmilnor.gamma_set_distance
 
@@ -225,10 +229,19 @@ def test_claim2_work_is_linear_in_the_ball(monkeypatch):
 
     monkeypatch.setattr(svarcmilnor, "gamma_set_distance", count)
     oracle = _fixture_oracle("fp_r2_z2.json")
-    for horizon in (4, 6):
+    for horizon, radius in ((2, Fraction(2)), (4, Fraction(1)), (6, Fraction(1)), (8, Fraction(1))):
         calls.clear()
-        inp = _svarc_milnor_input(oracle, horizon, Fraction(1))
+        inp = _svarc_milnor_input(oracle, horizon, radius)
         report = extract_generators(inp)
-        k = math.ceil(2 * inp.radius + report.r) - 1
-        # The Q loop starts its set distances at the basepoint, claim 2 at B.
-        assert sum(X is report.ball for X in calls) == len(oracle.elements_up_to(k))
+        assert report.claim2.passed
+        assert list(report.separations) == oracle.elements_up_to(min(horizon, math.floor(6 * radius)))
+        k = math.ceil(2 * radius + report.r) - 1
+        outside = [q for q in oracle.elements_up_to(k) if q not in report.separations]
+        assert sum(X is report.ball for X in calls) == len(outside)
+        inner = len(oracle.elements_up_to(min(horizon, math.floor(5 * radius))))
+        ring = [sep for sep in list(report.separations.values())[inner:] if ZERO < sep < INF]
+        assert sum(X is not report.ball for X in calls) == len(ring)
+        if horizon == 2:
+            assert outside  # claim 2 reaches past the horizon ball here
+        if horizon == 8:
+            assert ring  # depth 6 holds separated translates

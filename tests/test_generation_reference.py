@@ -1,20 +1,26 @@
-"""The generation certificates against the Fraction chain walk they replaced.
+"""The generation certificates against the two walks they replaced.
 
-``factor_over_generators`` and ``_covering_translate`` below are the former
-walk of ``monoidgeo.svarcmilnor``, and ``reference_generation`` the former
-body of ``verify_generation_bound`` that called it, kept here verbatim as
-the specification.  The walk samples the geodesic at the times i*l as
+``factor_over_generators`` and ``_covering_translate`` below are the first
+walk of ``monoidgeo.svarcmilnor``, and ``reference_generation`` the body of
+``verify_generation_bound`` that called it, kept here verbatim as the
+specification.  The walk samples the geodesic at the times i*l as
 Fractions, snaps each sample to the nearer vertex, and searches S for every
-step of the chain.  The integer walk must give the same report: the same
+step of the chain.  ``integer_factor`` and ``integer_generation`` are the
+second: the same walk in integer sample times with one run-owned memo of
+covers and steps, still walking each element's whole geodesic.  The walk by
+prefix extension must give the same report as both: the same
 factorizations and the same failure witnesses, step and reason included.
 
-The work guard counts what the run-owned memo saves: one search of S per
-distinct pair of consecutive chain elements, and one cover search per
-distinct sample vertex.
+The work guards count what the run's walk saves: one search of S per
+distinct pair of consecutive chain elements, one cover search per distinct
+sample vertex, and for each distinct prefix of a witness word one
+extension, which walks at most ceil(1/l) new samples.  Witness words that
+are not prefix-closed must give the same report too.
 """
 
 import io
 import os
+import random
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -35,6 +41,7 @@ from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
 from monoidgeo.svarcmilnor import _covering_elements
 from builders import replaced
+from test_distance_field import symmetric_group_5
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -150,21 +157,99 @@ def reference_generation(report, inp):
     )
 
 
+def integer_factor(report, inp, m, memo):
+    """The geodesic-subdivision factorization of m over S, in integer sample
+    times: sample i snaps to the prefix of length ceil(i*l - 1/2) of m's
+    witness word.  `memo` maps a vertex to its first covering element and a
+    pair of consecutive chain elements to the first step between them."""
+    oracle = inp.monoid
+    ambient = inp.gamma.monoid
+    w = shortest_word(ambient, oracle.identity, m, inp.far)
+    p, q = report.l.numerator, report.l.denominator
+    chain = [oracle.identity]
+    prefix, depth = oracle.identity, 0
+    for i in range(1, len(w) * q // p + 1):
+        snapped = -((q - 2 * i * p) // (2 * q))  # ceil(i*l - 1/2)
+        for letter in w[depth:snapped]:
+            prefix = ambient.successors(prefix)[ambient.generators.index(letter)]
+        depth = snapped
+        if prefix not in memo:
+            memo[prefix] = next(_covering_elements(inp, report.translates, Vertex(prefix)), None)
+        if memo[prefix] is None:
+            raise FactorizationFailed(format_word(m), i, "no covering translate for sample vertex")
+        chain.append(memo[prefix])
+    chain.append(m)
+    letters = []
+    for i, (x, y) in enumerate(zip(chain, chain[1:])):
+        if (x, y) not in memo:
+            memo[x, y] = next((u for u in report.generators if oracle.multiply(x, u) == y), None)
+        if memo[x, y] is None:
+            raise FactorizationFailed(
+                format_word(m), i, f"no contact element carries {format_word(x)} to {format_word(y)}"
+            )
+        letters.append(memo[x, y])
+    return letters
+
+
+def integer_generation(report, inp):
+    """verify_generation_bound over integer_factor, one memo per run."""
+    oracle = inp.monoid
+    x0 = Vertex(oracle.identity)
+    witnesses = []
+    factorizations = {}
+    l = report.l
+    memo = {}
+    for m in oracle.elements_up_to(inp.horizon):
+        try:
+            letters = integer_factor(report, inp, m, memo)
+        except FactorizationFailed as exc:
+            witnesses.append({"m": format_word(m), "step": exc.step, "reason": exc.detail})
+            continue
+        product = oracle.identity
+        for u in letters:
+            if u:
+                product = oracle.multiply(product, u)
+        D = inp.gamma.known_distance(x0, Vertex(m)).finite_value()
+        bound = D / l + 1
+        ok = product == m and Fraction(len(letters)) <= bound
+        factorizations[format_word(m)] = {
+            "letters": [format_word(u) for u in letters],
+            "length": len(letters),
+            "bound": [bound.numerator, bound.denominator],
+        }
+        if not ok:
+            witnesses.append(
+                {
+                    "m": format_word(m),
+                    "product": format_word(product),
+                    "length": len(letters),
+                    "bound": [bound.numerator, bound.denominator],
+                }
+            )
+    return PropertyReport(
+        "generation_bound",
+        "fail" if witnesses else "pass",
+        inp.horizon,
+        witnesses,
+        artifacts={"factorizations": factorizations},
+    )
+
+
 # ---------------------------------------------------------------------------
-# The integer walk gives the reference's report
+# The walk by prefix extension gives both references' report
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every verify_generation_bound call the pipelines make, with the
-    reference's report on the same extraction report."""
+    """Every verify_generation_bound call the pipelines make, with both
+    references' reports on the same extraction report."""
     calls = []
     real = svarcmilnor.verify_generation_bound
 
     def record(report, inp):
         generation = real(report, inp)
-        calls.append((generation, reference_generation(report, inp)))
+        calls.append((generation, _references(report, inp)))
         return generation
 
     monkeypatch.setattr(svarcmilnor, "verify_generation_bound", record)
@@ -176,8 +261,13 @@ def _run_cli(fixture, *args):
         return main(["--monoid", os.path.join(FIXTURES, fixture), *args])
 
 
-def _agree(generation, reference):
-    assert generation.to_json() == reference.to_json()
+def _references(report, inp):
+    return reference_generation(report, inp), integer_generation(report, inp)
+
+
+def _agree(generation, references):
+    for reference in references:
+        assert generation.to_json() == reference.to_json()
 
 
 SVARC_MILNOR_CASES = [
@@ -199,8 +289,8 @@ def test_svarc_milnor_matches_the_fraction_walk(recorded, fixture, horizon, radi
         # rest: the run stops at the cobounded hypothesis, before the walk.
         assert code == 2 and recorded == []
         return
-    ((generation, reference),) = recorded
-    _agree(generation, reference)
+    ((generation, references),) = recorded
+    _agree(generation, references)
     assert code == (0 if generation.passed else 1)
 
 
@@ -208,8 +298,8 @@ def test_svarc_milnor_matches_the_fraction_walk(recorded, fixture, horizon, radi
 @pytest.mark.parametrize("horizon", [3, 4, 5])
 def test_submonoid_pipeline_matches_the_fraction_walk(recorded, fixture, horizon):
     assert _run_cli(fixture, "--horizon", str(horizon), "submonoid") == 0
-    ((generation, reference),) = recorded
-    _agree(generation, reference)
+    ((generation, references),) = recorded
+    _agree(generation, references)
 
 
 def test_free2_below_half_radius_fails_on_generation_witnesses(recorded, monkeypatch):
@@ -219,8 +309,8 @@ def test_free2_below_half_radius_fails_on_generation_witnesses(recorded, monkeyp
     # hypothesis is passed over here to reach the walk.
     monkeypatch.setattr(svarcmilnor, "check_cobounded", lambda *args: PropertyReport("cobounded", "pass", 5))
     assert _run_cli("free2.json", "--horizon", "5", "svarc-milnor", "-R", "1/2") == 1
-    ((generation, reference),) = recorded
-    _agree(generation, reference)
+    ((generation, references),) = recorded
+    _agree(generation, references)
     assert generation.verdict == "fail"
     by_m = {w["m"]: w for w in generation.witnesses}
     assert by_m["a"] == {"m": "a", "step": 4, "reason": "no contact element carries ε to a"}
@@ -237,7 +327,7 @@ def test_planted_missing_letter_gives_the_same_witnesses():
     report = extract_generators(inp)
     planted = replaced(report, generators=[s for s in report.generators if s != ("b",)])
     generation = svarcmilnor.verify_generation_bound(planted, inp)
-    _agree(generation, reference_generation(planted, inp))
+    _agree(generation, _references(planted, inp))
     by_m = {w["m"]: w for w in generation.witnesses}
     assert by_m["b"]["reason"] == "no contact element carries ε to b"
     assert "a" not in by_m
@@ -249,13 +339,37 @@ def test_planted_uncovered_vertex_gives_the_same_witnesses():
     inp = _free2_input(representatives=())
     report = extract_generators(inp)
     generation = svarcmilnor.verify_generation_bound(report, inp)
-    _agree(generation, reference_generation(report, inp))
+    _agree(generation, _references(report, inp))
     assert generation.witnesses[0] == {"m": "a", "step": 1, "reason": "no covering translate for sample vertex"}
     assert list(generation.artifacts["factorizations"]) == ["ε"]
 
 
+def test_an_uncovered_sample_outranks_an_earlier_missing_step(monkeypatch):
+    # Without b in S the step from ε to b fails on every word through b, at
+    # step 2; a later sample on the uncovered vertex ba still names ba's
+    # witness, since the covers are searched before the steps.  The walk by
+    # prefix extension must keep looking for covers past a failed step.
+    uncovered, real = ("b", "a"), svarcmilnor._covering_elements
+
+    def covering(inp, translates, x):
+        return iter(()) if x.element == uncovered else real(inp, translates, x)
+
+    monkeypatch.setattr(svarcmilnor, "_covering_elements", covering)
+    monkeypatch.setitem(globals(), "_covering_elements", covering)
+    inp = _free2_input()
+    report = extract_generators(inp)
+    planted = replaced(report, generators=[s for s in report.generators if s != ("b",)])
+    generation = svarcmilnor.verify_generation_bound(planted, inp)
+    _agree(generation, _references(planted, inp))
+    by_m = {w["m"]: w for w in generation.witnesses}
+    assert by_m["b"] == {"m": "b", "step": 2, "reason": "no contact element carries ε to b"}
+    assert by_m["ba"] == {"m": "ba", "step": 7, "reason": "no covering translate for sample vertex"}
+    assert by_m["bab"]["step"] == 7 and by_m["bb"]["step"] == 2
+
+
 # ---------------------------------------------------------------------------
-# Work guard: one S search per pair, one cover search per vertex
+# Work guards: one S search per pair, one cover search per vertex, one
+# extension per prefix
 # ---------------------------------------------------------------------------
 
 
@@ -330,3 +444,107 @@ def test_generation_searches_once_per_pair_and_vertex(monkeypatch, args):
     assert len(steps) < n_steps
     # One cover search per distinct sample vertex.
     assert seen["covered"] and max(seen["covered"].values()) == 1
+
+
+class _CountedReads(dict):
+    """A memo that counts its reads: one per sample a walk visits."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "fixture,args",
+    [("fp_r2_z2.json", ["free-product"]), ("fp_r2_z2.json", ["svarc-milnor", "-R", "1"]),
+     ("fp_r1_z2.json", ["svarc-milnor", "-R", "3/2"]), ("s3.json", ["svarc-milnor", "-R", "1"])],
+)
+def test_each_witness_prefix_is_extended_once_by_at_most_ceil_inverse_l_samples(monkeypatch, fixture, args):
+    walks, extensions = [], []
+    init, extend = svarcmilnor._Walk.__init__, svarcmilnor._Walk._extend
+
+    def counted_init(self, report, inp):
+        init(self, report, inp)
+        self.covers = _CountedReads()
+        walks.append(self)
+
+    def counted_extend(self, state, w):
+        before = self.covers.reads
+        out = extend(self, state, w)
+        extensions.append((w, self.covers.reads - before))
+        return out
+
+    monkeypatch.setattr(svarcmilnor._Walk, "__init__", counted_init)
+    monkeypatch.setattr(svarcmilnor._Walk, "_extend", counted_extend)
+    assert _run_cli(fixture, "--horizon", "5", *args) == 0
+
+    (walk,) = walks
+    inp, l = walk.inp, walk.report.l
+    witnesses = [shortest_word(inp.gamma.monoid, inp.monoid.identity, m, inp.far)
+                 for m in inp.monoid.elements_up_to(inp.horizon)]
+    prefixes = {w[:j] for w in witnesses for j in range(1, len(w) + 1)}
+    words = [w for w, _ in extensions]
+    assert len(words) == len(set(words)) and set(words) == prefixes
+    assert max(n for _, n in extensions) <= -(-l.denominator // l.numerator)  # ceil(1/l)
+    # The per-element walks visited every sample of every witness.
+    assert sum(n for _, n in extensions) < sum(len(w) * l.denominator // l.numerator for w in witnesses)
+
+
+def _geodesics(oracle, horizon):
+    """Every shortest word of each element within `horizon`, in BFS order."""
+    depth = {oracle.identity: 0}
+    words = {oracle.identity: [()]}
+    level = [oracle.identity]
+    for d in range(1, horizon + 1):
+        nxt = []
+        for x in level:
+            for s, y in zip(oracle.generators, oracle.successors(x)):
+                if y not in depth:
+                    depth[y] = d
+                    words[y] = []
+                    nxt.append(y)
+                if depth[y] == d:
+                    words[y].extend(w + (s,) for w in words[x])
+        level = nxt
+    return words
+
+
+def _element(oracle, w):
+    x = oracle.identity
+    for s in w:
+        x = oracle.successors(x)[oracle.generators.index(s)]
+    return x
+
+
+@pytest.mark.parametrize("pick", ["random", "against the prefix"])
+def test_witnesses_that_are_not_prefix_closed_give_the_same_report(monkeypatch, pick):
+    # S5 at its diameter 11 has many shortest words per element (the fixtures'
+    # other monoids have one, or S3's, whose ball is all of it at depth 2).
+    # Each element gets one at random, or, in BFS order, one whose prefix is
+    # not the witness of its own element wherever there is such a word.
+    oracle, horizon = symmetric_group_5(), 11
+    rng = random.Random(5)
+    chosen = {}
+    for m, ws in _geodesics(oracle, horizon).items():
+        ws = sorted(ws)
+        off = [w for w in ws if w and chosen[_element(oracle, w[:-1])] != w[:-1]]
+        chosen[m] = rng.choice(ws) if pick == "random" else (off or ws)[0]
+    broken = sum(1 for w in chosen.values() if w and chosen[_element(oracle, w[:-1])] != w[:-1])
+    assert broken >= (5 if pick == "random" else 15)
+
+    def shuffled_witness(monoid, x, y, far):
+        assert monoid is oracle and x == oracle.identity
+        return chosen[y]
+
+    monkeypatch.setattr(svarcmilnor, "shortest_word", shuffled_witness)
+    monkeypatch.setitem(globals(), "shortest_word", shuffled_witness)
+    inp = SmInput(oracle, GammaOracle(oracle, horizon), Fraction(1), horizon)
+    report = extract_generators(inp)
+    generation = svarcmilnor.verify_generation_bound(report, inp)
+    assert generation.passed
+    _agree(generation, _references(report, inp))
+    for m in oracle.elements_up_to(horizon):
+        letters = svarcmilnor.factor_over_generators(report, inp, m)
+        assert letters == integer_factor(report, inp, m, {})
