@@ -10,21 +10,20 @@ claim 2, which compares B only with its right neighbours qB, q in the ball
 of radius ceil(2R + r) - 1, reads them there.  Coboundedness is checked on
 the orbit representatives: left translation does the rest.  The generation
 certificates share one walk, in which a witness word extends the samples of
-its prefix.  The two quasi-isometry inequalities are not checked pair by
-pair: one is a lemma, the other is read off the generation certificates.
-Everything is exact rational arithmetic; verdicts are relative to the stated
-horizon.
+its prefix and each sample vertex is covered by construction.  The two
+quasi-isometry inequalities are not checked pair by pair: one is a lemma,
+the other is read off the generation certificates.  Everything is exact
+rational arithmetic; verdicts are relative to the stated horizon.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .actions import PropertyReport, check_cobounded, compute_contact_set
 from .cayley import (
-    CayleyPoint,
     CellSet,
     GammaOracle,
     Translates,
@@ -51,7 +50,8 @@ class SmInput:
     """The acting monoid M, a submonoid of gamma's monoid N or that monoid
     itself, acting on gamma by left translation; the basepoint is the
     identity vertex.  `representatives` is a set T of units with N = M·T, {ε}
-    by default."""
+    by default.  A t ≠ ε must be a unit of a left-cancellative N (see _Walk),
+    as P in the free product F*G is by the normal form theorem."""
 
     def __init__(
         self,
@@ -92,12 +92,11 @@ class SmReport:
         claim1: PropertyReport,
         claim2: PropertyReport,
         hypotheses: dict,
-        translates: Translates,  # the run's translates mB, shared by every later check
     ):
         self.generators, self.ball, self.q_translates = generators, ball, q_translates
         self.ball_radius, self.outer_ball_radius, self.r, self.l, self.lam = ball_radius, outer_ball_radius, r, l, lam
         self.separations, self.claim1, self.claim2 = separations, claim1, claim2
-        self.hypotheses, self.translates = hypotheses, translates
+        self.hypotheses = hypotheses
 
     def to_json(self) -> dict:
         return {
@@ -269,18 +268,7 @@ def extract_generators(inp: SmInput) -> SmReport:
         claim1=claim1,
         claim2=claim2,
         hypotheses=hypotheses,
-        translates=translates,
     )
-
-
-def _covering_elements(inp: SmInput, translates: Translates, x: CayleyPoint) -> Iterator[Word]:
-    """The candidates v·t⁻¹ of x's base vertex v, t⁻¹ = exact_quotient(t, ε)
-    for each representative t in order, in M and with mB holding x."""
-    oracle, n, v = inp.monoid, inp.gamma.monoid, x.element
-    for t in inp.representatives:
-        m = v if t == n.identity else n.multiply(v, n.exact_quotient(t, n.identity))
-        if (not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)) and translates[m].contains(x):
-            yield m
 
 
 class _Walk:
@@ -302,8 +290,12 @@ class _Walk:
     letter shorter is.  A missing prefix is walked again from the longest
     one kept.
 
-    `covers` maps a vertex to its first covering element, and `steps` a pair
-    (x, y) of consecutive chain elements to the first u in S with x*u = y.
+    A sample vertex v is covered by construction, by the first v·t⁻¹ in M
+    over the representatives t that are vertices of B: v = (v·t⁻¹)·t.  For
+    t ≠ ε, left cancellation of v·t⁻¹ lets no other vertex of B put v there,
+    so a t outside B covers nothing (extraction checks that ε is in B).
+    `steps` maps a pair (x, y) of consecutive chain elements to the first u
+    in S with x*u = y.
     """
 
     def __init__(self, report: SmReport, inp: SmInput):
@@ -314,7 +306,8 @@ class _Walk:
         # a failure is (step, reason, is_cover), and a cover failure is final
         self.states: dict[Word, tuple] = {(): (e, e, [], [], e, None)}
         self.longest = 0  # the longest word whose state was asked for
-        self.covers: dict[Word, Optional[Word]] = {}
+        self.inverses = [t and inp.gamma.monoid.exact_quotient(t, e)  # t⁻¹, and ε for t = ε
+                         for t in inp.representatives if report.ball.contains(Vertex(t))]
         self.steps: dict[tuple[Word, Word], Optional[Word]] = {}
 
     def _step(self, x: Word, y: Word) -> Optional[Word]:
@@ -324,6 +317,12 @@ class _Walk:
             if u is not None and u not in self.names:
                 self.names[u] = format_word(u)
         return self.steps[x, y]
+
+    def _cover(self, v: Word) -> Optional[Word]:
+        """The first v·t⁻¹ in M over the t⁻¹ in `inverses`, or None."""
+        oracle, multiply = self.inp.monoid, self.inp.gamma.monoid.multiply
+        covers = (multiply(v, inverse) if inverse else v for inverse in self.inverses)
+        return next((m for m in covers if not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)), None)
 
     def _extend(self, state: tuple, w: Word) -> tuple:
         """The state of w from the state of w[:-1]."""
@@ -338,9 +337,7 @@ class _Walk:
             letters, names = list(letters), list(names)  # the prefix's lists stay as they are
         for i in samples:
             v = vertex if -((q - 2 * i * p) // (2 * q)) == D else before  # ceil(i*l - 1/2)
-            if v not in self.covers:
-                self.covers[v] = next(_covering_elements(self.inp, self.report.translates, Vertex(v)), None)
-            cover = self.covers[v]
+            cover = self._cover(v)
             if cover is None:
                 return vertex, last, letters, names, product, (i, "no covering translate for sample vertex", True)
             if failure is None:

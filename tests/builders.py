@@ -1,9 +1,11 @@
-"""Test-side builders of small stock monoids, a copier of records, and the
-sample points of a cell set."""
+"""Test-side builders of small stock monoids, a copier of records, the
+sample points of a cell set, and the translates of an extraction's ball with
+the covering search that the generation walk once made over them."""
 
 from fractions import Fraction
 
-from monoidgeo import EdgePoint, FiniteGroup, SpecValidationError, Vertex
+from monoidgeo import EdgePoint, FiniteGroup, SpecValidationError, SubmonoidOracle, Vertex
+from monoidgeo.cayley import Translates
 
 
 def replaced(record, **changes):
@@ -23,6 +25,24 @@ def sample_points(cells, offsets=(Fraction(1, 2),)) -> list:
             if 0 < mu < 1 and seg.lo <= mu <= seg.hi:
                 points.append(EdgePoint(seg.element, seg.gen, mu))
     return points
+
+
+def translates_of(inp, report):
+    """The translates mB of the report's ball B under the acting monoid,
+    each built on first use."""
+    return Translates(inp.monoid, report.ball)
+
+
+def covering_elements(inp, translates, x):
+    """The candidates v·t⁻¹ of x's base vertex v, t⁻¹ = exact_quotient(t, ε)
+    for each representative t in order, in M and with mB holding x: the
+    translate search that the generation walk made before it covered each
+    sample vertex by construction."""
+    oracle, n, v = inp.monoid, inp.gamma.monoid, x.element
+    for t in inp.representatives:
+        m = v if t == n.identity else n.multiply(v, n.exact_quotient(t, n.identity))
+        if (not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)) and translates[m].contains(x):
+            yield m
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:

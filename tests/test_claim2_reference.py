@@ -32,6 +32,7 @@ from monoidgeo import (
 )
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
+from builders import translates_of
 from test_distance_field import symmetric_group_5
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -45,6 +46,7 @@ def reference_claim2(report, inp):
     far = inp.far
     r = report.r
     pair_ball = oracle.elements_up_to(inp.horizon)
+    translates = translates_of(inp, report)
     threshold = ExtNonNeg.of(2 * inp.radius + r)
     witnesses = []
     pairs_checked = 0
@@ -55,7 +57,7 @@ def reference_claim2(report, inp):
                 continue
             if not orbit.is_known and orbit.value >= threshold:
                 continue
-            d = gamma.set_distance(report.translates[m], report.translates[n], far)
+            d = gamma.set_distance(translates[m], translates[n], far)
             if not d.is_known:
                 raise HorizonTooSmall(f"d({format_word(m)}B, {format_word(n)}B) unknown")
             pairs_checked += 1

@@ -11,23 +11,29 @@ covers and steps, still walking each element's whole geodesic.  The walk by
 prefix extension must give the same report as both: the same
 factorizations and the same failure witnesses, step and reason included.
 
+The walk covers each sample vertex v by construction, with the first
+v·t⁻¹ in M over the representatives t that are vertices of B.  The
+references still search the translates for a cover, with
+``builders.covering_elements``, and the two covers are compared on every
+vertex of the horizon ball.
+
 The work guards count what the run's walk saves: one search of S per
-distinct pair of consecutive chain elements, one cover search per distinct
-sample vertex, and for each distinct prefix of a witness word one
-extension, which walks at most ceil(1/l) new samples.  Witness words that
-are not prefix-closed must give the same report too.
+distinct pair of consecutive chain elements, no translate at all, and for
+each distinct prefix of a witness word one extension, which walks at most
+ceil(1/l) new samples.  Witness words that are not prefix-closed must give
+the same report too.
 """
 
 import io
 import os
 import random
-from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from monoidgeo import (
+    CellSet,
     FactorizationFailed,
     GammaOracle,
     PropertyReport,
@@ -39,8 +45,7 @@ from monoidgeo import (
 )
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
-from monoidgeo.svarcmilnor import _covering_elements
-from builders import replaced
+from builders import covering_elements, replaced, translates_of
 from test_distance_field import symmetric_group_5
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -55,7 +60,7 @@ def _covering_translate(inp, translates, v, cache=None):
     """A monoid element whose B-translate covers the vertex v."""
     if cache is not None and v in cache:
         return cache[v]
-    found = next(_covering_elements(inp, translates, Vertex(v)), None)
+    found = next(covering_elements(inp, translates, Vertex(v)), None)
     if cache is not None:
         cache[v] = found
     return found
@@ -95,7 +100,7 @@ def factor_over_generators(report, inp, m, cover_cache=None):
         offset = t - idx
         snapped = idx if offset <= Fraction(1, 2) else idx + 1
         snapped = min(snapped, len(prefixes) - 1)
-        cover = _covering_translate(inp, report.translates, prefixes[snapped], cover_cache)
+        cover = _covering_translate(inp, translates_of(inp, report), prefixes[snapped], cover_cache)
         if cover is None:
             raise FactorizationFailed(format_word(m), i, "no covering translate for sample vertex")
         chain.append(cover)
@@ -174,7 +179,7 @@ def integer_factor(report, inp, m, memo):
             prefix = ambient.successors(prefix)[ambient.generators.index(letter)]
         depth = snapped
         if prefix not in memo:
-            memo[prefix] = next(_covering_elements(inp, report.translates, Vertex(prefix)), None)
+            memo[prefix] = next(covering_elements(inp, translates_of(inp, report), Vertex(prefix)), None)
         if memo[prefix] is None:
             raise FactorizationFailed(format_word(m), i, "no covering translate for sample vertex")
         chain.append(memo[prefix])
@@ -349,13 +354,13 @@ def test_an_uncovered_sample_outranks_an_earlier_missing_step(monkeypatch):
     # step 2; a later sample on the uncovered vertex ba still names ba's
     # witness, since the covers are searched before the steps.  The walk by
     # prefix extension must keep looking for covers past a failed step.
-    uncovered, real = ("b", "a"), svarcmilnor._covering_elements
+    uncovered, search, cover = ("b", "a"), covering_elements, svarcmilnor._Walk._cover
 
     def covering(inp, translates, x):
-        return iter(()) if x.element == uncovered else real(inp, translates, x)
+        return iter(()) if x.element == uncovered else search(inp, translates, x)
 
-    monkeypatch.setattr(svarcmilnor, "_covering_elements", covering)
-    monkeypatch.setitem(globals(), "_covering_elements", covering)
+    monkeypatch.setattr(svarcmilnor._Walk, "_cover", lambda self, v: None if v == uncovered else cover(self, v))
+    monkeypatch.setitem(globals(), "covering_elements", covering)
     inp = _free2_input()
     report = extract_generators(inp)
     planted = replaced(report, generators=[s for s in report.generators if s != ("b",)])
@@ -368,8 +373,90 @@ def test_an_uncovered_sample_outranks_an_earlier_missing_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Work guards: one S search per pair, one cover search per vertex, one
-# extension per prefix
+# The cover by construction is the translate search's first cover
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """(report, input) of every verify_generation_bound call the pipelines make."""
+    calls = []
+    real = svarcmilnor.verify_generation_bound
+
+    def record(report, inp):
+        calls.append((report, inp))
+        return real(report, inp)
+
+    monkeypatch.setattr(svarcmilnor, "verify_generation_bound", record)
+    return calls
+
+
+def _agreeing_covers(report, inp):
+    """The walk's cover of each vertex of N's horizon ball, checked against
+    the first covering element of the translate search."""
+    walk, translates = svarcmilnor._Walk(report, inp), translates_of(inp, report)
+    covers = {}
+    for v in inp.gamma.monoid.elements_up_to(inp.horizon):
+        covers[v] = walk._cover(v)
+        assert covers[v] == next(covering_elements(inp, translates, Vertex(v)), None), v
+    return covers
+
+
+COVER_CASES = [
+    (f"{name}.json", horizon, radius)
+    for name in ("free1", "free2", "z3", "s3", "fp_r1_z2", "fp_r2_z2")
+    for horizon in range(2, 9)
+    for radius in ("1/2", "1", "3/2", "2")
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,horizon,radius", COVER_CASES, ids=[f"{f} h{h} R{r}" for f, h, r in COVER_CASES],
+)
+def test_svarc_milnor_cover_is_the_first_covering_translate(extractions, monkeypatch, fixture, horizon, radius):
+    if radius == "1/2":
+        # B holds [0, 1/2] of each edge out of ε and no translate holds the
+        # rest: the cobounded hypothesis is passed over to reach the walk.
+        monkeypatch.setattr(svarcmilnor, "check_cobounded", lambda *args: PropertyReport("cobounded", "pass", horizon))
+    _run_cli(fixture, "--horizon", str(horizon), "svarc-milnor", "-R", radius)
+    ((report, inp),) = extractions
+    # T = {ε}: each vertex covers itself.
+    assert all(cover == v for v, cover in _agreeing_covers(report, inp).items())
+
+
+@pytest.mark.parametrize("command", ["submonoid", "free-product"])
+@pytest.mark.parametrize("fixture", ["fp_r1_z2.json", "fp_r2_z2.json"])
+@pytest.mark.parametrize("horizon", [2, 3, 4, 5, 6])
+def test_submonoid_cover_is_the_first_covering_translate(extractions, command, fixture, horizon):
+    assert _run_cli(fixture, "--horizon", str(horizon), command) == 0
+    ((report, inp),) = extractions
+    covers = _agreeing_covers(report, inp)
+    # T = P: a vertex that ends in a group letter g is not in M, and v·g⁻¹ is.
+    assert None not in covers.values()
+    assert any(cover != v for v, cover in covers.items())
+
+
+def test_no_representative_gives_no_cover():
+    inp = _free2_input(representatives=())
+    assert set(_agreeing_covers(extract_generators(inp), inp).values()) == {None}
+
+
+def test_a_representative_outside_the_ball_is_skipped():
+    # In fp_r1_z2, g = g⁻¹ is in B at R = 1, so with T = (g, ε) each v is
+    # covered by v·g.  Planted out of B, g covers nothing and ε covers v.
+    oracle, _ = parse_monoid_spec(os.path.join(FIXTURES, "fp_r1_z2.json"))
+    inp = SmInput(oracle, GammaOracle(oracle, 4), Fraction(1), 4)
+    report = extract_generators(inp)
+    planted = replaced(inp, representatives=(("g",), ()))
+    assert report.ball.contains(Vertex(("g",)))
+    covers = _agreeing_covers(report, planted)
+    assert all(cover == oracle.multiply(v, ("g",)) for v, cover in covers.items())
+    without_g = replaced(report, ball=CellSet([()]))
+    assert all(cover == v for v, cover in _agreeing_covers(without_g, planted).items())
+
+
+# ---------------------------------------------------------------------------
+# Work guards: one S search per pair, no translate, one extension per prefix
 # ---------------------------------------------------------------------------
 
 
@@ -391,16 +478,33 @@ class _SearchedS(list):
         self.pending = None
 
 
-@pytest.mark.parametrize("args", [["free-product"], ["svarc-milnor", "-R", "1"]])
-def test_generation_searches_once_per_pair_and_vertex(monkeypatch, args):
+@pytest.fixture
+def translated(monkeypatch):
+    """The elements m of every translate mB built from here on, in order."""
+    built, translate = [], CellSet.translate
+
+    def counted(self, oracle, m):
+        built.append(m)
+        return translate(self, oracle, m)
+
+    monkeypatch.setattr(CellSet, "translate", counted)
+    return built
+
+
+# At h = 7 > floor(6R) the walk samples vertices past the separations ball.
+@pytest.mark.parametrize(
+    "args", [["--horizon", "5", "free-product"], ["--horizon", "7", "svarc-milnor", "-R", "1"]],
+    ids=["free-product h5", "svarc-milnor h7 R1"],
+)
+def test_generation_searches_once_per_pair_and_builds_no_translate(monkeypatch, translated, args):
     real = svarcmilnor.verify_generation_bound
     seen = {}
 
     def guarded(report, inp):
         oracle = inp.monoid
-        searches, covered = [], Counter()
+        searches = []
         S = _SearchedS(report.generators, searches)
-        multiply, covering = oracle.multiply, svarcmilnor._covering_elements
+        multiply, before = oracle.multiply, len(translated)
 
         def counted_multiply(x, u):
             probes, S.pending = S.pending, None  # set: the probe of the u just yielded
@@ -409,19 +513,14 @@ def test_generation_searches_once_per_pair_and_vertex(monkeypatch, args):
                 probes.append((x, y))
             return y
 
-        def counted_covering(inp, translates, x):
-            covered[x.element] += 1
-            return covering(inp, translates, x)
-
         with monkeypatch.context() as m:
             m.setattr(oracle, "multiply", counted_multiply)
-            m.setattr(svarcmilnor, "_covering_elements", counted_covering)
             generation = real(replaced(report, generators=S), inp)
-        seen.update(generation=generation, searches=searches, covered=covered, oracle=oracle)
+        seen.update(generation=generation, searches=searches, built=translated[before:], oracle=oracle)
         return generation
 
     monkeypatch.setattr(svarcmilnor, "verify_generation_bound", guarded)
-    assert _run_cli("fp_r2_z2.json", "--horizon", "5", *args) == 0
+    assert _run_cli("fp_r2_z2.json", *args) == 0
 
     generation, oracle = seen["generation"], seen["oracle"]
     assert generation.passed
@@ -442,18 +541,22 @@ def test_generation_searches_once_per_pair_and_vertex(monkeypatch, args):
         n_steps += len(facts["letters"])
     assert set(pairs) == steps
     assert len(steps) < n_steps
-    # One cover search per distinct sample vertex.
-    assert seen["covered"] and max(seen["covered"].values()) == 1
+    # The samples are covered by construction: the walk builds no translate.
+    assert translated and seen["built"] == []
 
 
-class _CountedReads(dict):
-    """A memo that counts its reads: one per sample a walk visits."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
+@pytest.mark.parametrize("fixture,built", [("fp_r2_z2.json", 706), ("fp_r1_z2.json", 53)])
+def test_a_run_translates_only_by_the_separations_and_cobounded_balls(translated, fixture, built):
+    # At h = 7 > floor(6R) = 6 the translates are those of the separations
+    # ball, of the cobounded check's in-ball candidates about ε and of claim
+    # 2's steps, which lie inside the separations ball here; the generation
+    # walk, which samples the whole horizon ball, adds none.
+    assert _run_cli(fixture, "--horizon", "7", "svarc-milnor", "-R", "1") == 0
+    oracle, _ = parse_monoid_spec(os.path.join(FIXTURES, fixture))
+    candidates = GammaOracle(oracle, 7).in_ball_cellset(oracle.identity, Fraction(1), 7).vertices
+    assert len(translated) == len(set(translated)) == built
+    assert set(translated) == set(oracle.elements_up_to(6)) | candidates
+    assert len(oracle.elements_up_to(7)) > built
 
 
 @pytest.mark.parametrize(
@@ -462,21 +565,25 @@ class _CountedReads(dict):
      ("fp_r1_z2.json", ["svarc-milnor", "-R", "3/2"]), ("s3.json", ["svarc-milnor", "-R", "1"])],
 )
 def test_each_witness_prefix_is_extended_once_by_at_most_ceil_inverse_l_samples(monkeypatch, fixture, args):
-    walks, extensions = [], []
-    init, extend = svarcmilnor._Walk.__init__, svarcmilnor._Walk._extend
+    walks, extensions, covered = [], [], []
+    init, extend, cover = svarcmilnor._Walk.__init__, svarcmilnor._Walk._extend, svarcmilnor._Walk._cover
 
     def counted_init(self, report, inp):
         init(self, report, inp)
-        self.covers = _CountedReads()
         walks.append(self)
 
+    def counted_cover(self, v):  # one call per sample a walk visits
+        covered.append(v)
+        return cover(self, v)
+
     def counted_extend(self, state, w):
-        before = self.covers.reads
+        before = len(covered)
         out = extend(self, state, w)
-        extensions.append((w, self.covers.reads - before))
+        extensions.append((w, len(covered) - before))
         return out
 
     monkeypatch.setattr(svarcmilnor._Walk, "__init__", counted_init)
+    monkeypatch.setattr(svarcmilnor._Walk, "_cover", counted_cover)
     monkeypatch.setattr(svarcmilnor._Walk, "_extend", counted_extend)
     assert _run_cli(fixture, "--horizon", "5", *args) == 0
 

@@ -1,7 +1,8 @@
 """Source hygiene: the benchmark's per-layer spans resolve, no import is unused,
 ``check_axioms`` keeps the positional arguments the benchmark reads,
-every one-letter right product goes through the oracle's out-edge table, and
-importing the CLI loads no ``dataclasses`` machinery.
+every one-letter right product goes through the oracle's out-edge table,
+importing the CLI loads no ``dataclasses`` machinery, and the generation
+certificates build no cell set.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -74,7 +75,7 @@ PLANTED_SPANS = {
     "cayley.word_distance": True,  # a public function defined there
     "monoids.multiply": True,  # a public method of a class defined there
     "svarcmilnor.compute_contact_set": False,  # imported there, defined in actions
-    "svarcmilnor._covering_elements": False,  # private
+    "svarcmilnor._isometric_embedding": False,  # private
     "monoids.SubmonoidOracle": False,  # a class, which the tracer does not wrap
     "actions.min_positive_separation": False,  # no such definition
     "nomodule.word_distance": False,  # no such module
@@ -295,3 +296,61 @@ def test_dataclasses_import_check_flags_every_form(tmp_path):
     path = tmp_path / "uses_dataclasses.py"
     path.write_text(DATACLASSES, encoding="utf-8")
     assert _dataclasses_imports(str(path)) == ["line 1", "line 2", "line 3", "line 7"]
+
+
+# The generation walk covers each sample vertex v by construction, with some
+# v·t⁻¹, so the certificates need no translate of B and no other cell set.
+WALK_DEFINITIONS = ("_Walk", "verify_generation_bound", "factor_over_generators")
+CELL_SET_NAMES = ("Translates", "translate", "translates", "CellSet")
+
+
+def _cell_set_uses(path: str, definitions=WALK_DEFINITIONS) -> list[str]:
+    """Each name or attribute in CELL_SET_NAMES inside the module-level
+    definitions named `definitions`, and each of them that is missing."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found, seen = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in definitions:
+            seen.add(node.name)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in CELL_SET_NAMES:
+                    found.append(f"{node.name}: {name} (line {sub.lineno})")
+    return found + [f"{name}: missing" for name in definitions if name not in seen]
+
+
+def test_generation_certificates_build_no_cell_set():
+    assert _cell_set_uses(os.path.join(PACKAGE, "svarcmilnor.py")) == []
+
+
+CELL_SETS = """\
+from monoidgeo.cayley import CellSet, Translates
+
+
+class _Walk:
+    def cover(self, v):
+        return self.report.translates[v]
+
+    def ball(self):
+        return CellSet([()])
+
+
+def verify_generation_bound(report, inp):
+    return Translates(inp.monoid, report.ball)
+
+
+def extract_generators(inp):
+    return Translates(inp.monoid, CellSet([()])).B.translate(inp.monoid, ())
+"""
+
+
+def test_cell_set_check_flags_planted_uses(tmp_path):
+    path = tmp_path / "cell_sets.py"
+    path.write_text(CELL_SETS, encoding="utf-8")
+    assert _cell_set_uses(str(path)) == [
+        "_Walk: translates (line 6)",
+        "_Walk: CellSet (line 9)",
+        "verify_generation_bound: Translates (line 13)",
+        "factor_over_generators: missing",
+    ]

@@ -42,8 +42,7 @@ from monoidgeo import (
 )
 from monoidgeo import svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
-from monoidgeo.svarcmilnor import _covering_elements
-from builders import replaced, sample_points
+from builders import covering_elements, replaced, sample_points, translates_of
 from test_distance_field import symmetric_group_5
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -128,9 +127,10 @@ def reference_coverage(report, inp):
     gamma = inp.gamma
     R = ExtNonNeg.of(inp.radius)
     sample = sample_points(gamma.out_ball_cellset(inp.monoid.identity, Fraction(min(inp.horizon, 3)), inp.far))
+    translates = translates_of(inp, report)
     failures, pairs = [], 0
     for x in sample:
-        covering = list(_covering_elements(inp, report.translates, x))
+        covering = list(covering_elements(inp, translates, x))
         for h in covering:
             assert gamma.known_distance(Vertex(h), x) <= R, (x, h)
             assert gamma.known_distance(x, Vertex(h)) <= R, (x, h)

@@ -39,6 +39,7 @@ from monoidgeo import (
 from monoidgeo import svarcmilnor
 from monoidgeo.cayley import gamma_set_distance
 from monoidgeo.cli import main, parse_monoid_spec
+from builders import translates_of
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 RADII = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -96,7 +97,7 @@ def reference_separations(inp, translates, plant=None):
 
 
 def _agree(report, inp, plant=None):
-    S, separations, q_translates, r, l, claim1, claim2 = reference_separations(inp, report.translates, plant)
+    S, separations, q_translates, r, l, claim1, claim2 = reference_separations(inp, translates_of(inp, report), plant)
     assert report.generators == S
     ball = inp.monoid.elements_up_to(min(inp.horizon, math.floor(6 * inp.radius)))
     assert list(report.separations) == ball == list(separations)[: len(ball)]
