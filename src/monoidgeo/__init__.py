@@ -39,14 +39,12 @@ from .monoids import (
     TableMonoid,
     Verdict,
     Word,
-    bicyclic_monoid,
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,
     ends_in_group_identity_submonoid,
     format_word,
     from_spec_dict,
-    zero_monoid,
 )
 from .cayley import (
     CayleyPoint,

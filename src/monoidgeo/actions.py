@@ -163,26 +163,26 @@ def check_cobounded(
 
 
 def compute_contact_set(
-    translates: Translates, gamma: GammaOracle, radius: Fraction, horizon: int
+    translates: Translates, gamma: GammaOracle, radius: Fraction
 ) -> tuple[list[Word], dict[Word, ExtNonNeg]]:
     """(S, separations): the contact set S = {m : d(B, mB) = 0} of the run's
-    `translates`, in BFS order, and d(B, mB) for every m of the ball of radius
-    `horizon`, in BFS order (extraction asks for min(h, floor(6R)), the ball
-    that Q and claim 1 need).  B holds e and lies in the strong `radius`-ball
-    about e, so d(B, mB) >= d(e, m) - 2R puts S in the ball of radius
-    floor(2R): S is read off the larger ball of the two, where d(B, mB) <=
-    d(e, m) is known."""
+    `translates`, and d(B, mB) for every m of the ball of radius
+    rho = ceil(3R) - 1, R the `radius`, both in BFS order.
+
+    B holds e and lies in the strong R-ball about e, and left translation is
+    1-Lipschitz, so d(e, m) - 2R <= d(B, mB) <= d(e, m).  The first bound puts
+    S in the ball of radius floor(2R) <= rho, and every m with d(B, mB) < R
+    in the rho ball, whatever the horizon (see extract_generators).  The
+    second makes each separation of the rho ball known at horizon rho."""
     oracle, B = translates.oracle, translates.B
-    far = max(horizon, math.floor(2 * radius))
+    rho = math.ceil(3 * radius) - 1
     separations = {}
-    for m in oracle.elements_up_to(far):
-        d = gamma.set_distance(B, translates[m], far)
+    for m in oracle.elements_up_to(rho):
+        d = gamma.set_distance(B, translates[m], rho)
         if not d.is_known:
-            raise HorizonTooSmall(f"d(B, {format_word(m)}B) not known at horizon {far}")
+            raise HorizonTooSmall(f"d(B, {format_word(m)}B) not known at horizon {rho}")
         separations[m] = d.value
     S = [m for m, d in separations.items() if d == ZERO]
-    if far > horizon:
-        separations = {m: separations[m] for m in oracle.elements_up_to(horizon)}
     return S, separations
 
 

@@ -623,16 +623,6 @@ def _check_confluent(m: RewritingMonoid) -> None:
         )
 
 
-def bicyclic_monoid() -> RewritingMonoid:
-    rules = sorted(_stock_rules("bicyclic", "p", "q"))
-    return RewritingMonoid(["p", "q"], rules, fast_path="bicyclic", name="bicyclic")
-
-
-def zero_monoid() -> RewritingMonoid:
-    rules = sorted(_stock_rules("zero", "a", "z"))
-    return RewritingMonoid(["a", "z"], rules, fast_path="zero", name="zero")
-
-
 class SubmonoidOracle(MonoidOracle):
     """The submonoid of a parent oracle on which the predicate `contains`
     holds, enumerated by filtering parent balls.

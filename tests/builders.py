@@ -1,11 +1,26 @@
-"""Test-side builders of small stock monoids, a copier of records, the
-sample points of a cell set, and the translates of an extraction's ball with
-the covering search that the generation walk once made over them."""
+"""Test-side builders of small stock monoids (among them the bicyclic and
+zero monoids, which the CLI builds from spec documents), a copier of
+records, the sample points of a cell set, and the translates of an
+extraction's ball with the covering search that the generation walk once
+made over them and the claim loops that extraction once ran on them."""
 
+import math
 from fractions import Fraction
 
-from monoidgeo import EdgePoint, FiniteGroup, SpecValidationError, SubmonoidOracle, Vertex
+from monoidgeo import (
+    ZERO,
+    EdgePoint,
+    ExtNonNeg,
+    FiniteGroup,
+    HorizonTooSmall,
+    RewritingMonoid,
+    SpecValidationError,
+    SubmonoidOracle,
+    Vertex,
+    format_word,
+)
 from monoidgeo.cayley import Translates
+from monoidgeo.monoids import _stock_rules
 
 
 def replaced(record, **changes):
@@ -43,6 +58,45 @@ def covering_elements(inp, translates, x):
         m = v if t == n.identity else n.multiply(v, n.exact_quotient(t, n.identity))
         if (not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)) and translates[m].contains(x):
             yield m
+
+
+def claim_loops(report, inp, separations):
+    """(claim-1 witnesses, claim-2 witnesses, steps): the loops extraction ran
+    before claims 1 and 2 became theorems, at the report's r and S.
+
+    `separations` maps elements m to d(B, mB), in BFS order.  Claim 1 names
+    each m of it at a separation strictly between 0 and r.  Claim 2 compares
+    B with qB for each step q of the ball of radius ceil(2R + r) - 1, reading
+    d(B, qB) off `separations` or taking it, and names each q outside S
+    closer than r; every witness has m = e, as left translation carries the
+    comparison to every m.  `steps` is the number of q compared."""
+    oracle, r = inp.monoid, ExtNonNeg.of(report.r)
+    c1 = [{"h": format_word(m), "d(B,hB)": sep} for m, sep in separations.items() if ZERO < sep < r]
+    translates = translates_of(inp, report)
+    steps = oracle.elements_up_to(math.ceil(2 * inp.radius + report.r) - 1)
+    c2 = []
+    for q in steps:
+        sep = separations.get(q)
+        if sep is None:
+            d = inp.gamma.set_distance(report.ball, translates[q], inp.far)
+            if not d.is_known:
+                raise HorizonTooSmall(f"d(B, {format_word(q)}B) unknown")
+            sep = d.value
+        if sep < r and q not in report.generators:
+            c2.append({"m": format_word(oracle.identity), "n": format_word(q), "d(mB,nB)": sep})
+    return c1, c2, len(steps)
+
+
+def bicyclic_monoid() -> RewritingMonoid:
+    """The bicyclic monoid <p, q | pq = ε>, with its fast path."""
+    rules = sorted(_stock_rules("bicyclic", "p", "q"))
+    return RewritingMonoid(["p", "q"], rules, fast_path="bicyclic", name="bicyclic")
+
+
+def zero_monoid() -> RewritingMonoid:
+    """<a, z | az = za = zz = z>: z is a left and right zero, with its fast path."""
+    rules = sorted(_stock_rules("zero", "a", "z"))
+    return RewritingMonoid(["a", "z"], rules, fast_path="zero", name="zero")
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:

@@ -20,7 +20,6 @@ from monoidgeo import (
     SmInput,
     Vertex,
     WordMetricSpace,
-    bicyclic_monoid,
     check_axioms,
     check_cancellative,
     check_finite_geometric_type,
@@ -31,10 +30,9 @@ from monoidgeo import (
     run_free_product,
     run_pipeline,
     translation_action,
-    zero_monoid,
 )
 from monoidgeo.cli import main as cli_main
-from builders import cyclic_group
+from builders import bicyclic_monoid, cyclic_group, zero_monoid
 
 ZERO = ExtNonNeg.finite(0)
 
@@ -234,9 +232,14 @@ def test_criterion_4_extraction_with_independent_oracle():
     if rep.lam != ExtNonNeg.finite(1) or rep.lam != oracle_vals["lam"]:
         ok = False
         detail.append(f"lambda={rep.lam}")
-    if dict(rep.q_translates) != oracle_vals["Q"]:
+    # Q lists the translates of the ball of radius ceil(3R) - 1 = 2; the
+    # interval oracle's entries past it are no closer than R.
+    if dict(rep.q_translates) != {m: d for m, d in oracle_vals["Q"].items() if len(m) <= 2}:
         ok = False
         detail.append("Q translates disagree with the interval oracle")
+    if not all(d >= ExtNonNeg.of(1) for m, d in oracle_vals["Q"].items() if len(m) > 2):
+        ok = False
+        detail.append("an interval-oracle Q entry past the ball is closer than R")
     for m, sep in rep.separations.items():
         expected = ZERO if m in oracle_vals["S"] else oracle_vals["separations"].get(m)
         if expected != sep:

@@ -16,16 +16,14 @@ from monoidgeo import (
     NoPath,
     Segment,
     Vertex,
-    bicyclic_monoid,
     check_inclusion_qi,
     FreeProductMonoid,
     gamma_distance,
     gamma_set_distance,
     shortest_word,
     word_distance,
-    zero_monoid,
 )
-from builders import cyclic_group
+from builders import bicyclic_monoid, cyclic_group, zero_monoid
 
 F1 = FreeMonoid(1, ["a"])
 F2 = FreeMonoid(2, ["a", "b"])

@@ -1,14 +1,16 @@
-"""Claim 2 against the pair loop it replaced.
+"""Claim 2 against the pair loop and the step loop it replaced.
 
-``reference_claim2`` is the former claim-2 loop of ``extract_generators``:
+``reference_claim2`` is the first claim-2 loop of ``extract_generators``:
 it visits every pair (m, n) of the horizon ball, skips those whose orbit
 points are at least 2R + r apart, since d(mB, nB) >= d(m x0, n x0) - 2R,
-and takes the set distance of the rest.  ``extract_generators`` now compares
-B only with its right neighbours qB, q in the ball of radius
-ceil(2R + r) - 1, and carries the comparison to every m by left
-translation.  Both must agree on the verdict; the new witnesses must be the
-reference's witnesses with m = e, in the same order; and every reference
-witness (m, n) must be n = m*q for some new witness q.
+and takes the set distance of the rest.  The step loop that followed it,
+``builders.claim_loops``, compares B only with its right neighbours qB, q
+in the ball of radius ceil(2R + r) - 1, and carries the comparison to every
+m by left translation.  Extraction now reports claim 2 as a theorem: on
+every report both loops must find nothing.  Planted into a report, a
+missing contact element must make both fail, the step loop's witnesses
+being the pair loop's witnesses with m = e, in the same order, and every
+pair-loop witness (m, n) being n = m*q for some step-loop witness q.
 """
 
 import io
@@ -20,8 +22,6 @@ from fractions import Fraction
 import pytest
 
 from monoidgeo import (
-    INF,
-    ZERO,
     ExtNonNeg,
     GammaOracle,
     HorizonTooSmall,
@@ -30,9 +30,9 @@ from monoidgeo import (
     extract_generators,
     format_word,
 )
-from monoidgeo import svarcmilnor
+from monoidgeo import cayley, svarcmilnor
 from monoidgeo.cli import main, parse_monoid_spec
-from builders import translates_of
+from builders import claim_loops, translates_of
 from test_distance_field import symmetric_group_5
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -70,11 +70,14 @@ def reference_claim2(report, inp):
 
 
 def _agree(report, inp):
-    """The reference's witnesses, after checking the new claim 2 against them."""
+    """The pair loop's witnesses, after checking the step loop, run on the
+    report's separations, against them.  Claim 2 is reported as a theorem."""
     oracle = inp.monoid
     _, witnesses = reference_claim2(report, inp)
-    ours = report.claim2.witnesses
-    assert report.claim2.verdict == ("fail" if witnesses else "pass")
+    c1, ours, _ = claim_loops(report, inp, report.separations)
+    assert report.claim2.verdict == "pass" and report.claim2.witnesses == []
+    assert report.claim2.artifacts["basis"].startswith("theorem: ")
+    assert c1 == []
     assert ours == [w for w in witnesses if w["m"] == format_word(oracle.identity)]
     steps = [oracle.parse_word(w["n"]) for w in ours]
     for w in witnesses:
@@ -106,17 +109,13 @@ SVARC_MILNOR_CASES = [
 )
 def test_claim2_matches_the_pair_loop(fixture, horizon, radius):
     inp = _svarc_milnor_input(_fixture_oracle(fixture), horizon, radius)
-    report = extract_generators(inp)
-    assert report.claim2.passed
-    _agree(report, inp)
+    assert _agree(extract_generators(inp), inp) == []
 
 
 @pytest.mark.parametrize("radius", RADII, ids=[str(R) for R in RADII])
 def test_claim2_matches_the_pair_loop_on_s5_at_its_diameter(radius):
     inp = _svarc_milnor_input(symmetric_group_5(), 11, radius)
-    report = extract_generators(inp)
-    assert report.claim2.passed
-    _agree(report, inp)
+    assert _agree(extract_generators(inp), inp) == []
 
 
 @pytest.mark.parametrize("horizon", range(3, 7))
@@ -127,8 +126,8 @@ def test_an_integer_threshold_excludes_pairs_at_it(horizon):
     inp = _svarc_milnor_input(oracle, horizon, Fraction(5, 4))
     report = extract_generators(inp)
     assert 2 * inp.radius + report.r == 3
-    assert report.claim2.artifacts["pairs_checked"] == 7
-    _agree(report, inp)
+    assert claim_loops(report, inp, report.separations)[2] == 7
+    assert _agree(report, inp) == []
 
 
 @pytest.fixture
@@ -167,7 +166,7 @@ def test_claim2_matches_the_pair_loop_in_the_pipelines(recorded, fixture, horizo
     assert _run_cli(fixture, "--horizon", str(horizon), command) == 0
     ((report, inp),) = recorded
     assert report.claim2.horizon == horizon
-    _agree(report, inp)
+    assert _agree(report, inp) == []
 
 
 def _drop_from_contact_set(monkeypatch, *dropped):
@@ -195,7 +194,6 @@ def test_planted_missing_contact_element_fails_both_ways(monkeypatch, name):
     oracle, horizon = PLANTED_ORACLES[name]
     inp = _svarc_milnor_input(oracle(), horizon, Fraction(1))
     report = extract_generators(inp)
-    assert report.claim2.verdict == "fail"
     witnesses = _agree(report, inp)
     # b touches B, so the pair (e, b) is the first one left without a step.
     assert witnesses[0] == {"m": "ε", "n": "b", "d(mB,nB)": ExtNonNeg.of(0)}
@@ -213,37 +211,44 @@ def test_planted_missing_contact_elements_keep_the_witness_order(monkeypatch, na
 
 
 def test_planted_missing_contact_element_exits_1(monkeypatch):
+    # Claim 2 is a theorem about the true S, so the generation bound, which
+    # has no contact element for the step to b, is what fails.
     _drop_from_contact_set(monkeypatch, ("b",))
+    generations = []
+    real = svarcmilnor.verify_generation_bound
+
+    def record(report, inp):
+        generations.append(real(report, inp))
+        return generations[-1]
+
+    monkeypatch.setattr(svarcmilnor, "verify_generation_bound", record)
     assert _run_cli("free2.json", "--horizon", "4", "svarc-milnor", "-R", "1") == 1
+    (generation,) = generations
+    assert generation.verdict == "fail"
+    assert generation.witnesses[0]["m"] == "b"
 
 
-def test_claim2_work_is_linear_in_the_ball(monkeypatch):
+def test_extraction_takes_one_set_distance_per_element_of_the_rho_ball(monkeypatch):
     # The pair loop made about half a million orbit distance calls at h = 6.
-    # Claim 2 now reads d(B, qB) off the separations, which cover the ball
-    # of radius min(h, floor(6R)), and takes a set distance only for a q
-    # outside it; Q takes one only for an m with 5R < d(e, m) <= 6R.
+    # Extraction now takes d(B, mB) once for each m of the ball of radius
+    # ceil(3R) - 1, in BFS order, whatever the horizon, and no other set
+    # distance: Q, r and both claims are read off those separations.
     calls = []
-    real = svarcmilnor.gamma_set_distance
+    real = cayley.gamma_set_distance
 
     def count(oracle, X, Y, horizon):
-        calls.append(X)
+        calls.append((X, Y))
         return real(oracle, X, Y, horizon)
 
-    monkeypatch.setattr(svarcmilnor, "gamma_set_distance", count)
+    monkeypatch.setattr(cayley, "gamma_set_distance", count)
     oracle = _fixture_oracle("fp_r2_z2.json")
     for horizon, radius in ((2, Fraction(2)), (4, Fraction(1)), (6, Fraction(1)), (8, Fraction(1))):
         calls.clear()
         inp = _svarc_milnor_input(oracle, horizon, radius)
         report = extract_generators(inp)
-        assert report.claim2.passed
-        assert list(report.separations) == oracle.elements_up_to(min(horizon, math.floor(6 * radius)))
-        k = math.ceil(2 * radius + report.r) - 1
-        outside = [q for q in oracle.elements_up_to(k) if q not in report.separations]
-        assert sum(X is report.ball for X in calls) == len(outside)
-        inner = len(oracle.elements_up_to(min(horizon, math.floor(5 * radius))))
-        ring = [sep for sep in list(report.separations.values())[inner:] if ZERO < sep < INF]
-        assert sum(X is not report.ball for X in calls) == len(ring)
+        ball = oracle.elements_up_to(math.ceil(3 * radius) - 1)
+        assert list(report.separations) == ball
+        assert all(X is report.ball for X, _ in calls)
+        assert [Y for _, Y in calls] == [report.ball.translate(oracle, m) for m in ball]
         if horizon == 2:
-            assert outside  # claim 2 reaches past the horizon ball here
-        if horizon == 8:
-            assert ring  # depth 6 holds separated translates
+            assert len(ball) > len(oracle.elements_up_to(horizon))  # the ball reaches past the horizon

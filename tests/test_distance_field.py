@@ -26,14 +26,12 @@ from monoidgeo import (
     SubmonoidOracle,
     TableMonoid,
     TruncatedDistance,
-    bicyclic_monoid,
     ends_in_group_identity_submonoid,
     from_spec_dict,
     shortest_word,
     word_distance,
-    zero_monoid,
 )
-from builders import cyclic_group
+from builders import bicyclic_monoid, cyclic_group, zero_monoid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -491,7 +491,7 @@ def translated(monkeypatch):
     return built
 
 
-# At h = 7 > floor(6R) the walk samples vertices past the separations ball.
+# At h = 7 > ceil(3R) - 1 the walk samples vertices past the separations ball.
 @pytest.mark.parametrize(
     "args", [["--horizon", "5", "free-product"], ["--horizon", "7", "svarc-milnor", "-R", "1"]],
     ids=["free-product h5", "svarc-milnor h7 R1"],
@@ -545,17 +545,17 @@ def test_generation_searches_once_per_pair_and_builds_no_translate(monkeypatch, 
     assert translated and seen["built"] == []
 
 
-@pytest.mark.parametrize("fixture,built", [("fp_r2_z2.json", 706), ("fp_r1_z2.json", 53)])
+@pytest.mark.parametrize("fixture,built", [("fp_r2_z2.json", 12), ("fp_r1_z2.json", 6)])
 def test_a_run_translates_only_by_the_separations_and_cobounded_balls(translated, fixture, built):
-    # At h = 7 > floor(6R) = 6 the translates are those of the separations
-    # ball, of the cobounded check's in-ball candidates about ε and of claim
-    # 2's steps, which lie inside the separations ball here; the generation
-    # walk, which samples the whole horizon ball, adds none.
+    # At R = 1 the translates are those of the separations ball, of radius
+    # ceil(3R) - 1 = 2 whatever the horizon, and of the cobounded check's
+    # in-ball candidates about ε; the generation walk, which samples the
+    # whole horizon ball, adds none.
     assert _run_cli(fixture, "--horizon", "7", "svarc-milnor", "-R", "1") == 0
     oracle, _ = parse_monoid_spec(os.path.join(FIXTURES, fixture))
     candidates = GammaOracle(oracle, 7).in_ball_cellset(oracle.identity, Fraction(1), 7).vertices
     assert len(translated) == len(set(translated)) == built
-    assert set(translated) == set(oracle.elements_up_to(6)) | candidates
+    assert set(translated) == set(oracle.elements_up_to(2)) | candidates
     assert len(oracle.elements_up_to(7)) > built
 
 

@@ -45,7 +45,7 @@ CASES = {
     "fp_r2_z2_submonoid_h4": ("fp_r2_z2.json", ["--horizon", "4", "submonoid"], 0),
     "fp_r1_z2_svarc_milnor_h4": ("fp_r1_z2.json", ["--horizon", "4", "svarc-milnor", "-R", "1"], 0),
     "fp_r1_z2_svarc_milnor_h2_r2": ("fp_r1_z2.json", ["--horizon", "2", "svarc-milnor", "-R", "2"], 0),
-    # h > floor(6R) on an infinite monoid: the generation walk covers samples
+    # h > ceil(3R) - 1 on an infinite monoid: the generation walk covers samples
     # past the separations ball.
     "fp_r1_z2_svarc_milnor_h7": ("fp_r1_z2.json", ["--horizon", "7", "svarc-milnor", "-R", "1"], 0),
     "s3_svarc_milnor": ("s3.json", ["--horizon", "3", "svarc-milnor", "-R", "1"], 0),

@@ -1,8 +1,9 @@
 """Source hygiene: the benchmark's per-layer spans resolve, no import is unused,
 ``check_axioms`` keeps the positional arguments the benchmark reads,
 every one-letter right product goes through the oracle's out-edge table,
-importing the CLI loads no ``dataclasses`` machinery, and the generation
-certificates build no cell set.
+importing the CLI loads no ``dataclasses`` machinery, the generation
+certificates build no cell set, and extraction takes no set distance of its
+own.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -304,9 +305,9 @@ WALK_DEFINITIONS = ("_Walk", "verify_generation_bound", "factor_over_generators"
 CELL_SET_NAMES = ("Translates", "translate", "translates", "CellSet")
 
 
-def _cell_set_uses(path: str, definitions=WALK_DEFINITIONS) -> list[str]:
-    """Each name or attribute in CELL_SET_NAMES inside the module-level
-    definitions named `definitions`, and each of them that is missing."""
+def _cell_set_uses(path: str, definitions=WALK_DEFINITIONS, names=CELL_SET_NAMES) -> list[str]:
+    """Each name or attribute in `names` inside the module-level definitions
+    named `definitions`, and each of them that is missing."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     found, seen = [], set()
@@ -315,7 +316,7 @@ def _cell_set_uses(path: str, definitions=WALK_DEFINITIONS) -> list[str]:
             seen.add(node.name)
             for sub in ast.walk(node):
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name in CELL_SET_NAMES:
+                if name in names:
                     found.append(f"{node.name}: {name} (line {sub.lineno})")
     return found + [f"{name}: missing" for name in definitions if name not in seen]
 
@@ -354,3 +355,42 @@ def test_cell_set_check_flags_planted_uses(tmp_path):
         "verify_generation_bound: Translates (line 13)",
         "factor_over_generators: missing",
     ]
+
+
+# Extraction takes every set distance through compute_contact_set, which the
+# benchmark spans, on the ball of radius ceil(3R) - 1: Q, r and both claims
+# are read off those separations.
+SET_DISTANCE_NAMES = ("gamma_set_distance", "set_distance", "CellSet")
+
+
+def test_extraction_takes_set_distances_only_through_the_contact_set():
+    path = os.path.join(PACKAGE, "svarcmilnor.py")
+    assert _cell_set_uses(path, ("extract_generators",), SET_DISTANCE_NAMES) == []
+
+
+SET_DISTANCES = """\
+from monoidgeo.cayley import CellSet, gamma_set_distance
+
+
+def compute_contact_set(translates, gamma, radius):
+    return gamma.set_distance(translates.B, translates.B, 1)
+
+
+def extract_generators(inp):
+    center = CellSet([()])
+    ring = gamma_set_distance(inp.gamma.monoid, center, center, 8)
+    return inp.gamma.set_distance(center, center, 8), ring
+"""
+
+
+def test_set_distance_check_flags_planted_uses(tmp_path):
+    path = tmp_path / "set_distances.py"
+    path.write_text(SET_DISTANCES, encoding="utf-8")
+    assert sorted(_cell_set_uses(str(path), ("extract_generators",), SET_DISTANCE_NAMES)) == [
+        "extract_generators: CellSet (line 9)",
+        "extract_generators: gamma_set_distance (line 10)",
+        "extract_generators: set_distance (line 11)",
+    ]
+    assert _cell_set_uses(str(path), ("extract_generators", "run_pipeline"), SET_DISTANCE_NAMES)[-1] == (
+        "run_pipeline: missing"
+    )

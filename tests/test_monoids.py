@@ -19,7 +19,6 @@ from monoidgeo import (
     SpecParseError,
     SpecValidationError,
     TableMonoid,
-    bicyclic_monoid,
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,
@@ -27,9 +26,8 @@ from monoidgeo import (
     format_word,
     from_spec_dict,
     word_distance,
-    zero_monoid,
 )
-from builders import cyclic_group
+from builders import bicyclic_monoid, cyclic_group, zero_monoid
 
 
 def fp_z2(rank=1):

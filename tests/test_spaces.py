@@ -15,13 +15,12 @@ from monoidgeo import (
     HorizonTooSmall,
     TruncatedDistance,
     WordMetricSpace,
-    bicyclic_monoid,
     check_axioms,
     check_quasi_metric,
     gamma_set_distance,
 )
 from monoidgeo.spaces import SemimetricSpace, Violation, ViolationReport
-from builders import cyclic_group
+from builders import bicyclic_monoid, cyclic_group
 from test_gamma_table_reference import _distance_table
 
 F1 = FreeMonoid(1, ["a"])

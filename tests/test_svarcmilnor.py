@@ -30,10 +30,9 @@ from monoidgeo import (
     run_free_product,
     run_pipeline,
     run_submonoid_theorem,
-    zero_monoid,
 )
 from monoidgeo.cli import main
-from builders import cyclic_group, sample_points
+from builders import claim_loops, cyclic_group, sample_points, zero_monoid
 from test_distance_field import ORACLES
 
 F1 = FreeMonoid(1, ["a"])
@@ -63,22 +62,29 @@ def test_f1_extraction_constants(f1_result):
 
 def test_f1_q_translates(f1_result):
     r = f1_result["report"]
-    # translates separated from B but still touching the radius-5 out-ball
-    got = {format_word(m): sep for m, sep in r.q_translates}
-    assert got == {
-        "aa": ExtNonNeg.of(1),
-        "aaa": ExtNonNeg.of(2),
-        "aaaa": ExtNonNeg.of(3),
-        "aaaaa": ExtNonNeg.of(4),
-    }
+    # translates separated from B in the ball of radius ceil(3R) - 1 = 2
+    assert {format_word(m): sep for m, sep in r.q_translates} == {"aa": ExtNonNeg.of(1)}
     assert r.outer_ball_radius == Fraction(5)
+    assert "radius ceil(3R) - 1 = 2 has separation >= R" in r.to_json()["Q"]["basis"]
+    # The rest of the radius-5 out-ball's separated translates, which Q
+    # listed before, are as far as ever and no closer than R.
+    gamma, B = GammaOracle(F1, 8), r.ball
+    assert [gamma.set_distance(B, B.translate(F1, ("a",) * k)).value for k in range(3, 6)] == [
+        ExtNonNeg.of(2), ExtNonNeg.of(3), ExtNonNeg.of(4)
+    ]
 
 
 def test_f1_claims(f1_result):
     r = f1_result["report"]
-    assert r.claim1.verdict == "pass"
-    assert r.claim2.verdict == "pass"
-    assert r.claim2.artifacts["pairs_checked"] > 0
+    for claim in (r.claim1, r.claim2):
+        assert claim.verdict == "pass" and claim.witnesses == []
+        assert claim.artifacts["basis"].startswith("theorem: ")
+    # The loops the claims replaced find nothing, on the horizon ball too.
+    inp = make_input(F1)
+    horizon_ball = {m: GammaOracle(F1, 8).set_distance(r.ball, r.ball.translate(F1, m)).value
+                    for m in F1.elements_up_to(8)}
+    c1, c2, steps = claim_loops(r, inp, horizon_ball)
+    assert (c1, c2) == ([], []) and steps > 0
 
 
 def test_f1_generation_bound(f1_result):
