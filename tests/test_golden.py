@@ -1,15 +1,18 @@
 """CLI reports compared byte for byte against committed golden files.
 
 Each PYTHONHASHSEED in SEEDS gets one child process that runs every command
-in CASES through ``monoidgeo.cli.main`` and prints the reports as one JSON
-document; the three children run side by side.  The golden files under
-``tests/golden/`` hold the expected stdout of each command.
+in CASES and DIGESTS through ``monoidgeo.cli.main`` and prints the reports
+as one JSON document; the three children run side by side.  The golden
+files under ``tests/golden/`` hold the expected stdout of each command in
+CASES.  A report too large to commit is pinned in DIGESTS by the sha256 of
+its stdout.
 
 Regenerate them (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +55,20 @@ CASES = {
     "s3_ball_in": ("s3.json", ["--horizon", "3", "ball", "a", "2", "in"], 0),
 }
 
+# name -> (fixture, CLI arguments after --monoid, expected exit code, sha256 of
+# stdout): the free-product corollary at the default horizon 8 (103 KB and
+# 4.5 MB of report).
+DIGESTS = {
+    "fp_r1_z2_free_product": (
+        "fp_r1_z2.json", ["free-product"], 0,
+        "91049781dba65c77edbb30249a1ffb2fb4aaaab168dc2e327038f597aafa25da",
+    ),
+    "fp_r2_z2_free_product_h8": (
+        "fp_r2_z2.json", ["--horizon", "8", "free-product"], 0,
+        "e40f768d2a21b9096590cd4444c45032244492c3ae6864cea28103a9b7123086",
+    ),
+}
+
 CHILD = r"""
 import io, json, sys
 from contextlib import redirect_stdout
@@ -68,10 +85,8 @@ json.dump(out, sys.stdout)
 
 
 def _argvs() -> dict:
-    return {
-        name: ["--monoid", os.path.join(HERE, "fixtures", fixture)] + args
-        for name, (fixture, args, _) in CASES.items()
-    }
+    commands = [(name, case[0], case[1]) for name, case in list(CASES.items()) + list(DIGESTS.items())]
+    return {name: ["--monoid", os.path.join(HERE, "fixtures", fixture)] + args for name, fixture, args in commands}
 
 
 def _start(seed: str) -> subprocess.Popen:
@@ -107,11 +122,23 @@ def test_report_matches_golden(reports, name, seed):
     assert text == _golden(name)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_report_matches_digest(reports, name, seed):
+    code, text = reports[seed][name]
+    _, _, expected_code, digest = DIGESTS[name]
+    assert code == expected_code
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     os.makedirs(GOLDEN, exist_ok=True)
     child = _start("0")
     stdout, _ = child.communicate()
     for name, (code, text) in json.loads(stdout).items():
+        if name in DIGESTS:
+            print(name, code, hashlib.sha256(text.encode("utf-8")).hexdigest())
+            continue
         assert code == CASES[name][2], (name, code)
         with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
