@@ -3,12 +3,14 @@ replaced.
 
 `run_submonoid_theorem` and `run_free_product` take M = ends_in_e to be left
 unitary and each group letter's inverse to be its exact quotient, by the
-normal form theorem for free products, and read the realized lambda off one
-pass over basis words by left translation.  This file keeps what they did
-before as references: the left-unitary search, the ball search for right
-inverses, the search over P for MP = N, and the loop over all pairs of basis
-images.  On F1*Z2, F2*Z2, F1*S3 and F2*Z3 at horizons 3 to 6 the references
-agree with the pipelines.
+normal form theorem for free products, and `run_free_product` reads its
+realized constants off the basis letters and P's displacement.  This file
+keeps what they did before as references: the left-unitary search, the ball
+search for right inverses, the search over P for MP = N, the loop over all
+pairs of basis images, and the corollary's three loops (the basis-word loop,
+the M-ball factorization scan and the density loop).  On F1*Z2, F2*Z2, F1*S3
+and F2*Z3 the references agree with the pipelines, and planted inputs show
+that each corollary loop finds what it looks for.
 """
 
 import os
@@ -19,6 +21,9 @@ import pytest
 from monoidgeo import (
     FreeMonoid,
     FreeProductMonoid,
+    GammaOracle,
+    Vertex,
+    cayley,
     check_left_unitary,
     ends_in_group_identity_submonoid,
     format_word,
@@ -167,17 +172,174 @@ def test_neither_pipeline_searches_for_left_unitarity(monkeypatch):
     assert run_free_product(N, 4).verdict == "pass"
 
 
+# -- the corollary's former loops ---------------------------------------------
+
+
+def free_basis(N: FreeProductMonoid) -> list:
+    """The candidate free basis {g f} of M, one element per group element and
+    free letter, as run_free_product lists it."""
+    return [N.normal_form((f,) if g == N.group_identity else (g, f))
+            for g in N.group.element_names for f in N.free_letters]
+
+
+def _free_length(N: FreeProductMonoid, m) -> int:
+    return sum(x in N.free_letters for x in m)
+
+
+def reference_basis_loop(N: FreeProductMonoid, basis: list, horizon: int, in_m) -> tuple[dict, Fraction, list]:
+    """{image in N: basis word} over the basis words of length <= horizon/2,
+    the realized lambda of free -> M -> N over them, and the witnesses of a
+    repeated image, an image outside M and an image whose free length is not
+    its word's length, by the loop run_free_product made."""
+    names = [f"b{i+1}" for i in range(len(basis))]
+    images = {}
+    witnesses = []
+    for bword in FreeMonoid(len(basis), alphabet=names).elements_up_to(horizon // 2):
+        img = N.identity
+        for b in bword:
+            img = N.multiply(img, basis[names.index(b)])
+        if img in images:
+            witnesses.append(
+                {"reason": "basis factorization not injective",
+                 "words": [format_word(images[img]), format_word(bword)]}
+            )
+        images[img] = bword
+        if not in_m(img):
+            witnesses.append({"reason": "basis word leaves M", "word": format_word(bword)})
+        if _free_length(N, img) != len(bword):
+            witnesses.append({"reason": "basis letters not length-preserving", "word": format_word(bword)})
+    realized_lambda = Fraction(1)
+    for img, bword in images.items():
+        if bword:
+            a, b = len(bword), word_distance(N, N.identity, img, horizon).value.finite_value()
+            realized_lambda = max(realized_lambda, Fraction(b, a), Fraction(a, b))
+    return images, realized_lambda, witnesses
+
+
+def reference_m_ball_scan(N: FreeProductMonoid, images: dict, horizon: int, in_m) -> list:
+    """The elements of M in the horizon ball, of free length <= horizon/2,
+    that no basis word of the basis loop reaches."""
+    return [{"reason": "M-element misses basis factorization", "m": format_word(m)}
+            for m in N.elements_up_to(horizon)
+            if in_m(m) and _free_length(N, m) <= horizon // 2 and m not in images]
+
+
+def reference_density(N: FreeProductMonoid, horizon: int, in_m) -> tuple[Fraction, list]:
+    """The realized mu of M in N over the horizon ball, the largest over n of
+    the least strong distance from n to an n*g in M, g a group letter or the
+    identity, and the elements with no such n*g, by the loop run_free_product
+    made."""
+    gamma = GammaOracle(N, max(horizon, 8))
+    realized_mu = Fraction(0)
+    witnesses = []
+    for n in N.elements_up_to(horizon):
+        best = None
+        for g in N.group.element_names:
+            m = n if g == N.group_identity else N.successors(n)[N.generators.index(g)]
+            if not in_m(m):
+                continue
+            cand = max(gamma.known_distance(Vertex(m), Vertex(n)), gamma.known_distance(Vertex(n), Vertex(m)))
+            if not cand.is_infinite and (best is None or cand < best):
+                best = cand
+        if best is None:
+            witnesses.append({"reason": "element not near M", "n": format_word(n)})
+        else:
+            realized_mu = max(realized_mu, best.finite_value())
+    return realized_mu, witnesses
+
+
+COROLLARY_PRODUCTS = dict(MP_PRODUCTS, **{"F2*Z3": PRODUCTS["F2*Z3"]})
+COROLLARY_CASES = [(name, h) for name in MP_PRODUCTS for h in range(2, 9)] + [("F2*Z3", h) for h in range(3, 7)]
+
+
+@pytest.mark.parametrize("name,h", COROLLARY_CASES)
+def test_read_off_matches_the_former_loops(name, h):
+    N = COROLLARY_PRODUCTS[name]()
+    out = run_free_product(N, h)
+    assert out.verdict == "pass" and out.witnesses == []
+    in_m = ends_in_group_identity_submonoid(N)
+    basis = free_basis(N)
+    assert out.artifacts["basis"] == [format_word(b) for b in basis]
+    images, lam, witnesses = reference_basis_loop(N, basis, h, in_m)
+    witnesses += reference_m_ball_scan(N, images, h, in_m)
+    mu, density_witnesses = reference_density(N, h, in_m)
+    assert witnesses + density_witnesses == []
+    assert out.artifacts["realized_lambda"] == [lam.numerator, lam.denominator]
+    assert out.artifacts["realized_eps"] == [0, 1]
+    assert out.artifacts["realized_mu"] == [mu.numerator, mu.denominator]
+
+
+def _reasons(witnesses: list) -> set:
+    return {w["reason"] for w in witnesses}
+
+
+def test_basis_loop_finds_a_repeated_basis_element():
+    N = PRODUCTS["F2*Z2"]()
+    basis = free_basis(N)
+    _, _, witnesses = reference_basis_loop(N, basis + basis[:1], 4, ends_in_group_identity_submonoid(N))
+    assert _reasons(witnesses) == {"basis factorization not injective"}
+
+
+def test_basis_loop_finds_a_basis_word_outside_m():
+    N = PRODUCTS["F1*Z2"]()
+    # f·g ends in a group letter, so it leaves M; it still has free length 1.
+    _, _, witnesses = reference_basis_loop(N, [("f",), ("f", "g")], 4, ends_in_group_identity_submonoid(N))
+    assert _reasons(witnesses) == {"basis word leaves M"}
+
+
+def test_basis_loop_finds_a_letter_that_changes_free_length():
+    N = PRODUCTS["F1*Z2"]()
+    # g alone has free length 0, and it leaves M.
+    _, _, witnesses = reference_basis_loop(N, [("f",), ("g",)], 2, ends_in_group_identity_submonoid(N))
+    assert _reasons(witnesses) == {"basis word leaves M", "basis letters not length-preserving"}
+
+
+def test_m_ball_scan_finds_an_element_no_basis_word_reaches():
+    N = PRODUCTS["F1*Z2"]()
+    in_m = ends_in_group_identity_submonoid(N)
+    images, _, witnesses = reference_basis_loop(N, [("f",)], 4, in_m)  # g·f is missing
+    assert witnesses == []
+    missed = reference_m_ball_scan(N, images, 4, in_m)
+    assert {"reason": "M-element misses basis factorization", "m": "gf"} in missed
+
+
+def test_density_loop_finds_an_element_far_from_m():
+    N = PRODUCTS["F1*Z2"]()
+    # With M the words free of group letters, g·f reaches M by no group letter.
+    mu, witnesses = reference_density(N, 3, lambda w: not set(w) & set(N.group.element_names))
+    assert {"reason": "element not near M", "n": "gf"} in witnesses
+    assert mu == 1
+
+
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
 def test_lambda_takes_at_most_two_word_distances_per_image(monkeypatch, name):
-    calls = []
+    """The corollary's own part takes one word distance per basis letter and
+    no five-case distance, and builds no GammaOracle: everything else it
+    reports comes from run_submonoid_theorem."""
+    inside = []
+    own = {"word_distance": 0, "gamma_distance": 0, "GammaOracle": 0}
+    in_sub = dict(own)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return word_distance(*args, **kwargs)
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            (in_sub if inside else own)[key] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(svarcmilnor, "word_distance", counted)
+    def sub(*args, **kwargs):
+        inside.append(True)
+        try:
+            return run_submonoid_theorem(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(svarcmilnor, "run_submonoid_theorem", sub)
+    monkeypatch.setattr(svarcmilnor, "word_distance", counted("word_distance", word_distance))
+    monkeypatch.setattr(svarcmilnor, "GammaOracle", counted("GammaOracle", GammaOracle))
+    monkeypatch.setattr(cayley, "gamma_distance", counted("gamma_distance", cayley.gamma_distance))
     N = PRODUCTS[name]()
     out = run_free_product(N, 6)
     assert out.verdict == "pass"
-    _, images = _basis_images(N, 6)
-    assert 0 < len(calls) <= 2 * len(images)
+    assert 0 < own["word_distance"] <= len(free_basis(N))
+    assert own["gamma_distance"] == own["GammaOracle"] == 0
+    assert in_sub["gamma_distance"] > 0 and in_sub["GammaOracle"] == 1
