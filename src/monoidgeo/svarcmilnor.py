@@ -531,7 +531,7 @@ def run_free_product(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     sub = run_submonoid_theorem(N, horizon)  # first: it refuses a horizon below its ball radius
     group_names = N.group.element_names
     basis = [N.normal_form((f,) if g == N.group_identity else (g, f)) for g in group_names for f in N.free_letters]
-    lengths = [Fraction(word_distance(N, N.identity, b, horizon).value.finite_value()) for b in basis]
+    lengths = [word_distance(N, N.identity, b, horizon).value.finite_value() for b in basis]
     realized_lambda = max(max(d, 1 / d) for d in lengths)
     realized_mu = sub.artifacts["sm_report"].ball_radius - 1  # its R is 1 + P's displacement
     return PropertyReport(

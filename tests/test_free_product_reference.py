@@ -47,11 +47,17 @@ PRODUCTS = {
 CASES = [(name, h) for name in PRODUCTS for h in (3, 4, 5, 6)]
 
 
+def free_basis(N: FreeProductMonoid) -> list:
+    """The candidate free basis {g f} of M, one element per group element and
+    free letter, as run_free_product lists it."""
+    return [N.normal_form((f,) if g == N.group_identity else (g, f))
+            for g in N.group.element_names for f in N.free_letters]
+
+
 def _basis_images(N: FreeProductMonoid, horizon: int) -> tuple[FreeMonoid, dict]:
     """The free model on the basis {g f} and {image in N: basis word} for the
-    basis words of length <= horizon/2, as run_free_product builds them."""
-    basis = [N.normal_form((f,) if g == N.group_identity else (g, f))
-             for g in N.group.element_names for f in N.free_letters]
+    basis words of length <= horizon/2."""
+    basis = free_basis(N)
     names = [f"b{i+1}" for i in range(len(basis))]
     free_model = FreeMonoid(len(basis), alphabet=names)
     images = {}
@@ -173,13 +179,6 @@ def test_neither_pipeline_searches_for_left_unitarity(monkeypatch):
 
 
 # -- the corollary's former loops ---------------------------------------------
-
-
-def free_basis(N: FreeProductMonoid) -> list:
-    """The candidate free basis {g f} of M, one element per group element and
-    free letter, as run_free_product lists it."""
-    return [N.normal_form((f,) if g == N.group_identity else (g, f))
-            for g in N.group.element_names for f in N.free_letters]
 
 
 def _free_length(N: FreeProductMonoid, m) -> int:
