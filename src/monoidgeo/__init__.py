@@ -68,15 +68,12 @@ from .spaces import (
     check_quasi_metric,
 )
 from .actions import (
-    ActionOracle,
     PropertyReport,
-    apply_translation,
     check_action_laws,
     check_cobounded,
     check_idealistic,
     check_isometric_embedding_action,
     compute_contact_set,
-    translation_action,
 )
 from .svarcmilnor import (
     SmInput,

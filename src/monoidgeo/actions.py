@@ -1,48 +1,25 @@
-"""Monoid actions on semimetric spaces, and the action properties that the
-generating-set extraction rests on.
+"""The properties of a monoid acting by left translation on its continuous
+Cayley graph Gamma that the generating-set extraction rests on, and the
+contact set it reads off the translates of its ball B.
 
-The extraction itself runs one action, left translation on the continuous
-Cayley graph, so `check_cobounded` and `compute_contact_set` take the acting
-monoid and its translates of B directly, and neither samples.  `ActionOracle`
-and its samplers (action laws, isometric embedding, idealistic) serve `check
-action` and actions other than left translation; under left translation the
-idealistic condition holds by definition."""
+Each property has one decision, shared by the pipelines and `check action`,
+and none samples point pairs.  The action laws are the monoid's
+associativity.  Left translation by m is an isometric embedding exactly when
+m is left-cancellable, so that property is the monoid's cancellation theorem
+or a cancellation check.  The idealistic condition holds by definition.
+`check_cobounded` and `compute_contact_set` take the acting monoid and its
+translates of B directly."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .cayley import CayleyPoint, EdgePoint, GammaOracle, Translates, Vertex, word_distance
+from .cayley import EdgePoint, GammaOracle, Translates, Vertex
 from .errors import HorizonTooSmall
 from .extnum import ZERO, ExtNonNeg
-from .monoids import MonoidOracle, SubmonoidOracle, Word, format_word
-
-
-def apply_translation(oracle: MonoidOracle, m: Word, p: CayleyPoint) -> CayleyPoint:
-    """Left translation on the Cayley graph: vertices and edge offsets carry over."""
-    if isinstance(p, Vertex):
-        return Vertex(oracle.multiply(m, p.element))
-    return EdgePoint(oracle.multiply(m, p.element), p.gen, p.mu)
-
-
-class ActionOracle:
-    """A monoid acting on a semimetric space."""
-
-    def __init__(self, monoid: MonoidOracle, space: object, apply: Callable[[Word, object], object]):
-        self.monoid = monoid
-        self.space = space  # duck-typed: known_distance / distance(p, q, horizon) / format_point
-        self.apply = apply
-
-
-def translation_action(gamma: GammaOracle) -> ActionOracle:
-    oracle = gamma.monoid
-    return ActionOracle(
-        monoid=oracle,
-        space=gamma,
-        apply=lambda m, p: apply_translation(oracle, m, p),
-    )
+from .monoids import MonoidOracle, SubmonoidOracle, Word, check_cancellative, format_word
 
 
 class PropertyReport:
@@ -83,54 +60,38 @@ class PropertyReport:
         }
 
 
-def check_action_laws(action: ActionOracle, ms: Sequence[Word], points: Sequence) -> PropertyReport:
-    """apply(e, p) = p and apply(mn, p) = apply(m, apply(n, p)) on samples."""
-    witnesses = []
-    e = action.monoid.identity
-    for p in points:
-        if action.apply(e, p) != p:
-            witnesses.append({"law": "identity", "point": str(p)})
-    for m in ms:
-        for n in ms:
-            mn = action.monoid.multiply(m, n)
-            for p in points:
-                if action.apply(mn, p) != action.apply(m, action.apply(n, p)):
-                    witnesses.append(
-                        {"law": "compatibility", "m": format_word(m), "n": format_word(n), "point": str(p)}
-                    )
-    return PropertyReport("action_laws", "fail" if witnesses else "pass", 0, witnesses)
+def check_action_laws(monoid: MonoidOracle) -> PropertyReport:
+    """Left translation is an action of `monoid` on its Cayley graph Gamma:
+    ε*x = x, and (m*n)*x = m*(n*x) by associativity, on edge points too,
+    since translation keeps edges and offsets."""
+    basis = f"theorem: the {monoid.name} product is associative with identity ε, so ε*x = x and (m*n)*x = m*(n*x)"
+    return PropertyReport("action_laws", "pass", 0, [], artifacts={"basis": basis})
 
 
 def check_isometric_embedding_action(
-    action: ActionOracle, ms: Sequence[Word], points: Sequence, horizon: int
+    monoid: MonoidOracle, multipliers: Sequence[Word], depth: int, reach: int, horizon: int
 ) -> PropertyReport:
-    """d(mp, mq) = d(p, q) for all sampled m and point pairs."""
-    witnesses = []
-    space = action.space
-    # d(p, q) does not depend on m; the first m asks for it in the same
-    # order as for d(mp, mq), so a HorizonTooSmall surfaces as before.
-    base: dict[tuple[int, int], ExtNonNeg] = {}
-    for m in ms:
-        for i, p in enumerate(points):
-            mp = action.apply(m, p)
-            for j, q in enumerate(points):
-                mq = action.apply(m, q)
-                d0 = base.get((i, j))
-                if d0 is None:
-                    d0 = base[i, j] = space.known_distance(p, q)
-                d1 = space.known_distance(mp, mq)
-                if d0 != d1:
-                    witnesses.append(
-                        {
-                            "m": format_word(m),
-                            "p": str(p),
-                            "q": str(q),
-                            "d(p,q)": d0,
-                            "d(mp,mq)": d1,
-                        }
-                    )
-    verdict = "fail" if witnesses else "holds_at_horizon"
-    return PropertyReport("isometric_embedding_action", verdict, horizon, witnesses)
+    """Left translation by each of `multipliers`, the elements of depth <=
+    `depth` of an acting monoid, is an isometric embedding of Gamma, the
+    Cayley graph of `monoid`: by `monoid`'s cancellation theorem, else
+    checked on the ball of radius `reach`.  A fail names the first
+    cancellation failure m*a = m*b found.
+
+    x -> m*x is an isometric embedding of Gamma exactly when m is
+    left-cancellable: paths labelled w map to paths labelled w, so
+    d(mp, mq) <= d(p, q), with equality when m*x*w = m*y forces x*w = y (on
+    edge points too, since translation keeps edges and offsets), while
+    m*a = m*b with a != b gives d(ma, mb) = 0 < d(a, b).  Free monoids, free
+    products and groups are cancellative by the theorem their class names."""
+    if monoid.cancellation_theorem is not None:
+        return PropertyReport("isometric_embedding_action", "pass", horizon, [],
+                              artifacts={"basis": f"theorem: {monoid.cancellation_theorem}"})
+    w = check_cancellative(monoid, "left", reach, multipliers).witness
+    if w is not None:
+        return PropertyReport("isometric_embedding_action", "fail", horizon, [w])
+    basis = f"checked: every multiplier of depth <= {depth} is injective on the ball of radius {reach}"
+    return PropertyReport("isometric_embedding_action", "holds_at_horizon", horizon, [],
+                          artifacts={"basis": basis})
 
 
 def check_cobounded(
@@ -186,48 +147,15 @@ def compute_contact_set(
     return S, separations
 
 
-def check_idealistic(action: ActionOracle, x0, depth: int, horizon: int) -> PropertyReport:
-    """Finite orbit distance d(m x0, n x0) must force n into mM, for m and n
-    in the depth ball: a sampler for a general action.
-
-    n in mM is equivalent to nM ⊆ mM (right-ideal containment), which makes
-    the condition a single reachability query in the monoid.  Both queries
-    are asked at `horizon`; a pair that either leaves undecided is
-    unresolved, and any unresolved pair makes the verdict unknown.  Under
-    left translation the two queries coincide, so the pipelines do not ask.
-    """
-    oracle = action.monoid
-    space = action.space
-    witnesses = []
-    unresolved = 0
-    ball = oracle.elements_up_to(depth)
-    for m in ball:
-        mx = action.apply(m, x0)
-        for n in ball:
-            nx = action.apply(n, x0)
-            d = space.distance(mx, nx, horizon)
-            if not d.is_known:
-                unresolved += 1
-                continue
-            if d.value.is_infinite:
-                continue
-            reach = word_distance(oracle, m, n, horizon)
-            if reach.is_known and reach.value.is_infinite:
-                witnesses.append(
-                    {
-                        "m": format_word(m),
-                        "n": format_word(n),
-                        "d(m x0, n x0)": d.value,
-                        "reason": "no u with m*u = n (search space exhausted)",
-                    }
-                )
-            elif not reach.is_known:
-                unresolved += 1
-    verdict = "fail" if witnesses else "unknown" if unresolved else "holds_at_horizon"
-    return PropertyReport(
-        "idealistic",
-        verdict,
-        depth,
-        witnesses,
-        artifacts={"unresolved_pairs": unresolved, "basepoint": str(x0)},
-    )
+def check_idealistic(monoid: MonoidOracle, horizon: int) -> PropertyReport:
+    """The idealistic condition for `monoid` translating Gamma on the left,
+    with the identity vertex x0 as basepoint: a finite d(m x0, n x0) forces
+    n into mM.  It holds by definition, as d(m x0, n x0) < inf iff n = m*t
+    for some t in Gamma's monoid N.  For a submonoid, which the pipelines
+    build only as M = ends_in_e in a free product, t is in M since M is left
+    unitary by the normal form theorem for free products."""
+    basis = "theorem: d(m x0, n x0) < inf iff n = m*t for some t in N"
+    if isinstance(monoid, SubmonoidOracle):
+        basis += (", and t is in M since M is left unitary (normal form theorem for"
+                  " free products: s*t ends in t's last group letter)")
+    return PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})

@@ -17,7 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from . import __version__
-from .actions import check_action_laws, check_isometric_embedding_action, translation_action
+from .actions import check_action_laws, check_isometric_embedding_action
 from .cayley import EdgePoint, GammaOracle, Vertex, check_inclusion_qi, word_distance, shortest_word
 from .errors import MonoidGeoError
 from .monoids import (
@@ -151,11 +151,9 @@ def _run(args) -> tuple[int, dict]:
             result = verdict.to_json()
             exit_code = 0 if verdict.holds else 1
         elif args.what == "action":
-            action = translation_action(gamma)
-            ms = oracle.elements_up_to(min(depth, 3))
-            points = [Vertex(m) for m in ms]
-            laws = check_action_laws(action, ms, points)
-            iso = check_isometric_embedding_action(action, ms, points, horizon)
+            laws = check_action_laws(oracle)
+            depth = min(depth, 3)
+            iso = check_isometric_embedding_action(oracle, oracle.elements_up_to(depth), depth, horizon, horizon)
             result = {"action_laws": laws.to_json(), "isometric_embedding": iso.to_json()}
             exit_code = 0 if laws.passed and iso.passed else 1
 

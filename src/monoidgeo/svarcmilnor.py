@@ -22,7 +22,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .actions import PropertyReport, check_cobounded, compute_contact_set
+from .actions import (
+    PropertyReport,
+    check_cobounded,
+    check_idealistic,
+    check_isometric_embedding_action,
+    compute_contact_set,
+)
 from .cayley import CellSet, GammaOracle, Translates, Vertex, shortest_word, word_distance
 from .errors import FactorizationFailed, HypothesisFailed
 from .extnum import ZERO, ExtNonNeg, ext_max
@@ -31,7 +37,6 @@ from .monoids import (
     MonoidOracle,
     SubmonoidOracle,
     Word,
-    check_cancellative,
     ends_in_group_identity_submonoid,
     format_word,
 )
@@ -113,24 +118,6 @@ class SmReport:
         }
 
 
-def _isometric_embedding(inp: SmInput) -> PropertyReport:
-    """Left translation by each multiplier is an isometric embedding (see
-    extract_generators): by N's cancellation theorem, else checked."""
-    n = inp.gamma.monoid
-    if n.cancellation_theorem is not None:
-        return PropertyReport("isometric_embedding_action", "pass", inp.horizon, [],
-                              artifacts={"basis": f"theorem: {n.cancellation_theorem}"})
-    w = check_cancellative(n, "left", inp.far, inp.monoid.elements_up_to(inp.horizon)).witness
-    if w is not None:
-        raise HypothesisFailed(
-            "isometric_embedding",
-            f"{w['m']} is not left-cancellable: {w['m']}·{w['a']} = {w['m']}·{w['b']} = {w['product']}",
-        )
-    basis = f"checked: every multiplier of depth <= {inp.horizon} is injective on the ball of radius {inp.far}"
-    return PropertyReport("isometric_embedding_action", "holds_at_horizon", inp.horizon, [],
-                          artifacts={"basis": basis})
-
-
 _CLAIM1_BASIS = ("theorem: 0 < d(B, mB) < r <= R/2 puts m within 2R + r < 3R of e, in the ball of radius"
                  " ceil(3R) - 1, so d(B, mB) is an entry of Q, and every entry of Q is at least 2r")
 _CLAIM2_BASIS = ("theorem: d(mB, nB) < r makes n = m*q with d(B, qB) = d(mB, nB) and d(e, q) <= ceil(2R + r) - 1"
@@ -144,20 +131,15 @@ def extract_generators(inp: SmInput) -> SmReport:
     The acting monoid acts by left translation on Gamma, the continuous
     Cayley graph of gamma's monoid N (translates are CellSet.translate).
     Then x -> m*x is an isometric embedding of Gamma exactly when m is
-    left-cancellable: paths labelled w map to paths labelled w, so
-    d(mp, mq) <= d(p, q), with equality when m*x*w = m*y forces x*w = y (on
-    edge points too, since translation keeps edges and offsets), while
-    m*a = m*b with a != b gives d(ma, mb) = 0 < d(a, b).  Free monoids, free
-    products and groups are cancellative by the theorem their class names.
-    For any other N each multiplier of the horizon ball must be injective
-    on the far ball: a path shorter than r from B to a qB of claim 2 visits
-    only vertices of depth <= ceil(2R + r) - 1 + floor(R) + 1 <= far.
+    left-cancellable (see check_isometric_embedding_action).  Unless N's
+    class names a cancellation theorem, each multiplier of the horizon ball
+    must be injective on the far ball: a path shorter than r from B to a qB
+    of claim 2 visits only vertices of depth <= ceil(2R + r) - 1 + floor(R)
+    + 1 <= far.
 
-    The idealistic condition holds by definition: d(m x0, n x0) < inf iff
-    n = m*t for some t in N, and in the submonoid pipeline t is in M since
-    M = ends_in_e is left unitary by the normal form theorem for free
-    products (see run_submonoid_theorem).  Coboundedness is checked exactly
-    on the representatives T (see check_cobounded).
+    The idealistic condition holds by definition (see check_idealistic; M
+    = ends_in_e is left unitary, see run_submonoid_theorem).  Coboundedness
+    is checked exactly on the representatives T (see check_cobounded).
 
     Claims 1 and 2 are theorems, so no loop checks them.  Claim 1: no
     translate lies strictly between 0 and r from B.  A separation below
@@ -180,7 +162,14 @@ def extract_generators(inp: SmInput) -> SmReport:
         raise HypothesisFailed("ball", "B must contain its basepoint")
     translates = Translates(oracle, B)
 
-    hypotheses = {"isometric_embedding": _isometric_embedding(inp)}
+    iso = check_isometric_embedding_action(gamma.monoid, oracle.elements_up_to(horizon), horizon, far, horizon)
+    if not iso.passed:
+        w = iso.witnesses[0]
+        raise HypothesisFailed(
+            "isometric_embedding",
+            f"{w['m']} is not left-cancellable: {w['m']}·{w['a']} = {w['m']}·{w['b']} = {w['product']}",
+        )
+    hypotheses = {"isometric_embedding": iso}
     cob = check_cobounded(translates, gamma, R, inp.representatives, far)  # B's own search horizon
     cob.horizon = horizon
     T = ", ".join(map(format_word, inp.representatives))
@@ -188,11 +177,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     hypotheses["cobounded"] = cob
     if not cob.passed:
         raise HypothesisFailed("cobounded", f"uncovered: {cob.witnesses[:3]}")
-    basis = "theorem: d(m x0, n x0) < inf iff n = m*t for some t in N"
-    if isinstance(oracle, SubmonoidOracle):
-        basis += (", and t is in M since M is left unitary (normal form theorem for"
-                  " free products: s*t ends in t's last group letter)")
-    hypotheses["idealistic"] = PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})
+    hypotheses["idealistic"] = check_idealistic(oracle, horizon)
 
     # Every m with d(B, mB) < R lies in the ball of radius ceil(3R) - 1 < 5R
     # that compute_contact_set reads, so mB touches the out-ball C at its own

@@ -2,10 +2,14 @@
 zero monoids, which the CLI builds from spec documents), a copier of
 records, the sample points of a cell set, and the translates of an
 extraction's ball with the covering search that the generation walk once
-made over them and the claim loops that extraction once ran on them."""
+made over them and the claim loops that extraction once ran on them.  Also
+a general monoid action with the pair-by-pair samplers that `check action`
+once ran on it, the references for the action decisions in
+``monoidgeo.actions``."""
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from monoidgeo import (
     ZERO,
@@ -13,11 +17,13 @@ from monoidgeo import (
     ExtNonNeg,
     FiniteGroup,
     HorizonTooSmall,
+    PropertyReport,
     RewritingMonoid,
     SpecValidationError,
     SubmonoidOracle,
     Vertex,
     format_word,
+    word_distance,
 )
 from monoidgeo.cayley import Translates
 from monoidgeo.monoids import _stock_rules
@@ -125,3 +131,99 @@ def symmetric_group_3() -> FiniteGroup:
     index = {p: i for i, p in enumerate(perms.values())}
     table = [[index[then(perms[a], perms[b])] for b in names] for a in names]
     return FiniteGroup(names, table, identity="e", generators=["r", "t"], name="S3")
+
+
+# -- a general action and its samplers --------------------------------------
+
+
+def apply_translation(oracle, m, p):
+    """Left translation on the Cayley graph: vertices and edge offsets carry over."""
+    if isinstance(p, Vertex):
+        return Vertex(oracle.multiply(m, p.element))
+    return EdgePoint(oracle.multiply(m, p.element), p.gen, p.mu)
+
+
+class ActionOracle:
+    """A monoid acting on a semimetric space."""
+
+    def __init__(self, monoid, space, apply: Callable):
+        self.monoid = monoid
+        self.space = space  # duck-typed: known_distance / distance(p, q, horizon)
+        self.apply = apply
+
+
+def translation_action(gamma) -> ActionOracle:
+    """The monoid of Gamma translating Gamma on the left."""
+    oracle = gamma.monoid
+    return ActionOracle(oracle, gamma, lambda m, p: apply_translation(oracle, m, p))
+
+
+def sampled_action_laws(action, ms, points) -> PropertyReport:
+    """apply(e, p) = p and apply(mn, p) = apply(m, apply(n, p)) on samples."""
+    witnesses = []
+    e = action.monoid.identity
+    for p in points:
+        if action.apply(e, p) != p:
+            witnesses.append({"law": "identity", "point": str(p)})
+    for m in ms:
+        for n in ms:
+            mn = action.monoid.multiply(m, n)
+            for p in points:
+                if action.apply(mn, p) != action.apply(m, action.apply(n, p)):
+                    witnesses.append(
+                        {"law": "compatibility", "m": format_word(m), "n": format_word(n), "point": str(p)}
+                    )
+    return PropertyReport("action_laws", "fail" if witnesses else "pass", 0, witnesses)
+
+
+def sampled_isometric_embedding(action, ms, points, horizon) -> PropertyReport:
+    """d(mp, mq) = d(p, q) for all sampled m and point pairs; HorizonTooSmall
+    when a distance is not known at the space's horizon."""
+    witnesses = []
+    space = action.space
+    base = {}  # d(p, q), asked once, in the order d(mp, mq) is asked
+    for m in ms:
+        for i, p in enumerate(points):
+            mp = action.apply(m, p)
+            for j, q in enumerate(points):
+                mq = action.apply(m, q)
+                d0 = base.get((i, j))
+                if d0 is None:
+                    d0 = base[i, j] = space.known_distance(p, q)
+                d1 = space.known_distance(mp, mq)
+                if d0 != d1:
+                    witnesses.append({"m": format_word(m), "p": str(p), "q": str(q), "d(p,q)": d0, "d(mp,mq)": d1})
+    verdict = "fail" if witnesses else "holds_at_horizon"
+    return PropertyReport("isometric_embedding_action", verdict, horizon, witnesses)
+
+
+def sampled_idealistic(action, x0, depth, horizon) -> PropertyReport:
+    """Finite orbit distance d(m x0, n x0) must force n into mM, for m and n
+    in the depth ball.  n in mM is one reachability query in the monoid.
+    Both queries are asked at `horizon`; a pair that either leaves
+    undecided is unresolved, and any unresolved pair makes the verdict
+    unknown."""
+    oracle = action.monoid
+    space = action.space
+    witnesses = []
+    unresolved = 0
+    ball = oracle.elements_up_to(depth)
+    for m in ball:
+        mx = action.apply(m, x0)
+        for n in ball:
+            nx = action.apply(n, x0)
+            d = space.distance(mx, nx, horizon)
+            if not d.is_known:
+                unresolved += 1
+                continue
+            if d.value.is_infinite:
+                continue
+            reach = word_distance(oracle, m, n, horizon)
+            if reach.is_known and reach.value.is_infinite:
+                witnesses.append({"m": format_word(m), "n": format_word(n), "d(m x0, n x0)": d.value,
+                                  "reason": "no u with m*u = n (search space exhausted)"})
+            elif not reach.is_known:
+                unresolved += 1
+    verdict = "fail" if witnesses else "unknown" if unresolved else "holds_at_horizon"
+    return PropertyReport("idealistic", verdict, depth, witnesses,
+                          artifacts={"unresolved_pairs": unresolved, "basepoint": str(x0)})

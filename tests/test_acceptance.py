@@ -24,15 +24,13 @@ from monoidgeo import (
     check_cancellative,
     check_finite_geometric_type,
     check_inclusion_qi,
-    check_isometric_embedding_action,
     check_quasi_metric,
     format_word,
     run_free_product,
     run_pipeline,
-    translation_action,
 )
 from monoidgeo.cli import main as cli_main
-from builders import bicyclic_monoid, cyclic_group, zero_monoid
+from builders import bicyclic_monoid, cyclic_group, sampled_isometric_embedding, translation_action, zero_monoid
 
 ZERO = ExtNonNeg.finite(0)
 
@@ -98,7 +96,7 @@ def _isometric_verdict(oracle, horizon):
     depth = 2
     ms = oracle.elements_up_to(depth)
     points = [Vertex(m) for m in oracle.elements_up_to(depth)]
-    return check_isometric_embedding_action(action, ms, points, horizon)
+    return sampled_isometric_embedding(action, ms, points, horizon)
 
 
 def _parse_point(oracle, text):

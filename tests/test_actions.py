@@ -1,33 +1,44 @@
 """Translation actions and the action-property checkers."""
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from monoidgeo import (
-    ActionOracle,
     EdgePoint,
     ExtNonNeg,
     FreeMonoid,
     FreeProductMonoid,
     GammaOracle,
+    HorizonTooSmall,
     SemimetricSpace,
     SmInput,
     TableMonoid,
     TruncatedDistance,
     Vertex,
-    apply_translation,
     check_action_laws,
     check_cancellative,
     check_cobounded,
     check_idealistic,
     check_isometric_embedding_action,
     compute_contact_set,
+    from_spec_dict,
     run_pipeline,
-    translation_action,
 )
 from monoidgeo.cayley import Translates
-from builders import bicyclic_monoid, cyclic_group, zero_monoid
+from builders import (
+    ActionOracle,
+    apply_translation,
+    bicyclic_monoid,
+    cyclic_group,
+    sampled_action_laws,
+    sampled_idealistic,
+    sampled_isometric_embedding,
+    translation_action,
+    zero_monoid,
+)
 
 F1 = FreeMonoid(1, ["a"])
 F2 = FreeMonoid(2, ["a", "b"])
@@ -59,7 +70,54 @@ def test_action_laws(name, oracle):
     points = [Vertex(m) for m in ms] + [
         EdgePoint(m, s, Fraction(1, 2)) for m in oracle.elements_up_to(1) for s in oracle.generators
     ]
-    assert check_action_laws(action, ms, points).passed
+    assert sampled_action_laws(action, ms, points).passed
+    assert check_action_laws(oracle).verdict == "pass"
+
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+SPEC_FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
+# Left zeros a*x = a, b*x = b adjoined to an identity: no class theorem, and a*a = a*ε.
+LEFT_ZEROS = TableMonoid(["e", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]], generators=["a", "b"])
+
+
+def _decisions_and_samplers(oracle, horizon):
+    """(decisions, sampler verdicts or None where a distance is not known)
+    on `check action`'s sample at `horizon` and its default depth: the
+    multipliers and vertices of depth <= 3."""
+    depth = min(horizon, 3)
+    ms = oracle.elements_up_to(depth)
+    action = translation_action(GammaOracle(oracle, horizon))
+    points = [Vertex(m) for m in ms]
+    decisions = (check_action_laws(oracle), check_isometric_embedding_action(oracle, ms, depth, horizon, horizon))
+    try:
+        samplers = (sampled_action_laws(action, ms, points), sampled_isometric_embedding(action, ms, points, horizon))
+    except HorizonTooSmall:
+        samplers = None
+    return decisions, samplers
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", SPEC_FIXTURES)
+def test_decisions_agree_with_the_samplers(name, horizon):
+    # Wherever the former pair-by-pair samplers reach a verdict, the
+    # decisions give the same one (pass and holds_at_horizon alike).  On N³
+    # the samplers cannot certify an infinite distance, so they reach none.
+    with open(os.path.join(FIXTURE_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        oracle = from_spec_dict(json.load(fh))
+    decisions, samplers = _decisions_and_samplers(oracle, horizon)
+    assert (samplers is None) == (name == "n3")
+    for decision in decisions:
+        assert decision.verdict in ("pass", "holds_at_horizon", "fail")
+    if samplers is not None:
+        assert [d.passed for d in decisions] == [s.passed for s in samplers]
+
+
+def test_decisions_and_samplers_fail_on_a_planted_non_cancellative_table():
+    (laws, iso), samplers = _decisions_and_samplers(LEFT_ZEROS, 3)
+    assert LEFT_ZEROS.cancellation_theorem is None
+    assert laws.passed and samplers[0].passed
+    assert not iso.passed and not samplers[1].passed
+    assert iso.witnesses == [{"m": "a", "a": "a", "b": "ε", "product": "a", "side": "left"}]
 
 
 @pytest.mark.parametrize("name,oracle", FIXTURES)
@@ -70,18 +128,17 @@ def test_isometric_iff_left_cancellative(name, oracle):
     action = translation_action(gamma)
     ms = oracle.elements_up_to(3)
     points = [Vertex(m) for m in oracle.elements_up_to(3)]
-    iso = check_isometric_embedding_action(action, ms, points, 10)
+    iso = sampled_isometric_embedding(action, ms, points, 10)
     canc = check_cancellative(oracle, "left", 3)
     assert iso.passed == canc.holds, (name, iso.witnesses[:1], canc.witness)
+    assert check_isometric_embedding_action(oracle, ms, 3, 3, 10).passed == canc.holds
 
 
 def test_zero_monoid_isometry_witness_rechecks():
     z = zero_monoid()
     gamma = GammaOracle(z, 6)
     action = translation_action(gamma)
-    iso = check_isometric_embedding_action(
-        action, z.elements_up_to(2), [Vertex(m) for m in z.elements_up_to(2)], 6
-    )
+    iso = sampled_isometric_embedding(action, z.elements_up_to(2), [Vertex(m) for m in z.elements_up_to(2)], 6)
     assert not iso.passed
     w = iso.witnesses[0]
     m = z.parse_word(w["m"])
@@ -147,7 +204,8 @@ def test_contact_set_contains_identity_always():
 def test_idealistic_translation_actions(name, oracle):
     gamma = GammaOracle(oracle, 8)
     action = translation_action(gamma)
-    assert check_idealistic(action, Vertex(()), 4, 8).passed
+    assert sampled_idealistic(action, Vertex(()), 4, 8).passed
+    assert check_idealistic(oracle, 8).verdict == "pass"
 
 
 class FreeGroupSpace(SemimetricSpace):
@@ -181,7 +239,7 @@ def test_idealistic_fails_for_free_monoid_in_free_group():
         space=space,
         apply=lambda m, p: space._reduce(tuple(m) + tuple(p)),
     )
-    report = check_idealistic(action, (), 4, 4)
+    report = sampled_idealistic(action, (), 4, 4)
     assert not report.passed
     assert any(w["m"] == "a" and w["n"] == "b" for w in report.witnesses)
 

@@ -23,7 +23,7 @@ from monoidgeo import (
     shortest_word,
     word_distance,
 )
-from builders import bicyclic_monoid, cyclic_group, zero_monoid
+from builders import apply_translation, bicyclic_monoid, cyclic_group, zero_monoid
 
 F1 = FreeMonoid(1, ["a"])
 F2 = FreeMonoid(2, ["a", "b"])
@@ -183,8 +183,6 @@ def test_gamma_triangle_on_samples():
 def test_left_translation_contracts_never_expands():
     # left multiplication is distance non-increasing in general, and exactly
     # preserving on cancellative fixtures
-    from monoidgeo import apply_translation
-
     z = zero_monoid()
     g = GammaOracle(z, 6)
     p, q = Vertex(("a",)), Vertex(())

@@ -123,6 +123,16 @@ def test_check_action():
     assert code == 1
     code, doc, _ = run_cli("--monoid", fx("free2.json"), "check", "action", "--depth", "2")
     assert code == 0
+    # N³ is cancellative: decided by cancellation, not by distances past the horizon.
+    for horizon in ("2", "3", "4", "5"):
+        code, doc, _ = run_cli("--monoid", fx("n3.json"), "--horizon", horizon, "check", "action")
+        assert code == 0 and doc["result"]["isometric_embedding"]["verdict"] == "holds_at_horizon"
+    # One cancellation witness m·a = m·b names a multiplier that is no isometric embedding.
+    for name, witness in (("bicyclic", "p·qp = p·ε = p"), ("zero", "z·a = z·ε = z")):
+        code, doc, _ = run_cli("--monoid", fx(f"{name}.json"), "--horizon", "4", "check", "action")
+        assert code == 1 and doc["result"]["action_laws"]["verdict"] == "pass"
+        [w] = doc["result"]["isometric_embedding"]["witnesses"]
+        assert f"{w['m']}·{w['a']} = {w['m']}·{w['b']} = {w['product']}" == witness
 
 
 @pytest.mark.parametrize("name", ["zero", "bicyclic"])

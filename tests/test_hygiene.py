@@ -76,7 +76,7 @@ PLANTED_SPANS = {
     "cayley.word_distance": True,  # a public function defined there
     "monoids.multiply": True,  # a public method of a class defined there
     "svarcmilnor.compute_contact_set": False,  # imported there, defined in actions
-    "svarcmilnor._isometric_embedding": False,  # private
+    "svarcmilnor._displacement": False,  # private
     "monoids.SubmonoidOracle": False,  # a class, which the tracer does not wrap
     "actions.min_positive_separation": False,  # no such definition
     "nomodule.word_distance": False,  # no such module

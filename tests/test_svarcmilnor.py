@@ -2,13 +2,14 @@
 
 import io
 import json
+import os
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from monoidgeo import (
-    ActionOracle,
     ExtNonNeg,
     FreeMonoid,
     FreeProductMonoid,
@@ -19,9 +20,7 @@ from monoidgeo import (
     SubmonoidOracle,
     TableMonoid,
     Vertex,
-    apply_translation,
     check_cancellative,
-    check_idealistic,
     check_isometric_embedding_action,
     ends_in_group_identity_submonoid,
     extract_generators,
@@ -31,8 +30,18 @@ from monoidgeo import (
     run_pipeline,
     run_submonoid_theorem,
 )
+from monoidgeo import actions
 from monoidgeo.cli import main
-from builders import claim_loops, cyclic_group, sample_points, zero_monoid
+from builders import (
+    ActionOracle,
+    apply_translation,
+    claim_loops,
+    cyclic_group,
+    sample_points,
+    sampled_idealistic,
+    sampled_isometric_embedding,
+    zero_monoid,
+)
 from test_distance_field import ORACLES
 
 F1 = FreeMonoid(1, ["a"])
@@ -136,6 +145,30 @@ def test_extraction_rejects_non_isometric_action():
     assert exc.value.hypothesis == "isometric_embedding"
 
 
+HYPOTHESIS_SPANS = ("check_isometric_embedding_action", "check_idealistic")
+
+
+@pytest.mark.parametrize("argv", [["z3.json", "svarc-milnor", "-R", "1"], ["fp_r1_z2.json", "submonoid"]])
+def test_pipelines_decide_their_hypotheses_in_actions(argv, monkeypatch):
+    # The benchmark's actions.* spans count calls through every binding of
+    # these names, as its tracer rebinds them; each pipeline makes one call.
+    calls = dict.fromkeys(HYPOTHESIS_SPANS, 0)
+    for name in HYPOTHESIS_SPANS:
+        original = getattr(actions, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key == "monoidgeo" or key.startswith("monoidgeo.")]:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", argv[0])
+    with redirect_stdout(io.StringIO()):
+        assert main(["--monoid", fixture] + argv[1:]) == 0
+    assert calls == dict.fromkeys(HYPOTHESIS_SPANS, 1)
+
+
 # The sampler cannot decide these: with no fast path an infinite distance is
 # never certified, so it stops at the first unreachable pair.  For N^3 (n3)
 # the strong ball itself is already uncertified, so no sample is drawn.
@@ -168,14 +201,15 @@ def test_cancellation_decides_isometric_embedding_as_the_sampler_does(name):
     except HorizonTooSmall:
         B = None  # the pipeline stops here, before any hypothesis
     canc = check_cancellative(n, "left", inp.horizon, ms)
+    assert check_isometric_embedding_action(n, ms, min(inp.horizon, 3), inp.horizon, inp.horizon).passed == canc.holds
     if B is not None:
         out_ball = gamma.out_ball_cellset((), Fraction(min(inp.horizon, 3)), inp.far)
         points = list(dict.fromkeys(sample_points(B) + sample_points(out_ball)))
         if name in SAMPLER_UNDECIDED:
             with pytest.raises(HorizonTooSmall):
-                check_isometric_embedding_action(action, ms, points, inp.horizon)
+                sampled_isometric_embedding(action, ms, points, inp.horizon)
         else:
-            iso = check_isometric_embedding_action(action, ms, points, inp.horizon)
+            iso = sampled_isometric_embedding(action, ms, points, inp.horizon)
             assert canc.holds == iso.passed
     if not canc.holds:
         w = canc.witness
@@ -256,7 +290,7 @@ def test_s5_runs_below_its_diameter_with_the_same_constants(tmp_path):
     assert code == 0
     for horizon in (4, 6, 8, 10):
         inp = make_input(ORACLES["S5"][0](), horizon=horizon)
-        ide = check_idealistic(_translation(inp), Vertex(()), 4, inp.far)
+        ide = sampled_idealistic(_translation(inp), Vertex(()), 4, inp.far)
         assert ide.verdict == "unknown" and ide.artifacts["unresolved_pairs"] > 0
         assert _s5_cli(tmp_path, horizon) == (0, full)
 
