@@ -53,6 +53,9 @@ CASES = {
     "fp_r1_z2_svarc_milnor_h7": ("fp_r1_z2.json", ["--horizon", "7", "svarc-milnor", "-R", "1"], 0),
     "s3_svarc_milnor": ("s3.json", ["--horizon", "3", "svarc-milnor", "-R", "1"], 0),
     "s3_ball_in": ("s3.json", ["--horizon", "3", "ball", "a", "2", "in"], 0),
+    # Isometric embedding by left cancellation: checked on N³, one witness on bicyclic.
+    "n3_check_action": ("n3.json", ["check", "action"], 0),
+    "bicyclic_check_action": ("bicyclic.json", ["check", "action"], 1),
 }
 
 # name -> (fixture, CLI arguments after --monoid, expected exit code, sha256 of
