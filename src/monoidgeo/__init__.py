@@ -36,8 +36,8 @@ from .monoids import (
     MonoidOracle,
     RewritingMonoid,
     SubmonoidOracle,
+    PropertyReport,
     TableMonoid,
-    Verdict,
     Word,
     check_cancellative,
     check_finite_geometric_type,
@@ -68,7 +68,6 @@ from .spaces import (
     check_quasi_metric,
 )
 from .actions import (
-    PropertyReport,
     check_action_laws,
     check_cobounded,
     check_idealistic,
@@ -79,7 +78,6 @@ from .svarcmilnor import (
     SmInput,
     SmReport,
     extract_generators,
-    factor_over_generators,
     run_free_product,
     run_pipeline,
     run_submonoid_theorem,

@@ -5,8 +5,8 @@ contact set it reads off the translates of its ball B.
 Each property has one decision, shared by the pipelines and `check action`,
 and none samples point pairs.  The action laws are the monoid's
 associativity.  Left translation by m is an isometric embedding exactly when
-m is left-cancellable, so that property is the monoid's cancellation theorem
-or a cancellation check.  The idealistic condition holds by definition.
+m is left-cancellable, so that property is the monoid's left-cancellation
+decision, `check_cancellative`.  The idealistic condition holds by definition.
 `check_cobounded` and `compute_contact_set` take the acting monoid and its
 translates of B directly."""
 
@@ -14,50 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cayley import EdgePoint, GammaOracle, Translates, Vertex
 from .errors import HorizonTooSmall
 from .extnum import ZERO, ExtNonNeg
-from .monoids import MonoidOracle, SubmonoidOracle, Word, check_cancellative, format_word
-
-
-class PropertyReport:
-    def __init__(self, property: str, verdict: str, horizon: int, witnesses: Optional[list] = None,
-                 artifacts: Optional[dict] = None):
-        self.property = property
-        self.verdict = verdict  # "pass" | "fail" | "holds_at_horizon" | "unknown"
-        self.horizon = horizon
-        self.witnesses = [] if witnesses is None else witnesses
-        self.artifacts = {} if artifacts is None else artifacts
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "holds_at_horizon")
-
-    def to_json(self) -> dict:
-        def enc(v):
-            if type(v) is str or type(v) is int:
-                return v
-            if hasattr(v, "to_json"):  # distances and nested reports encode themselves
-                return v.to_json()
-            if isinstance(v, Fraction):
-                return [v.numerator, v.denominator]
-            if isinstance(v, dict):
-                return {k: enc(x) for k, x in v.items()}
-            if type(v) is list and set(map(type, v)) == {str}:  # a factorization's letters
-                return v
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            return v if isinstance(v, (str, int, bool, type(None))) else str(v)
-
-        return {
-            "property": self.property,
-            "verdict": self.verdict,
-            "horizon": self.horizon,
-            "witnesses": enc(self.witnesses),
-            "artifacts": enc(self.artifacts),
-        }
+from .monoids import MonoidOracle, PropertyReport, SubmonoidOracle, Word, check_cancellative, format_word
 
 
 def check_action_laws(monoid: MonoidOracle) -> PropertyReport:
@@ -73,9 +35,9 @@ def check_isometric_embedding_action(
 ) -> PropertyReport:
     """Left translation by each of `multipliers`, the elements of depth <=
     `depth` of an acting monoid, is an isometric embedding of Gamma, the
-    Cayley graph of `monoid`: by `monoid`'s cancellation theorem, else
-    checked on the ball of radius `reach`.  A fail names the first
-    cancellation failure m*a = m*b found.
+    Cayley graph of `monoid`: check_cancellative's left decision, by
+    `monoid`'s cancellation theorem, else on the ball of radius `reach`,
+    relabelled.  A fail names the first cancellation failure m*a = m*b found.
 
     x -> m*x is an isometric embedding of Gamma exactly when m is
     left-cancellable: paths labelled w map to paths labelled w, so
@@ -83,15 +45,11 @@ def check_isometric_embedding_action(
     edge points too, since translation keeps edges and offsets), while
     m*a = m*b with a != b gives d(ma, mb) = 0 < d(a, b).  Free monoids, free
     products and groups are cancellative by the theorem their class names."""
-    if monoid.cancellation_theorem is not None:
-        return PropertyReport("isometric_embedding_action", "pass", horizon, [],
-                              artifacts={"basis": f"theorem: {monoid.cancellation_theorem}"})
-    w = check_cancellative(monoid, "left", reach, multipliers).witness
-    if w is not None:
-        return PropertyReport("isometric_embedding_action", "fail", horizon, [w])
-    basis = f"checked: every multiplier of depth <= {depth} is injective on the ball of radius {reach}"
-    return PropertyReport("isometric_embedding_action", "holds_at_horizon", horizon, [],
-                          artifacts={"basis": basis})
+    report = check_cancellative(monoid, "left", reach, multipliers)
+    if report.verdict == "holds_at_horizon":
+        basis = f"checked: every multiplier of depth <= {depth} is injective on the ball of radius {reach}"
+        report.artifacts["basis"] = basis
+    return PropertyReport("isometric_embedding_action", report.verdict, horizon, report.witnesses, report.artifacts)
 
 
 def check_cobounded(

@@ -129,33 +129,25 @@ def _run(args) -> tuple[int, dict]:
             exit_code = 0 if word_report.passed and gamma_report.passed else 1
         elif args.what == "qi":
             report = check_inclusion_qi(gamma, horizon, sample_depth=depth)
-            result = report.to_json()
-            exit_code = 0 if report.passed else 1
         elif args.what == "quasimetric":
             sample = oracle.elements_up_to(depth)
             report = check_quasi_metric(WordMetricSpace(oracle, horizon), sample, args.lam, args.mu)
-            result = report.to_json()
-            exit_code = 0 if report.passed else 1
         elif args.what == "cancellative":
-            verdict = check_cancellative(oracle, args.side, min(horizon, depth + 2))
-            result = verdict.to_json()
-            exit_code = 0 if verdict.holds else 1
+            report = check_cancellative(oracle, args.side, min(horizon, depth + 2))
         elif args.what == "fgt":
-            verdict = check_finite_geometric_type(oracle, min(horizon, 6), args.threshold)
-            result = verdict.to_json()
-            exit_code = 0 if verdict.holds else 1
+            report = check_finite_geometric_type(oracle, min(horizon, 6), args.threshold)
         elif args.what == "unitary":
             if not isinstance(oracle, FreeProductMonoid):
                 raise MonoidGeoError("check unitary needs a free_product monoid spec")
-            verdict = check_left_unitary(oracle, ends_in_group_identity_submonoid(oracle), depth)
-            result = verdict.to_json()
-            exit_code = 0 if verdict.holds else 1
+            report = check_left_unitary(oracle, ends_in_group_identity_submonoid(oracle), depth)
         elif args.what == "action":
             laws = check_action_laws(oracle)
             depth = min(depth, 3)
             iso = check_isometric_embedding_action(oracle, oracle.elements_up_to(depth), depth, horizon, horizon)
             result = {"action_laws": laws.to_json(), "isometric_embedding": iso.to_json()}
             exit_code = 0 if laws.passed and iso.passed else 1
+        if args.what not in ("axioms", "action"):
+            result, exit_code = report.to_json(), 0 if report.passed else 1
 
     elif args.command == "svarc-milnor":
         out = run_pipeline(SmInput(oracle, gamma, args.radius, horizon))

@@ -3,14 +3,16 @@
 A monoid is given behaviorally: an ordered finite generator alphabet, an
 identity, multiplication and a normal form.  Elements are encoded as their
 canonical normal-form word over the alphabet (a tuple of generator names),
-which makes equality and hashing canonical.  Universal properties are only
-ever checked on word-length balls and reported as ``holds_at_horizon``.
+which makes equality and hashing canonical.  Universal properties are read
+off a theorem of the monoid's class where it names one, else checked on
+word-length balls and reported as ``holds_at_horizon``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
+from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -666,35 +668,60 @@ def ends_in_group_identity_submonoid(monoid: FreeProductMonoid) -> Callable[[Wor
 
 
 # ---------------------------------------------------------------------------
-# Horizon-bounded property checkers
+# Property reports and the horizon-bounded checkers
 # ---------------------------------------------------------------------------
 
 
-class Verdict:
-    def __init__(self, status: str, horizon: int, witness: Optional[dict] = None):
-        self.status = status  # "holds_at_horizon" | "fails"
+class PropertyReport:
+    def __init__(self, property: str, verdict: str, horizon: int, witnesses: Optional[list] = None,
+                 artifacts: Optional[dict] = None):
+        self.property = property
+        self.verdict = verdict  # "pass" | "fail" | "holds_at_horizon"
         self.horizon = horizon
-        self.witness = witness
+        self.witnesses = [] if witnesses is None else witnesses
+        self.artifacts = {} if artifacts is None else artifacts
 
     @property
-    def holds(self) -> bool:
-        return self.status == "holds_at_horizon"
+    def passed(self) -> bool:
+        return self.verdict in ("pass", "holds_at_horizon")
 
     def to_json(self) -> dict:
-        doc = {"status": self.status, "horizon": self.horizon}
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        return doc
+        def enc(v):
+            if type(v) is str or type(v) is int:
+                return v
+            if hasattr(v, "to_json"):  # distances and nested reports encode themselves
+                return v.to_json()
+            if isinstance(v, Fraction):
+                return [v.numerator, v.denominator]
+            if isinstance(v, dict):
+                return {k: enc(x) for k, x in v.items()}
+            if type(v) is list and set(map(type, v)) == {str}:  # a factorization's letters
+                return v
+            if isinstance(v, (list, tuple)):
+                return [enc(x) for x in v]
+            return v if isinstance(v, (str, int, bool, type(None))) else str(v)
+
+        return {
+            "property": self.property,
+            "verdict": self.verdict,
+            "horizon": self.horizon,
+            "witnesses": enc(self.witnesses),
+            "artifacts": enc(self.artifacts),
+        }
 
 
 def check_cancellative(
     oracle: MonoidOracle, side: str, horizon: int, multipliers: Optional[Sequence[Word]] = None
-) -> Verdict:
-    """Search the horizon ball for a cancellation failure on the given side:
-    some m of `multipliers` (default: the ball) and a != b in the ball with
-    m*a = m*b (left) or a*m = b*m (right)."""
+) -> PropertyReport:
+    """Left cancellation passes on `oracle`'s cancellation theorem, where its
+    class names one.  Otherwise search the horizon ball for a cancellation
+    failure on the given side: some m of `multipliers` (default: the ball)
+    and a != b in the ball with m*a = m*b (left) or a*m = b*m (right)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if side == "left" and oracle.cancellation_theorem is not None:
+        basis = f"theorem: {oracle.cancellation_theorem}"
+        return PropertyReport("cancellative", "pass", horizon, artifacts={"basis": basis})
     ball = oracle.elements_up_to(horizon)
     for m in ball if multipliers is None else multipliers:
         seen: dict[Word, Word] = {}
@@ -709,12 +736,12 @@ def check_cancellative(
                     "product": format_word(prod),
                     "side": side,
                 }
-                return Verdict("fails", horizon, w)
+                return PropertyReport("cancellative", "fail", horizon, [w])
             seen[prod] = a
-    return Verdict("holds_at_horizon", horizon)
+    return PropertyReport("cancellative", "holds_at_horizon", horizon)
 
 
-def check_finite_geometric_type(oracle: MonoidOracle, horizon: int, threshold: int) -> Verdict:
+def check_finite_geometric_type(oracle: MonoidOracle, horizon: int, threshold: int) -> PropertyReport:
     """Count solutions a of a*b = c over the ball; fail when a count reaches threshold."""
     ball = oracle.elements_up_to(horizon)
     ball_set = set(ball)
@@ -732,25 +759,25 @@ def check_finite_geometric_type(oracle: MonoidOracle, horizon: int, threshold: i
                 "count": len(sols),
                 "solutions": [format_word(a) for a in sorted(sols)],
             }
-            return Verdict("fails", horizon, w)
-    return Verdict("holds_at_horizon", horizon)
+            return PropertyReport("finite_geometric_type", "fail", horizon, [w])
+    return PropertyReport("finite_geometric_type", "holds_at_horizon", horizon)
 
 
-def check_left_unitary(oracle: MonoidOracle, contains: Callable[[Word], bool], horizon: int) -> Verdict:
+def check_left_unitary(oracle: MonoidOracle, contains: Callable[[Word], bool], horizon: int) -> PropertyReport:
     """Search for s in the submonoid where `contains` holds and t outside
     it with s*t inside."""
     ball = oracle.elements_up_to(horizon)
     members = [m for m in ball if contains(m)]
     non_members = [m for m in ball if not contains(m)]
     if not contains(oracle.identity):
-        return Verdict("fails", horizon, {"reason": "identity not a member"})
+        return PropertyReport("left_unitary", "fail", horizon, [{"reason": "identity not a member"}])
     for s in members:
         for t in non_members:
             st = oracle.multiply(s, t)
             if contains(st):
                 w = {"s": format_word(s), "t": format_word(t), "st": format_word(st)}
-                return Verdict("fails", horizon, w)
-    return Verdict("holds_at_horizon", horizon)
+                return PropertyReport("left_unitary", "fail", horizon, [w])
+    return PropertyReport("left_unitary", "holds_at_horizon", horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import (
-    PropertyReport,
     check_cobounded,
     check_idealistic,
     check_isometric_embedding_action,
@@ -35,6 +34,7 @@ from .extnum import ZERO, ExtNonNeg, ext_max
 from .monoids import (
     FreeProductMonoid,
     MonoidOracle,
+    PropertyReport,
     SubmonoidOracle,
     Word,
     ends_in_group_identity_submonoid,
@@ -214,7 +214,7 @@ def extract_generators(inp: SmInput) -> SmReport:
 
 class _Walk:
     """The geodesic-subdivision walk of one run, shared by its certificates
-    (see factor_over_generators), by prefix extension.
+    by prefix extension.
 
     The state of a word w of length D is the walk along w up to its last
     sample, i <= k = floor(D/l): the vertex w ends at, the chain element of
@@ -322,21 +322,6 @@ class _Walk:
             k = len(w) * self.report.l.denominator // self.report.l.numerator
             failure = (k, f"no contact element carries {format_word(last)} to {format_word(m)}")
         raise FactorizationFailed(format_word(m), failure[0], failure[1])
-
-
-def factor_over_generators(report: SmReport, inp: SmInput, m: Word) -> list[Word]:
-    """The proof's geodesic-subdivision factorization of m over S.
-
-    Let w be a shortest word for m, D = |w| and l = p/q.  The samples at
-    times i*l, 0 < i <= k = floor(D/l), snap to the prefix of w of length
-    ceil(i*l - 1/2), ties going to the earlier vertex; i <= k keeps that
-    length <= D.  The chain is e, the first covering element of each
-    sample, then m, and one contact element is read off each step.  This
-    runs, for m alone, the walk that verify_generation_bound shares across
-    the ball (see _Walk).
-    """
-    _, state, u = _Walk(report, inp).certificate(m)
-    return state[2] + [u]
 
 
 def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:

@@ -98,9 +98,28 @@ def test_check_quasimetric_free_fails_with_witness():
 def test_check_cancellative_sides():
     code, doc, _ = run_cli("--monoid", fx("bicyclic.json"), "check", "cancellative", "--side", "left")
     assert code == 1
-    assert doc["result"]["witness"]
+    assert doc["result"]["verdict"] == "fail" and len(doc["result"]["witnesses"]) == 1
     code, doc, _ = run_cli("--monoid", fx("free2.json"), "check", "cancellative", "--side", "left")
     assert code == 0
+
+
+def test_check_cancellative_decides_left_cancellation_as_check_action_does():
+    # A class that names a cancellation theorem passes on it, at any horizon.
+    for name in ("free2", "z3", "fp_r2_z2"):
+        oracle, _ = parse_monoid_spec(fx(f"{name}.json"))
+        code, doc, _ = run_cli("--monoid", fx(f"{name}.json"), "--horizon", "4", "check", "cancellative")
+        assert code == 0 and doc["result"]["verdict"] == "pass"
+        assert doc["result"]["artifacts"] == {"basis": f"theorem: {oracle.cancellation_theorem}"}
+    # Elsewhere the ball search reaches the verdict and witness check action reports.
+    names = sorted(f[: -len(".json")] for f in os.listdir(FIXTURES) if f.endswith(".json"))
+    assert len(names) == 9
+    for name in names:
+        for horizon in ("2", "3", "4", "5"):
+            code, doc, _ = run_cli("--monoid", fx(f"{name}.json"), "--horizon", horizon, "check", "cancellative")
+            action_code, action, _ = run_cli("--monoid", fx(f"{name}.json"), "--horizon", horizon, "check", "action")
+            iso = action["result"]["isometric_embedding"]
+            assert code == action_code, (name, horizon)
+            assert (doc["result"]["verdict"], doc["result"]["witnesses"]) == (iso["verdict"], iso["witnesses"])
 
 
 def test_check_fgt():

@@ -145,7 +145,7 @@ def _run(name: str, h: int):
 @pytest.mark.parametrize("name,h", CASES)
 def test_ends_in_e_is_left_unitary(name, h):
     N = PRODUCTS[name]()
-    assert check_left_unitary(N, ends_in_group_identity_submonoid(N), h).holds
+    assert check_left_unitary(N, ends_in_group_identity_submonoid(N), h).passed
 
 
 @pytest.mark.parametrize("name,h", CASES)

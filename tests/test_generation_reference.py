@@ -652,6 +652,3 @@ def test_witnesses_that_are_not_prefix_closed_give_the_same_report(monkeypatch, 
     generation = svarcmilnor.verify_generation_bound(report, inp)
     assert generation.passed
     _agree(generation, _references(report, inp))
-    for m in oracle.elements_up_to(horizon):
-        letters = svarcmilnor.factor_over_generators(report, inp, m)
-        assert letters == integer_factor(report, inp, m, {})

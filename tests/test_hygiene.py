@@ -301,7 +301,7 @@ def test_dataclasses_import_check_flags_every_form(tmp_path):
 
 # The generation walk covers each sample vertex v by construction, with some
 # v·t⁻¹, so the certificates need no translate of B and no other cell set.
-WALK_DEFINITIONS = ("_Walk", "verify_generation_bound", "factor_over_generators")
+WALK_DEFINITIONS = ("_Walk", "verify_generation_bound")
 CELL_SET_NAMES = ("Translates", "translate", "translates", "CellSet")
 
 
@@ -349,11 +349,11 @@ def extract_generators(inp):
 def test_cell_set_check_flags_planted_uses(tmp_path):
     path = tmp_path / "cell_sets.py"
     path.write_text(CELL_SETS, encoding="utf-8")
-    assert _cell_set_uses(str(path)) == [
+    assert _cell_set_uses(str(path), WALK_DEFINITIONS + ("absent",)) == [
         "_Walk: translates (line 6)",
         "_Walk: CellSet (line 9)",
         "verify_generation_bound: Translates (line 13)",
-        "factor_over_generators: missing",
+        "absent: missing",
     ]
 
 

@@ -186,8 +186,9 @@ def test_free_product_quotient_consistent_with_multiply():
 @pytest.mark.parametrize("rank,order", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_free_product_cancellative_sampler(rank, order):
     m = FreeProductMonoid(rank, cyclic_group(order))
-    assert check_cancellative(m, "left", 4).holds
-    assert check_cancellative(m, "right", 4).holds
+    m.cancellation_theorem = None  # the ball search, not the theorem
+    assert check_cancellative(m, "left", 4).verdict == "holds_at_horizon"
+    assert check_cancellative(m, "right", 4).verdict == "holds_at_horizon"
 
 
 def test_left_divisor_candidates_cover_divisors():
@@ -362,22 +363,24 @@ def test_bicyclic_distance_fast_path_vs_structure():
 
 def test_bicyclic_not_left_cancellative():
     v = check_cancellative(bicyclic_monoid(), "left", 4)
-    assert not v.holds
+    assert not v.passed
     # re-check the witness
     b = bicyclic_monoid()
-    w = v.witness
+    [w] = v.witnesses
     m, a, bb = b.parse_word(w["m"]), b.parse_word(w["a"]), b.parse_word(w["b"])
     assert a != bb and b.multiply(m, a) == b.multiply(m, bb)
 
 
 def test_zero_monoid_not_left_cancellative():
     v = check_cancellative(zero_monoid(), "left", 4)
-    assert not v.holds
+    assert not v.passed
 
 
 def test_free_monoids_cancellative():
-    assert check_cancellative(FreeMonoid(2, ["a", "b"]), "left", 5).holds
-    assert check_cancellative(FreeMonoid(2, ["a", "b"]), "right", 5).holds
+    m = FreeMonoid(2, ["a", "b"])
+    m.cancellation_theorem = None  # the ball search, not the theorem
+    assert check_cancellative(m, "left", 5).verdict == "holds_at_horizon"
+    assert check_cancellative(m, "right", 5).verdict == "holds_at_horizon"
 
 
 # -- finite geometric type --------------------------------------------------
@@ -385,8 +388,8 @@ def test_free_monoids_cancellative():
 
 def test_zero_monoid_fails_fgt():
     v = check_finite_geometric_type(zero_monoid(), 6, 5)
-    assert not v.holds
-    w = v.witness
+    assert not v.passed
+    [w] = v.witnesses
     z = zero_monoid()
     bb, c = z.parse_word(w["b"]), z.parse_word(w["c"])
     assert w["count"] >= 5
@@ -395,8 +398,8 @@ def test_zero_monoid_fails_fgt():
 
 
 def test_fgt_holds_for_free_and_bicyclic():
-    assert check_finite_geometric_type(FreeMonoid(2, ["a", "b"]), 6, 6).holds
-    assert check_finite_geometric_type(bicyclic_monoid(), 6, 6).holds
+    assert check_finite_geometric_type(FreeMonoid(2, ["a", "b"]), 6, 6).passed
+    assert check_finite_geometric_type(bicyclic_monoid(), 6, 6).passed
 
 
 # -- left unitary submonoids ------------------------------------------------
@@ -408,7 +411,7 @@ def test_ends_in_identity_is_left_unitary():
     assert member(("f",))
     assert member(("g", "f"))
     assert not member(("g",))
-    assert check_left_unitary(m, member, 4).holds
+    assert check_left_unitary(m, member, 4).passed
 
 
 def test_non_unitary_submonoid_fails_with_witness():
@@ -420,8 +423,8 @@ def test_non_unitary_submonoid_fails_with_witness():
         return n == 0 or n >= 2
 
     v = check_left_unitary(m, nf_not_one, 3)
-    assert not v.holds
-    w = v.witness
+    assert not v.passed
+    [w] = v.witnesses
     s, t = m.parse_word(w["s"]), m.parse_word(w["t"])
     assert nf_not_one(s) and not nf_not_one(t) and nf_not_one(m.multiply(s, t))
 

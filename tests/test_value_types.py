@@ -22,7 +22,6 @@ from monoidgeo import (
     Segment,
     SmInput,
     TruncatedDistance,
-    Verdict,
     Vertex,
     Violation,
     ViolationReport,
@@ -157,4 +156,4 @@ def test_records_keep_their_defaults_and_fresh_containers():
     r1, r2 = ViolationReport("axioms"), ViolationReport("axioms")
     r1.violations.append(1)
     assert r2.violations == [] and r2.passed
-    assert Verdict("holds_at_horizon", 3).witness is None
+    assert PropertyReport("p", "holds_at_horizon", 3).witnesses == []
