@@ -56,6 +56,9 @@ CASES = {
     # Isometric embedding by left cancellation: checked on N³, one witness on bicyclic.
     "n3_check_action": ("n3.json", ["check", "action"], 0),
     "bicyclic_check_action": ("bicyclic.json", ["check", "action"], 1),
+    # The fail shape of the ball searches: one witness each.
+    "zero_check_fgt": ("zero.json", ["check", "fgt", "--threshold", "5"], 1),
+    "bicyclic_check_cancellative": ("bicyclic.json", ["check", "cancellative"], 1),
 }
 
 # name -> (fixture, CLI arguments after --monoid, expected exit code, sha256 of
