@@ -34,9 +34,9 @@ from .monoids import (
     FreeMonoid,
     FreeProductMonoid,
     MonoidOracle,
+    PropertyReport,
     RewritingMonoid,
     SubmonoidOracle,
-    PropertyReport,
     TableMonoid,
     Word,
     check_cancellative,

@@ -11,8 +11,8 @@ word-length balls and reported as ``holds_at_horizon``.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
