@@ -42,7 +42,6 @@ from .monoids import (
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,
-    ends_in_group_identity_submonoid,
     format_word,
     from_spec_dict,
 )

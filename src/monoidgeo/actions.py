@@ -109,11 +109,10 @@ def check_idealistic(monoid: MonoidOracle, horizon: int) -> PropertyReport:
     """The idealistic condition for `monoid` translating Gamma on the left,
     with the identity vertex x0 as basepoint: a finite d(m x0, n x0) forces
     n into mM.  It holds by definition, as d(m x0, n x0) < inf iff n = m*t
-    for some t in Gamma's monoid N.  For a submonoid, which the pipelines
-    build only as M = ends_in_e in a free product, t is in M since M is left
-    unitary by the normal form theorem for free products."""
+    for some t in Gamma's monoid N.  For the submonoid M = ends_in_e of a
+    free product, t is in M since M is left unitary by
+    SubmonoidOracle.left_unitary_theorem."""
     basis = "theorem: d(m x0, n x0) < inf iff n = m*t for some t in N"
     if isinstance(monoid, SubmonoidOracle):
-        basis += (", and t is in M since M is left unitary (normal form theorem for"
-                  " free products: s*t ends in t's last group letter)")
+        basis += f", and t is in M since M is left unitary ({monoid.left_unitary_theorem})"
     return PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})

@@ -463,7 +463,7 @@ class GammaOracle(SemimetricSpace):
         return gamma_set_distance(self.monoid, A, B, self.horizon if horizon is None else horizon)
 
     def distance_rows(self, sample: Sequence[CayleyPoint]) -> tuple[list[list[int]], int, int]:
-        """The default's rows over the lcm L of the sample's offset denominators.
+        """The rows over the lcm L of the sample's offset denominators.
 
         Each point is reduced to its sources and its target once.  Each
         distinct source base s gets one row over the distinct target bases

@@ -23,10 +23,10 @@ from .errors import MonoidGeoError
 from .monoids import (
     FreeProductMonoid,
     MonoidOracle,
+    SubmonoidOracle,
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,
-    ends_in_group_identity_submonoid,
     format_word,
     from_spec_dict,
 )
@@ -139,7 +139,7 @@ def _run(args) -> tuple[int, dict]:
         elif args.what == "unitary":
             if not isinstance(oracle, FreeProductMonoid):
                 raise MonoidGeoError("check unitary needs a free_product monoid spec")
-            report = check_left_unitary(oracle, ends_in_group_identity_submonoid(oracle), depth)
+            report = check_left_unitary(SubmonoidOracle(oracle), depth)
         elif args.what == "action":
             laws = check_action_laws(oracle)
             depth = min(depth, 3)

@@ -209,17 +209,6 @@ class TruncatedDistance(Frozen):
     def is_known(self) -> bool:
         return self.kind == "known"
 
-    def plus(self, other: "TruncatedDistance | ExtNonNeg | Rational") -> "TruncatedDistance":
-        if not isinstance(other, TruncatedDistance):
-            other = TruncatedDistance.known(_coerce(other))
-        a, b = self, other
-        # An exactly-infinite summand dominates even an unknown one.
-        if (a.is_known and a.value.is_infinite) or (b.is_known and b.value.is_infinite):
-            return TruncatedDistance.known(INF)
-        if a.is_known and b.is_known:
-            return TruncatedDistance.known(a.value + b.value)
-        return TruncatedDistance.unknown_above(a.value + b.value)
-
     def to_json(self) -> dict:
         if self.kind == "known":
             return self.value.to_json()

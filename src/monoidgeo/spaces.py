@@ -8,7 +8,6 @@ raised so the caller can retry with a larger horizon.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from itertools import compress
@@ -44,11 +43,7 @@ class SemimetricSpace:
         Raises HorizonTooSmall at the first pair, in row-major order, whose
         distance is not known.
         """
-        table = [[self.known_distance(p, q).frac for q in sample] for p in sample]
-        scale = math.lcm(*(f.denominator for row in table for f in row if f is not None))
-        return self._with_sentinel(
-            [[None if f is None else f.numerator * (scale // f.denominator) for f in row] for row in table], scale
-        )
+        raise NotImplementedError
 
     @staticmethod
     def _with_sentinel(rows: list[list[Optional[int]]], scale: int) -> tuple[list[list[int]], int, int]:
@@ -73,7 +68,7 @@ class WordMetricSpace(SemimetricSpace):
         return word_distance(self.oracle, p, q, self.horizon)
 
     def distance_rows(self, sample: Sequence[Word]) -> tuple[list[list[int]], int, int]:
-        """The default's rows over scale 1, since word distances are whole."""
+        """The rows over scale 1, since word distances are whole."""
         from .cayley import word_distance
 
         oracle, horizon = self.oracle, self.horizon

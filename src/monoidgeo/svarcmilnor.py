@@ -37,7 +37,6 @@ from .monoids import (
     PropertyReport,
     SubmonoidOracle,
     Word,
-    ends_in_group_identity_submonoid,
     format_word,
 )
 
@@ -69,7 +68,9 @@ class SmInput:
 
     @property
     def far(self) -> int:
-        """The horizon of extraction's distance queries, which may need to see past 5R."""
+        """The horizon of B's search, the cobounded in-balls, lambda's
+        distances, the witness words and, without a cancellation theorem, the
+        injectivity ball (see extract_generators)."""
         return max(self.horizon, int(5 * self.radius) + 1)
 
 
@@ -79,8 +80,6 @@ class SmReport:
         generators: list[Word],
         ball: CellSet,
         ball_radius: Fraction,
-        outer_ball_radius: Fraction,  # 5R, the radius of the reference out-ball C
-        q_translates: list[tuple[Word, ExtNonNeg]],
         r: Fraction,
         l: Fraction,
         lam: ExtNonNeg,
@@ -89,22 +88,24 @@ class SmReport:
         claim2: PropertyReport,
         hypotheses: dict,
     ):
-        self.generators, self.ball, self.q_translates = generators, ball, q_translates
-        self.ball_radius, self.outer_ball_radius, self.r, self.l, self.lam = ball_radius, outer_ball_radius, r, l, lam
+        self.generators, self.ball = generators, ball
+        self.ball_radius, self.r, self.l, self.lam = ball_radius, r, l, lam
         self.separations, self.claim1, self.claim2 = separations, claim1, claim2
         self.hypotheses = hypotheses
 
     def to_json(self) -> dict:
+        C = 5 * self.ball_radius  # the radius of the reference out-ball C
         return {
             "S": [format_word(s) for s in self.generators],
             "B": self.ball.to_json(),
             "R": [self.ball_radius.numerator, self.ball_radius.denominator],
             "C": {
                 "kind": "out_ball",
-                "radius": [self.outer_ball_radius.numerator, self.outer_ball_radius.denominator],
+                "radius": [C.numerator, C.denominator],
             },
             "Q": {
-                "translates": [{"m": format_word(m), "separation": sep.to_json()} for m, sep in self.q_translates],
+                "translates": [{"m": format_word(m), "separation": sep.to_json()}
+                               for m, sep in self.separations.items() if sep != ZERO],
                 "basis": "theorem: d(B, mB) >= d(e, m) - 2R, so an m past the ball of radius ceil(3R) - 1"
                          f" = {math.ceil(3 * self.ball_radius) - 1} has separation >= R and cannot lower r;"
                          " each m of that ball is within 5R of e, so mB touches C",
@@ -184,8 +185,7 @@ def extract_generators(inp: SmInput) -> SmReport:
     # vertex.  Q is that ball's separated translates; every other separation
     # is at least ceil(3R) - 2R >= R and cannot lower r.
     S, separations = compute_contact_set(translates, gamma, R)
-    q_translates = [(m, sep) for m, sep in separations.items() if sep != ZERO]
-    min_q = min((sep.finite_value() for _, sep in q_translates), default=None)
+    min_q = min((sep.finite_value() for sep in separations.values() if sep != ZERO), default=None)
     r = (R if min_q is None else min(R, min_q)) / 2
     l = r / 2
 
@@ -200,8 +200,6 @@ def extract_generators(inp: SmInput) -> SmReport:
         generators=S,
         ball=B,
         ball_radius=R,
-        outer_ball_radius=5 * R,
-        q_translates=q_translates,
         r=r,
         l=l,
         lam=lam,
@@ -442,14 +440,14 @@ def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
     So P is the set T of orbit representatives that coboundedness is checked
     on.  The factorizations of the horizon ball are listed.
     """
-    gamma = GammaOracle(N, max(horizon, 8))
+    gamma = GammaOracle(N, horizon)
     P = [() if g == N.group_identity else (g,) for g in N.group.element_names]
     mp_witnesses = {}
     for n in N.elements_up_to(horizon):
         m, _ = N._split_last(n)
         mp_witnesses[format_word(n)] = (format_word(m), format_word(n[len(m):]))
 
-    M = SubmonoidOracle(N, ends_in_group_identity_submonoid(N))
+    M = SubmonoidOracle(N)
     radius = 1 + _displacement(gamma, P)  # B must absorb P's displacement
 
     result = run_pipeline(SmInput(M, gamma, radius, horizon, P))

@@ -5,13 +5,16 @@ extraction's ball with the covering search that the generation walk once
 made over them and the claim loops that extraction once ran on them.  Also
 a general monoid action with the pair-by-pair samplers that `check action`
 once ran on it, the references for the action decisions in
-``monoidgeo.actions``."""
+``monoidgeo.actions``; the ball search that `check unitary` once ran; the
+sum of two horizon-aware distances; and a space whose table is one
+``known_distance`` per pair."""
 
 import math
 from fractions import Fraction
 from typing import Callable
 
 from monoidgeo import (
+    INF,
     ZERO,
     EdgePoint,
     ExtNonNeg,
@@ -19,8 +22,10 @@ from monoidgeo import (
     HorizonTooSmall,
     PropertyReport,
     RewritingMonoid,
+    SemimetricSpace,
     SpecValidationError,
     SubmonoidOracle,
+    TruncatedDistance,
     Vertex,
     format_word,
     word_distance,
@@ -64,6 +69,11 @@ def covering_elements(inp, translates, x):
         m = v if t == n.identity else n.multiply(v, n.exact_quotient(t, n.identity))
         if (not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)) and translates[m].contains(x):
             yield m
+
+
+def q_translates(report) -> list:
+    """The report's Q: its separated translates (m, d(B, mB)), in BFS order."""
+    return [(m, sep) for m, sep in report.separations.items() if sep != ZERO]
 
 
 def claim_loops(report, inp, separations):
@@ -227,3 +237,52 @@ def sampled_idealistic(action, x0, depth, horizon) -> PropertyReport:
     verdict = "fail" if witnesses else "unknown" if unresolved else "holds_at_horizon"
     return PropertyReport("idealistic", verdict, depth, witnesses,
                           artifacts={"unresolved_pairs": unresolved, "basepoint": str(x0)})
+
+
+# -- the left-unitary search ---------------------------------------------------
+
+
+def sampled_left_unitary(oracle, contains, horizon) -> PropertyReport:
+    """Search the horizon ball for s in the submonoid where `contains` holds
+    and t outside it with s*t inside: the search `check unitary` ran before
+    it read M's theorem."""
+    ball = oracle.elements_up_to(horizon)
+    members = [m for m in ball if contains(m)]
+    non_members = [m for m in ball if not contains(m)]
+    if not contains(oracle.identity):
+        return PropertyReport("left_unitary", "fail", horizon, [{"reason": "identity not a member"}])
+    for s in members:
+        for t in non_members:
+            st = oracle.multiply(s, t)
+            if contains(st):
+                w = {"s": format_word(s), "t": format_word(t), "st": format_word(st)}
+                return PropertyReport("left_unitary", "fail", horizon, [w])
+    return PropertyReport("left_unitary", "holds_at_horizon", horizon)
+
+
+# -- horizon-aware sums and pairwise tables ------------------------------------
+
+
+def truncated_plus(a: TruncatedDistance, b) -> TruncatedDistance:
+    """a + b, b a TruncatedDistance or a known value.  An exactly infinite
+    summand dominates even an unknown one; otherwise the sum is known only
+    when both summands are."""
+    if not isinstance(b, TruncatedDistance):
+        b = TruncatedDistance.known(b)
+    if (a.is_known and a.value.is_infinite) or (b.is_known and b.value.is_infinite):
+        return TruncatedDistance.known(INF)
+    if a.is_known and b.is_known:
+        return TruncatedDistance.known(a.value + b.value)
+    return TruncatedDistance.unknown_above(a.value + b.value)
+
+
+class PairwiseSpace(SemimetricSpace):
+    """A test space whose ``distance_rows`` asks ``known_distance`` once per
+    pair, in row-major order, over the lcm of the distances' denominators."""
+
+    def distance_rows(self, sample):
+        table = [[self.known_distance(p, q).frac for q in sample] for p in sample]
+        scale = math.lcm(*(f.denominator for row in table for f in row if f is not None))
+        return self._with_sentinel(
+            [[None if f is None else f.numerator * (scale // f.denominator) for f in row] for row in table], scale
+        )

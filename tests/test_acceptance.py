@@ -30,7 +30,14 @@ from monoidgeo import (
     run_pipeline,
 )
 from monoidgeo.cli import main as cli_main
-from builders import bicyclic_monoid, cyclic_group, sampled_isometric_embedding, translation_action, zero_monoid
+from builders import (
+    bicyclic_monoid,
+    cyclic_group,
+    q_translates,
+    sampled_isometric_embedding,
+    translation_action,
+    zero_monoid,
+)
 
 ZERO = ExtNonNeg.finite(0)
 
@@ -235,7 +242,7 @@ def test_criterion_4_extraction_with_independent_oracle():
         detail.append(f"lambda={rep.lam}")
     # Q lists the translates of the ball of radius ceil(3R) - 1 = 2; the
     # interval oracle's entries past it are no closer than R.
-    if dict(rep.q_translates) != {m: d for m, d in oracle_vals["Q"].items() if len(m) <= 2}:
+    if dict(q_translates(rep)) != {m: d for m, d in oracle_vals["Q"].items() if len(m) <= 2}:
         ok = False
         detail.append("Q translates disagree with the interval oracle")
     if not all(d >= ExtNonNeg.of(1) for m, d in oracle_vals["Q"].items() if len(m) > 2):

@@ -13,7 +13,6 @@ from monoidgeo import (
     FreeProductMonoid,
     GammaOracle,
     HorizonTooSmall,
-    SemimetricSpace,
     SmInput,
     TableMonoid,
     TruncatedDistance,
@@ -30,6 +29,7 @@ from monoidgeo import (
 from monoidgeo.cayley import Translates
 from builders import (
     ActionOracle,
+    PairwiseSpace,
     apply_translation,
     bicyclic_monoid,
     cyclic_group,
@@ -208,7 +208,7 @@ def test_idealistic_translation_actions(name, oracle):
     assert check_idealistic(oracle, 8).verdict == "pass"
 
 
-class FreeGroupSpace(SemimetricSpace):
+class FreeGroupSpace(PairwiseSpace):
     """The free group on {a, b} under its (symmetric) word metric; elements
     are reduced words over a, A, b, B.  Test-local fixture."""
 

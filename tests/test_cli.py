@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from monoidgeo import monoids
 from monoidgeo.cayley import shortest_word, word_distance
 from monoidgeo.cli import main, parse_monoid_spec
 
@@ -135,6 +136,22 @@ def test_check_unitary():
     # only meaningful on free products
     code, _, _ = run_cli("--monoid", fx("free1.json"), "check", "unitary")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["fp_r1_z2", "fp_r2_z2"])
+@pytest.mark.parametrize("depth", [2, 12])
+def test_check_unitary_passes_on_the_normal_form_theorem_without_a_ball(name, depth, monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("check unitary built a ball")
+
+    for cls in (monoids.MonoidOracle, monoids.SubmonoidOracle, monoids.DistanceField):
+        monkeypatch.setattr(cls, "elements_up_to", refuse)
+    code, doc, _ = run_cli("--monoid", fx(f"{name}.json"), "check", "unitary", "--depth", str(depth))
+    assert code == 0
+    result = doc["result"]
+    assert (result["property"], result["verdict"], result["horizon"]) == ("left_unitary", "pass", depth)
+    basis = "theorem: normal form theorem for free products: s*t ends in t's last group letter"
+    assert result["artifacts"] == {"basis": basis}
 
 
 def test_check_action():

@@ -27,7 +27,6 @@ from monoidgeo import (
     SubmonoidOracle,
     Vertex,
     check_cobounded,
-    ends_in_group_identity_submonoid,
 )
 from monoidgeo.cayley import Translates
 from monoidgeo.cli import parse_monoid_spec
@@ -143,7 +142,7 @@ def test_submonoid_checks_the_out_edges_of_p():
     # the edge (g, f) is B's alone: cut it to [0, 1/3] and the check on P
     # fails there, while a check on ε alone would pass.
     n = _load("fp_r1_z2")
-    M = SubmonoidOracle(n, ends_in_group_identity_submonoid(n))
+    M = SubmonoidOracle(n)
     R, horizon, far = Fraction(2), 4, 11
     gamma = GammaOracle(n, 8)
     B = _strong_ball(n, R, far)

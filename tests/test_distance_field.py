@@ -26,7 +26,6 @@ from monoidgeo import (
     SubmonoidOracle,
     TableMonoid,
     TruncatedDistance,
-    ends_in_group_identity_submonoid,
     from_spec_dict,
     shortest_word,
     word_distance,
@@ -255,7 +254,7 @@ def test_fields_share_interned_elements():
 
 def _ends_in_e_submonoid():
     parent = FreeProductMonoid(1, cyclic_group(2))
-    return SubmonoidOracle(parent, ends_in_group_identity_submonoid(parent))
+    return SubmonoidOracle(parent)
 
 
 FAST_PATHS = {

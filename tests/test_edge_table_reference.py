@@ -24,7 +24,6 @@ from monoidgeo import (
     GammaOracle,
     Segment,
     SubmonoidOracle,
-    ends_in_group_identity_submonoid,
     from_spec_dict,
 )
 from builders import symmetric_group_3
@@ -42,7 +41,7 @@ def build(name):
     """A fresh oracle: a fixture, or the ends_in_e submonoid of one."""
     if name.startswith("ends_in_e<"):
         parent = load(name[len("ends_in_e<"):-1])
-        return SubmonoidOracle(parent, ends_in_group_identity_submonoid(parent))
+        return SubmonoidOracle(parent)
     return load(name)
 
 

@@ -15,6 +15,7 @@ from monoidgeo import (
     ext_min,
     truncated_min,
 )
+from builders import truncated_plus
 
 rationals = st.fractions(min_value=0, max_value=1000)
 ext_values = st.one_of(rationals.map(ExtNonNeg.of), st.just(INF))
@@ -91,14 +92,14 @@ def test_unknown_above_must_be_finite():
 def test_plus_infinite_dominates_unknown():
     u = TruncatedDistance.unknown_above(ExtNonNeg.of(8))
     inf = TruncatedDistance.known(INF)
-    assert u.plus(inf) == inf
-    assert inf.plus(u) == inf
+    assert truncated_plus(u, inf) == inf
+    assert truncated_plus(inf, u) == inf
 
 
 def test_plus_unknown_propagates():
     u = TruncatedDistance.unknown_above(ExtNonNeg.of(8))
     k = TruncatedDistance.known(ExtNonNeg.of(Fraction(1, 2)))
-    out = u.plus(k)
+    out = truncated_plus(u, k)
     assert not out.is_known
     assert out.value == ExtNonNeg.of(Fraction(17, 2))
 

@@ -19,8 +19,8 @@ from monoidgeo import (
     FreeProductMonoid,
     InvalidElement,
     InvalidLetter,
+    SubmonoidOracle,
     Word,
-    ends_in_group_identity_submonoid,
 )
 from builders import cyclic_group, symmetric_group_3
 
@@ -154,7 +154,7 @@ def _raw(m: FreeProductMonoid, w: Word) -> Word:
 def test_arithmetic_matches_the_alternating_forms(name):
     m = ORACLES[name]()
     ball = m.elements_up_to(4)
-    member = ends_in_group_identity_submonoid(m)
+    member = SubmonoidOracle(m).contains
     for y in ball:
         ry = _raw(m, y)
         assert normal_form(m, ry) == m.normal_form(ry) == y, y

@@ -5,10 +5,11 @@ replaced.
 unitary and each group letter's inverse to be its exact quotient, by the
 normal form theorem for free products, and `run_free_product` reads its
 realized constants off the basis letters and P's displacement.  This file
-keeps what they did before as references: the left-unitary search, the ball
-search for right inverses, the search over P for MP = N, the loop over all
-pairs of basis images, and the corollary's three loops (the basis-word loop,
-the M-ball factorization scan and the density loop).  On F1*Z2, F2*Z2, F1*S3
+keeps what they did before as references: the left-unitary search (in
+``builders``, as ``check unitary`` ran it), the ball search for right
+inverses, the search over P for MP = N, the loop over all pairs of basis
+images, and the corollary's three loops (the basis-word loop, the M-ball
+factorization scan and the density loop).  On F1*Z2, F2*Z2, F1*S3
 and F2*Z3 the references agree with the pipelines, and planted inputs show
 that each corollary loop finds what it looks for.
 """
@@ -22,10 +23,10 @@ from monoidgeo import (
     FreeMonoid,
     FreeProductMonoid,
     GammaOracle,
+    SubmonoidOracle,
     Vertex,
     cayley,
     check_left_unitary,
-    ends_in_group_identity_submonoid,
     format_word,
     monoids,
     run_free_product,
@@ -34,7 +35,7 @@ from monoidgeo import (
     word_distance,
 )
 from monoidgeo.cli import parse_monoid_spec
-from builders import cyclic_group, symmetric_group_3
+from builders import cyclic_group, sampled_left_unitary, symmetric_group_3
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -99,7 +100,7 @@ def reference_realized_lambda(N: FreeProductMonoid, horizon: int) -> tuple[Fract
 def reference_mp_factorizations(N: FreeProductMonoid, horizon: int) -> dict:
     """{n: (m, p)} with m in M, p in P and m*p = n for every n of the
     horizon ball, by the search over P that the pipeline made."""
-    member = ends_in_group_identity_submonoid(N)
+    member = SubmonoidOracle(N).contains
     P = [() if g == N.group_identity else (g,) for g in N.group.element_names]
     inverses = {p: N.exact_quotient(p, N.identity) for p in P}
     factorizations = {}
@@ -145,7 +146,9 @@ def _run(name: str, h: int):
 @pytest.mark.parametrize("name,h", CASES)
 def test_ends_in_e_is_left_unitary(name, h):
     N = PRODUCTS[name]()
-    assert check_left_unitary(N, ends_in_group_identity_submonoid(N), h).passed
+    M = SubmonoidOracle(N)
+    assert sampled_left_unitary(N, M.contains, h).verdict == "holds_at_horizon"
+    assert check_left_unitary(M, h).verdict == "pass"
 
 
 @pytest.mark.parametrize("name,h", CASES)
@@ -256,7 +259,7 @@ def test_read_off_matches_the_former_loops(name, h):
     N = COROLLARY_PRODUCTS[name]()
     out = run_free_product(N, h)
     assert out.verdict == "pass" and out.witnesses == []
-    in_m = ends_in_group_identity_submonoid(N)
+    in_m = SubmonoidOracle(N).contains
     basis = free_basis(N)
     assert out.artifacts["basis"] == [format_word(b) for b in basis]
     images, lam, witnesses = reference_basis_loop(N, basis, h, in_m)
@@ -275,27 +278,27 @@ def _reasons(witnesses: list) -> set:
 def test_basis_loop_finds_a_repeated_basis_element():
     N = PRODUCTS["F2*Z2"]()
     basis = free_basis(N)
-    _, _, witnesses = reference_basis_loop(N, basis + basis[:1], 4, ends_in_group_identity_submonoid(N))
+    _, _, witnesses = reference_basis_loop(N, basis + basis[:1], 4, SubmonoidOracle(N).contains)
     assert _reasons(witnesses) == {"basis factorization not injective"}
 
 
 def test_basis_loop_finds_a_basis_word_outside_m():
     N = PRODUCTS["F1*Z2"]()
     # f·g ends in a group letter, so it leaves M; it still has free length 1.
-    _, _, witnesses = reference_basis_loop(N, [("f",), ("f", "g")], 4, ends_in_group_identity_submonoid(N))
+    _, _, witnesses = reference_basis_loop(N, [("f",), ("f", "g")], 4, SubmonoidOracle(N).contains)
     assert _reasons(witnesses) == {"basis word leaves M"}
 
 
 def test_basis_loop_finds_a_letter_that_changes_free_length():
     N = PRODUCTS["F1*Z2"]()
     # g alone has free length 0, and it leaves M.
-    _, _, witnesses = reference_basis_loop(N, [("f",), ("g",)], 2, ends_in_group_identity_submonoid(N))
+    _, _, witnesses = reference_basis_loop(N, [("f",), ("g",)], 2, SubmonoidOracle(N).contains)
     assert _reasons(witnesses) == {"basis word leaves M", "basis letters not length-preserving"}
 
 
 def test_m_ball_scan_finds_an_element_no_basis_word_reaches():
     N = PRODUCTS["F1*Z2"]()
-    in_m = ends_in_group_identity_submonoid(N)
+    in_m = SubmonoidOracle(N).contains
     images, _, witnesses = reference_basis_loop(N, [("f",)], 4, in_m)  # g·f is missing
     assert witnesses == []
     missed = reference_m_ball_scan(N, images, 4, in_m)

@@ -35,7 +35,7 @@ from monoidgeo import (
 )
 from monoidgeo.cli import parse_monoid_spec
 from monoidgeo.spaces import SemimetricSpace
-from builders import cyclic_group
+from builders import PairwiseSpace, cyclic_group
 from test_set_distance import _interval_gap
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -174,8 +174,8 @@ def per_pair_rows(gamma: GammaOracle, sample) -> tuple[list[list[int]], int, int
     return SemimetricSpace._with_sentinel(rows, scale)
 
 
-class ReferenceGamma(SemimetricSpace):
-    """Γ through the reference ``gamma_distance``, with the default table."""
+class ReferenceGamma(PairwiseSpace):
+    """Γ through the reference ``gamma_distance``, with the pairwise table."""
 
     def __init__(self, monoid, horizon):
         self.monoid, self.horizon = monoid, horizon

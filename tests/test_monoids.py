@@ -18,16 +18,16 @@ from monoidgeo import (
     RewritingMonoid,
     SpecParseError,
     SpecValidationError,
+    SubmonoidOracle,
     TableMonoid,
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,
-    ends_in_group_identity_submonoid,
     format_word,
     from_spec_dict,
     word_distance,
 )
-from builders import bicyclic_monoid, cyclic_group, zero_monoid
+from builders import bicyclic_monoid, cyclic_group, sampled_left_unitary, zero_monoid
 
 
 def fp_z2(rank=1):
@@ -407,11 +407,13 @@ def test_fgt_holds_for_free_and_bicyclic():
 
 def test_ends_in_identity_is_left_unitary():
     m = fp_z2()
-    member = ends_in_group_identity_submonoid(m)
-    assert member(("f",))
-    assert member(("g", "f"))
-    assert not member(("g",))
-    assert check_left_unitary(m, member, 4).passed
+    M = SubmonoidOracle(m)
+    assert M.contains(("f",))
+    assert M.contains(("g", "f"))
+    assert not M.contains(("g",))
+    assert sampled_left_unitary(m, M.contains, 4).passed
+    report = check_left_unitary(M, 4)
+    assert report.verdict == "pass" and report.artifacts["basis"] == f"theorem: {M.left_unitary_theorem}"
 
 
 def test_non_unitary_submonoid_fails_with_witness():
@@ -422,7 +424,7 @@ def test_non_unitary_submonoid_fails_with_witness():
         n = sum(x == "f" for x in w)
         return n == 0 or n >= 2
 
-    v = check_left_unitary(m, nf_not_one, 3)
+    v = sampled_left_unitary(m, nf_not_one, 3)
     assert not v.passed
     [w] = v.witnesses
     s, t = m.parse_word(w["s"]), m.parse_word(w["t"])

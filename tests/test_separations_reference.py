@@ -48,7 +48,7 @@ from monoidgeo import (
 from monoidgeo import svarcmilnor
 from monoidgeo.cayley import gamma_set_distance
 from monoidgeo.cli import main, parse_monoid_spec
-from builders import claim_loops, translates_of
+from builders import claim_loops, q_translates, translates_of
 from test_distance_field import symmetric_group_5
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -101,7 +101,7 @@ def _agree(report, inp):
     assert all(report.separations[m] == sep for m, sep in separations.items() if m in report.separations)
     for q in (q_horizon, [(m, sep) for m, sep in q_horizon if m in six]):
         assert (report.r, report.l, report.lam) == (_r(R, q), _r(R, q) / 2, lam)
-        assert [x for x in q if x[0] in report.separations] == [x for x in report.q_translates if x[0] in separations]
+        assert [x for x in q if x[0] in report.separations] == [x for x in q_translates(report) if x[0] in separations]
         assert all(sep >= ExtNonNeg.of(R) for m, sep in q if m not in report.separations)
     for claim in (report.claim1, report.claim2):
         assert claim.verdict == "pass" and claim.artifacts["basis"].startswith("theorem: ")
@@ -165,7 +165,7 @@ def test_q_entries_past_rho_cannot_lower_r():
     _, q_horizon = _agree(report, inp)
     assert {len(m) for m, _ in q_horizon} == {2, 3, 4, 5, 6}
     assert max(len(m) for m in report.separations) == 2
-    assert report.q_translates == [(m, sep) for m, sep in q_horizon if len(m) == 2]
+    assert q_translates(report) == [(m, sep) for m, sep in q_horizon if len(m) == 2]
 
 
 @pytest.fixture

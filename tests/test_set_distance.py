@@ -31,7 +31,7 @@ from monoidgeo import (
     truncated_min,
     word_distance,
 )
-from builders import cyclic_group
+from builders import cyclic_group, truncated_plus
 from test_distance_field import FIELD_OUTCOMES, ORACLES, ReferenceBall, _outcome
 
 # Internal extended points allow closed offsets 0 and 1 so that infima over
@@ -57,19 +57,19 @@ def _ext_distance(
         return wd(p[1], q[1])
     if p[0] == "v":
         _, n, _y, nu = q
-        return wd(p[1], n).plus(ExtNonNeg.of(nu))
+        return truncated_plus(wd(p[1], n), ExtNonNeg.of(nu))
     _, m, x, mu = p
     mx = oracle.multiply(m, (x,))
     if q[0] == "v":
         n = q[1]
-        via_back = wd(m, n).plus(ExtNonNeg.of(mu))
-        via_forward = wd(mx, n).plus(ExtNonNeg.of(1 - mu))
+        via_back = truncated_plus(wd(m, n), ExtNonNeg.of(mu))
+        via_forward = truncated_plus(wd(mx, n), ExtNonNeg.of(1 - mu))
         return truncated_min([via_back, via_forward])
     _, n, y, nu = q
     if m == n and x == y:
         return TruncatedDistance.known(ExtNonNeg.of(abs(mu - nu)))
     to_base = _ext_distance(oracle, p, ("v", n), horizon)
-    return to_base.plus(ExtNonNeg.of(nu))
+    return truncated_plus(to_base, ExtNonNeg.of(nu))
 
 
 def closure_reps(cells: CellSet) -> list[_ExtPoint]:

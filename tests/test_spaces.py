@@ -19,8 +19,8 @@ from monoidgeo import (
     check_quasi_metric,
     gamma_set_distance,
 )
-from monoidgeo.spaces import SemimetricSpace, Violation, ViolationReport
-from builders import bicyclic_monoid, cyclic_group
+from monoidgeo.spaces import Violation, ViolationReport
+from builders import PairwiseSpace, bicyclic_monoid, cyclic_group
 from test_gamma_table_reference import _distance_table
 
 F1 = FreeMonoid(1, ["a"])
@@ -88,7 +88,7 @@ def _check_axioms_reference(space, sample):
     return ViolationReport("axioms", violations)
 
 
-class MatrixSpace(SemimetricSpace):
+class MatrixSpace(PairwiseSpace):
     """Points 0..n-1 with d(p, q) = rows[p][q]; None stands for infinity."""
 
     def __init__(self, rows):

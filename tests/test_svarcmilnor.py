@@ -22,7 +22,6 @@ from monoidgeo import (
     Vertex,
     check_cancellative,
     check_isometric_embedding_action,
-    ends_in_group_identity_submonoid,
     extract_generators,
     format_word,
     run_free_product,
@@ -36,6 +35,7 @@ from builders import (
     apply_translation,
     claim_loops,
     cyclic_group,
+    q_translates,
     sample_points,
     sampled_idealistic,
     sampled_isometric_embedding,
@@ -71,8 +71,8 @@ def test_f1_extraction_constants(f1_result):
 def test_f1_q_translates(f1_result):
     r = f1_result["report"]
     # translates separated from B in the ball of radius ceil(3R) - 1 = 2
-    assert {format_word(m): sep for m, sep in r.q_translates} == {"aa": ExtNonNeg.of(1)}
-    assert r.outer_ball_radius == Fraction(5)
+    assert {format_word(m): sep for m, sep in q_translates(r)} == {"aa": ExtNonNeg.of(1)}
+    assert r.to_json()["C"] == {"kind": "out_ball", "radius": [5, 1]}
     assert "radius ceil(3R) - 1 = 2 has separation >= R" in r.to_json()["Q"]["basis"]
     # The rest of the radius-5 out-ball's separated translates, which Q
     # listed before, are as far as ever and no closer than R.
@@ -124,7 +124,7 @@ def test_z3_pipeline():
     assert r.r == Fraction(1, 2)
     assert r.lam == ExtNonNeg.of(1)
     # Q: the g2 translate at separation 1
-    assert {format_word(m): sep for m, sep in r.q_translates} == {"gg": ExtNonNeg.of(1)}
+    assert {format_word(m): sep for m, sep in q_translates(r)} == {"gg": ExtNonNeg.of(1)}
     assert out["generation"].passed and out["qi"].passed
 
 
@@ -180,7 +180,7 @@ def _hypothesis_case(name):
     if name == "ends_in_e<F1*Z2":
         n = FreeProductMonoid(1, cyclic_group(2))
         gamma = GammaOracle(n, 8)
-        m = SubmonoidOracle(n, ends_in_group_identity_submonoid(n))
+        m = SubmonoidOracle(n)
         return n, SmInput(m, gamma, Fraction(2), 4)
     build, horizon, _, _ = ORACLES[name]
     oracle = build()
