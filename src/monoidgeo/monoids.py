@@ -96,8 +96,8 @@ class MonoidOracle:
         # far as anything has asked for it) and an intern table shared by
         # both.  Every interned word is a normal form: a field's source is
         # normalized before it is interned, and every other interned word is
-        # a product.  RewritingMonoid.multiply and FreeProductMonoid.multiply
-        # rely on this.
+        # a product.  RewritingMonoid.multiply (its resumed scan and its
+        # no-redex shortcut) and FreeProductMonoid.multiply rely on this.
         self._fields: dict[Word, DistanceField] = {}
         self._successors: dict[Word, tuple[Word, ...]] = {}
         self._interned: dict[Word, Word] = {}
@@ -149,8 +149,8 @@ class MonoidOracle:
 class DistanceField:
     """Breadth-first search over right multiplication by the generators from
     one source element, grown lazily and only in whole levels.  It reads each
-    element's out-edges from the oracle's `successors` table, so fields that
-    overlap share their products instead of computing them again.
+    element's out-edges straight from the oracle's out-edge table, calling
+    `successors` only on a miss, so overlapping fields share their products.
 
     ``reached`` maps every element found so far to (depth, parent, letter),
     where parent*letter is the first product in BFS order that reached it;
@@ -169,12 +169,13 @@ class DistanceField:
     def grow(self, depth: int, target: Optional[Word] = None) -> None:
         """Add levels until level `depth` is built, `target` is reached or
         the reachable set is exhausted."""
-        oracle, reached = self.oracle, self.reached
+        oracle, reached, table = self.oracle, self.reached, self.oracle._successors
         while len(self.sizes) <= depth and self.empty_level is None and target not in reached:
             level = len(self.sizes)
             frontier = []
             for m in self.frontier:
-                for s, p in zip(oracle.generators, oracle.successors(m)):
+                out = table.get(m)
+                for s, p in zip(oracle.generators, oracle.successors(m) if out is None else out):
                     if p not in reached:
                         reached[p] = (level, m, s)
                         frontier.append(p)
@@ -452,15 +453,16 @@ class FreeProductMonoid(MonoidOracle):
 class RewritingMonoid(MonoidOracle):
     """Monoid presented by a confluent, length-nonincreasing rewriting system.
 
-    Normal forms come from leftmost rewriting with a step cap.  Each scan
-    compares only the rules that start with the letter at hand, and resumes
-    where a redex can first start: `reach` letters left of the last rewrite,
-    or of the end of the left factor when `multiply` is given an interned
-    (hence irreducible) one.  The class accepts any rule set; a spec's
-    confluence is checked at load by its critical pairs (`from_spec_dict`).
-    Optional ``fast_path`` tags ("bicyclic", "zero") read exact quotients,
-    infinite distances included, off the normal forms of the two stock
-    infinite fixtures.
+    Normal forms come from leftmost rewriting, at most `step_cap` rewrites
+    each, in one scan that compares only the rules starting with the letter
+    at hand and, after a rewrite, resumes `reach` letters left of it.  An
+    interned word is a normal form, hence irreducible, so every redex of u·v
+    for an interned u ends in v: `multiply` starts the scan `reach` letters
+    before u's end, and returns u·s unscanned when s ends no left-hand side.
+    The class accepts any rule set; a spec's confluence is checked at load by
+    its critical pairs (`from_spec_dict`).  Optional ``fast_path`` tags
+    ("bicyclic", "zero") read exact quotients, infinite distances included,
+    off the normal forms of the two stock infinite fixtures.
     """
 
     def __init__(
@@ -486,12 +488,15 @@ class RewritingMonoid(MonoidOracle):
                 raise SpecValidationError(f"rule {lhs}->{rhs} is length-increasing")
             if len(rhs) == len(lhs) and rhs >= lhs:
                 raise SpecValidationError(f"length-preserving rule {lhs}->{rhs} needs a decreasing tie-break")
+        if step_cap < 0:
+            raise SpecValidationError("step_cap must be >= 0")
         self._reach = max((len(lhs) for lhs, _ in self.rules), default=1) - 1
-        # The rules that can start at each letter, in rule order, as lists
-        # compared against slices of the word being rewritten.
-        self._rules_at: dict[str, list[tuple[list[str], Word]]] = {g: [] for g in self.generators}
+        # The rules that start with each letter, in rule order, as (length,
+        # lhs as a list to compare with slices of the word, rhs).
+        self._rules_at: dict[str, list[tuple[int, list[str], Word]]] = {g: [] for g in self.generators}
         for lhs, rhs in self.rules:
-            self._rules_at[lhs[0]].append((list(lhs), rhs))
+            self._rules_at[lhs[0]].append((len(lhs), list(lhs), rhs))
+        self._inert = set(self.generators) - {lhs[-1] for lhs, _ in self.rules}
         self.step_cap = step_cap
         if fast_path not in (None, "bicyclic", "zero"):
             raise SpecValidationError(f"unknown fast_path {fast_path!r}")
@@ -512,37 +517,36 @@ class RewritingMonoid(MonoidOracle):
         return self._rewrite(list(word), 0)
 
     def multiply(self, u: Word, v: Word) -> Word:
-        # An interned u is a normal form, so a redex starting more than
-        # `reach` letters before its end would lie wholly inside it.
-        word = [*u, *v]
-        if tuple(u) in self._interned:
+        # An interned u is irreducible, so a redex of u·v ends in v and starts
+        # at most `reach` letters before u's end; u·s has none when s ends no
+        # left-hand side (_inert holds only generators, so this checks s).
+        u = tuple(u)
+        if u in self._interned:
+            if len(v) == 1 and v[0] in self._inert:
+                return u + (v[0],)
             self.check_letters(v)
-            return self._rewrite(word, max(0, len(u) - self._reach))
+            return self._rewrite([*u, *v], max(0, len(u) - self._reach))
+        word = [*u, *v]
         self.check_letters(word)
         return self._rewrite(word, 0)
 
     def _rewrite(self, w: list[str], i: int) -> Word:
-        """Leftmost rewriting of `w`, in which no redex starts before i."""
-        for _ in range(self.step_cap):
-            redex = self._leftmost_redex(w, i)
-            if redex is None:
-                return tuple(w)
-            i, j, rhs = redex
-            w[i:j] = rhs
-            # A rewrite at i changes nothing left of i, so no redex can start
-            # before i - reach: the leftmost scan resumes there.
-            i = max(0, i - self._reach)
-        raise NonTerminating(f"rewriting did not stabilize within {self.step_cap} steps")
-
-    def _leftmost_redex(self, w: list[str], i: int) -> Optional[tuple[int, int, Word]]:
-        """(start, end, rhs) of the leftmost redex of `w` at or after i."""
-        rules_at = self._rules_at
-        for i in range(i, len(w)):
-            for lhs, rhs in rules_at[w[i]]:
-                j = i + len(lhs)
-                if w[i:j] == lhs:
-                    return i, j, rhs
-        return None
+        """Leftmost rewriting of `w`, in which no redex starts before i, in at most `step_cap` rewrites."""
+        rules_at, reach, cap, steps = self._rules_at, self._reach, self.step_cap, 0
+        while i < len(w):
+            for n, lhs, rhs in rules_at[w[i]]:
+                if w[i : i + n] == lhs:
+                    if steps == cap:
+                        raise NonTerminating(f"rewriting did not stabilize within {cap} steps")
+                    steps += 1
+                    w[i : i + n] = rhs
+                    # A rewrite at i changes nothing left of i, so no redex
+                    # can start before i - reach: the scan resumes there.
+                    i = i - reach if i > reach else 0
+                    break
+            else:
+                i += 1
+        return tuple(w)
 
     # Fast paths read the normal forms structurally: bicyclic normal forms
     # are q^a p^b (with generators ordered (p, q)); zero-monoid normal forms

@@ -298,6 +298,7 @@ def test_bad_spec_errors_exit_2(tmp_path):
         {**a, "rules": [5]},
         {**a, "rules": [["aa", 1]]},
         {**a, "rules": [["aa", "a"]], "step_cap": "9"},
+        {**a, "rules": [["aa", "a"]], "step_cap": -1},
         # Rules that are not confluent: (aa)b = bb but a(ab) = a.
         {**a, "generators": ["a", "b"], "rules": [["aa", "b"], ["ab", ""]]},
     ]
@@ -309,6 +310,20 @@ def test_bad_spec_errors_exit_2(tmp_path):
     missing = tmp_path / "missing.json"
     code, _, _ = run_cli("--monoid", str(missing), "dist", "a", "b")
     assert code == 2
+
+
+def test_step_cap_counts_rewrites(tmp_path, capsys):
+    # ba needs one rewrite of ba -> ab: a cap of 1 allows it, a cap of 0 exits 2.
+    spec = tmp_path / "ba.json"
+    rules = {"type": "rewriting", "generators": ["a", "b"], "rules": [["ba", "ab"]], "confluent": True}
+    spec.write_text(json.dumps({**rules, "step_cap": 1}))
+    code, doc, _ = run_cli("--monoid", str(spec), "dist", "ba", "ab")
+    assert code == 0
+    assert doc["result"]["distance"] == {"kind": "exact", "num": 0, "den": 1}
+    spec.write_text(json.dumps({**rules, "step_cap": 0}))
+    code, _, text = run_cli("--monoid", str(spec), "dist", "ba", "ab")
+    assert code == 2 and text == ""
+    assert "did not stabilize within 0 steps" in capsys.readouterr().err
 
 
 def test_reports_byte_identical():

@@ -217,9 +217,10 @@ def test_zero_monoid_rewriting():
 
 
 def naive_leftmost_rewrite(rules, word, step_cap):
-    """Rewrite the leftmost redex, rescanning from position 0 every step."""
+    """Rewrite the leftmost redex, rescanning from position 0 every step, at
+    most step_cap times: step_cap rewrites, then the scan that finds none."""
     w = list(word)
-    for _ in range(step_cap):
+    for _ in range(step_cap + 1):
         pos_rule = None
         for i in range(len(w)):
             for lhs, rhs in rules:
@@ -251,6 +252,7 @@ def test_resumed_scan_matches_naive_leftmost_rewriting(step_cap):
     # Random rule sets, confluent or not: the normal form, or the failure to
     # reach one within the step cap, must be the naive rewriter's.
     rng = random.Random(step_cap)
+    shortcuts = 0
     for _ in range(300):
         letters = ["a", "b", "c"][: rng.randint(1, 3)]
         rules = _random_rules(rng, letters)
@@ -281,6 +283,56 @@ def test_resumed_scan_matches_naive_leftmost_rewriting(step_cap):
                         m.multiply(u, v)
                 else:
                     assert m.multiply(u, v) == expected, (rules, u, v)
+        # Each one-letter product of an interned word, through multiply (with
+        # the left factor as a tuple and as a list) and the out-edge table; a
+        # letter that ends no left-hand side takes the no-redex shortcut.
+        inert = set(letters) - {lhs[-1] for lhs, _ in m.rules}
+        shortcuts += bool(inert)
+        for u in grown:
+            assert u in m._interned
+            row = []
+            for s in letters:
+                try:
+                    row.append(naive_leftmost_rewrite(m.rules, u + (s,), step_cap))
+                except NonTerminating:
+                    row = None
+                    with pytest.raises(NonTerminating):
+                        m.multiply(u, (s,))
+                    break
+                assert m.multiply(u, (s,)) == m.multiply(list(u), (s,)) == row[-1], (rules, u, s)
+            if row is None:
+                with pytest.raises(NonTerminating):
+                    m.successors(u)
+            else:
+                assert m.successors(u) == tuple(row), (rules, u)
+    assert shortcuts > 50
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 7])
+def test_step_cap_bounds_the_rewrites(cap):
+    # b^k a needs exactly k rewrites of ba -> ab, from scratch or past an
+    # interned b^k.
+    m = RewritingMonoid(["a", "b"], [(("b", "a"), ("a", "b"))], step_cap=cap)
+    head = ("b",) * cap
+    m.distance_field(head)
+    assert head in m._interned
+    assert m.normal_form(head + ("a",)) == ("a",) + head
+    assert m.multiply(head, ("a",)) == m.multiply(list(head), ["a"]) == ("a",) + head
+    assert naive_leftmost_rewrite(m.rules, head + ("a",), cap) == ("a",) + head
+    head += ("b",)
+    m.distance_field(head)
+    for rewrite in (lambda: m.normal_form(head + ("a",)), lambda: m.multiply(head, ("a",)),
+                    lambda: naive_leftmost_rewrite(m.rules, head + ("a",), cap)):
+        with pytest.raises(NonTerminating):
+            rewrite()
+
+
+def test_negative_step_cap_is_rejected_at_load():
+    with pytest.raises(SpecValidationError, match="step_cap"):
+        RewritingMonoid(["a"], [(("a", "a"), ("a",))], step_cap=-1)
+    with pytest.raises(SpecValidationError, match="step_cap"):
+        from_spec_dict({"type": "rewriting", "generators": ["a"], "rules": [["aa", "a"]],
+                        "confluent": True, "step_cap": -1})
 
 
 N3 = {"type": "rewriting", "generators": ["a", "b", "c"],
