@@ -30,6 +30,7 @@ from .extnum import (
     truncated_min,
 )
 from .monoids import (
+    BicyclicMonoid,
     FiniteGroup,
     FreeMonoid,
     FreeProductMonoid,
@@ -39,6 +40,7 @@ from .monoids import (
     SubmonoidOracle,
     TableMonoid,
     Word,
+    ZeroMonoid,
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,

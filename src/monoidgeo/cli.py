@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--monoid", required=True, help="path to a monoid spec JSON document")
     parser.add_argument("--horizon", type=int, default=8, help="search horizon (default 8)")
     parser.add_argument("--json", dest="json_path", default=None, help="also write the report to this path")
-    parser.add_argument("--seed", type=int, default=None, help="echoed into the report (no check is randomized)")
     parser.add_argument("--timing", action="store_true", help="include wall-clock duration (breaks byte-determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -182,8 +181,6 @@ def _run(args) -> tuple[int, dict]:
         "result": result,
         "exit_code": exit_code,
     }
-    if args.seed is not None:
-        doc["input"]["seed"] = args.seed
     return exit_code, doc
 
 

@@ -460,9 +460,9 @@ class RewritingMonoid(MonoidOracle):
     for an interned u ends in v: `multiply` starts the scan `reach` letters
     before u's end, and returns u·s unscanned when s ends no left-hand side.
     The class accepts any rule set; a spec's confluence is checked at load by
-    its critical pairs (`from_spec_dict`).  Optional ``fast_path`` tags
-    ("bicyclic", "zero") read exact quotients, infinite distances included,
-    off the normal forms of the two stock infinite fixtures.
+    its critical pairs (`from_spec_dict`).  It has no closed forms, so its
+    distances come from distance fields; `BicyclicMonoid` and `ZeroMonoid`
+    add them for the two stock presentations, which the loader picks.
     """
 
     def __init__(
@@ -470,7 +470,6 @@ class RewritingMonoid(MonoidOracle):
         generators: Sequence[str],
         rules: Sequence[tuple[Sequence[str], Sequence[str]]],
         step_cap: int = 10_000,
-        fast_path: Optional[str] = None,
         name: str = "rewriting",
     ):
         self.name = name
@@ -498,18 +497,6 @@ class RewritingMonoid(MonoidOracle):
             self._rules_at[lhs[0]].append((len(lhs), list(lhs), rhs))
         self._inert = set(self.generators) - {lhs[-1] for lhs, _ in self.rules}
         self.step_cap = step_cap
-        if fast_path not in (None, "bicyclic", "zero"):
-            raise SpecValidationError(f"unknown fast_path {fast_path!r}")
-        # A tag's closed forms hold only for the stock presentation, so the
-        # rules must be exactly it, read with the generators in tag order.
-        if fast_path is not None and (
-            len(self.generators) != 2 or set(self.rules) != _stock_rules(fast_path, *self.generators)
-        ):
-            expected = {"bicyclic": "pq -> ε over (p, q)", "zero": "az -> z, za -> z, zz -> z over (a, z)"}
-            raise SpecValidationError(
-                f"fast_path {fast_path!r} needs exactly the rules {expected[fast_path]}"
-            )
-        self.fast_path = fast_path
         super().__init__()
 
     def normal_form(self, word: Sequence[str]) -> Word:
@@ -548,60 +535,65 @@ class RewritingMonoid(MonoidOracle):
                 i += 1
         return tuple(w)
 
-    # Fast paths read the normal forms structurally: bicyclic normal forms
-    # are q^a p^b (with generators ordered (p, q)); zero-monoid normal forms
-    # are a^k or the zero letter (generators ordered (a, z)).
 
-    def _bicyclic_exponents(self, w: Word) -> tuple[int, int]:
-        p, q = self.generators
+class BicyclicMonoid(RewritingMonoid):
+    """The bicyclic monoid <p, q | pq = ε>.  Its normal forms are q^a p^b,
+    so exact quotients, infinite distances included, and left divisors are
+    read off the two exponents."""
+
+    def __init__(self, p: str, q: str, step_cap: int = 10_000, name: str = "rewriting"):
+        super().__init__((p, q), [((p, q), ())], step_cap, name)
+
+    def _exponents(self, w: Word) -> tuple[int, int]:
+        """(a, b) with w = q^a p^b."""
+        q = self.generators[1]
         a = 0
         while a < len(w) and w[a] == q:
             a += 1
         return a, len(w) - a
 
     def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
-        if self.fast_path == "bicyclic":
-            p, q = self.generators
-            a, b = self._bicyclic_exponents(x)
-            c, d = self._bicyclic_exponents(y)
-            if c < a:
-                return None
-            if c == a:
-                return (p,) * (d - b) if d >= b else (q,) * (b - d)
-            return (q,) * (b + c - a) + (p,) * d
-        if self.fast_path == "zero":
-            a_, z = self.generators
-            if x == (z,):
-                return () if y == (z,) else None
-            if y == (z,):
-                return (z,)
-            return (a_,) * (len(y) - len(x)) if len(y) >= len(x) else None
-        return NotImplemented
+        p, q = self.generators
+        a, b = self._exponents(x)
+        c, d = self._exponents(y)
+        if c < a:
+            return None
+        if c == a:
+            return (p,) * (d - b) if d >= b else (q,) * (b - d)
+        return (q,) * (b + c - a) + (p,) * d
+
+    def left_divisor_candidates(self, y: Word, radius: int) -> list[Word]:
+        p, q = self.generators
+        c, d = self._exponents(y)
+        out = []
+        for a in range(c + 1):
+            b_max = radius if a < c else d + radius
+            for b in range(b_max + 1):
+                out.append((q,) * a + (p,) * b)
+        return out
+
+
+class ZeroMonoid(RewritingMonoid):
+    """<a, z | az = za = zz = z>: z is a left and right zero.  Its normal
+    forms are a^k and z, so exact quotients, infinite distances included,
+    are read off their lengths."""
+
+    def __init__(self, a: str, z: str, step_cap: int = 10_000, name: str = "rewriting"):
+        super().__init__((a, z), [((a, z), (z,)), ((z, a), (z,)), ((z, z), (z,))], step_cap, name)
+
+    def exact_quotient(self, x: Word, y: Word) -> Optional[Word]:
+        a, z = self.generators
+        if x == (z,):
+            return () if y == (z,) else None
+        if y == (z,):
+            return (z,)
+        return (a,) * (len(y) - len(x)) if len(y) >= len(x) else None
 
     def left_divisor_candidates(self, y: Word, radius: int) -> Optional[list[Word]]:
-        if self.fast_path == "bicyclic":
-            p, q = self.generators
-            c, d = self._bicyclic_exponents(y)
-            out = []
-            for a in range(c + 1):
-                b_max = radius if a < c else d + radius
-                for b in range(b_max + 1):
-                    out.append((q,) * a + (p,) * b)
-            return out
-        if self.fast_path == "zero":
-            a_, z = self.generators
-            if y == (z,):
-                return None  # everything reaches z; not enumerable
-            return [(a_,) * j for j in range(len(y) + 1)]
-        return None
-
-
-def _stock_rules(fast_path: str, x: str, y: str) -> set[tuple[Word, Word]]:
-    """The stock presentation of a fast_path tag over generators (x, y):
-    bicyclic xy -> ε; zero xy -> y, yx -> y, yy -> y."""
-    if fast_path == "bicyclic":
-        return {((x, y), ())}
-    return {((x, y), (y,)), ((y, x), (y,)), ((y, y), (y,))}
+        a, z = self.generators
+        if y == (z,):
+            return None  # everything reaches z; not enumerable
+        return [(a,) * j for j in range(len(y) + 1)]
 
 
 def _check_confluent(m: RewritingMonoid) -> None:
@@ -838,20 +830,18 @@ def from_spec_dict(doc: dict) -> MonoidOracle:
             raise SpecValidationError("free_product 'group' must be a finite_group spec")
         return FreeProductMonoid(doc["free_rank"], group, free_alphabet=doc.get("alphabet"))
     if kind == "rewriting":
-        if not doc.get("confluent", False):
-            raise SpecValidationError("rewriting spec must assert confluence ('confluent': true)")
         if doc["generators"] is None:
             raise SpecValidationError("'generators' must be a list of nonempty strings")
         def side(t) -> Word:  # a plain string or a list of letters
             return _tokenize(t, doc["generators"], SpecParseError) if isinstance(t, str) else tuple(t)
 
         rules = [(side(lhs), side(rhs)) for lhs, rhs in doc["rules"]]
-        m = RewritingMonoid(
-            doc["generators"],
-            rules,
-            fast_path=doc.get("fast_path"),
-            step_cap=doc.get("step_cap", 10_000),
-        )
+        m = RewritingMonoid(doc["generators"], rules, step_cap=doc.get("step_cap", 10_000))
         _check_confluent(m)
+        # The two stock presentations, read with the generators in order,
+        # load as the classes that know their closed forms.
+        if len(m.generators) == 2:
+            stock = [cls(*m.generators, m.step_cap) for cls in (BicyclicMonoid, ZeroMonoid)]
+            m = next((s for s in stock if set(s.rules) == set(m.rules)), m)
         return m
     raise SpecParseError(f"unknown monoid spec type {kind!r}")

@@ -216,12 +216,12 @@ class _Walk:
 
     The state of a word w of length D is the walk along w up to its last
     sample, i <= k = floor(D/l): the vertex w ends at, the chain element of
-    that sample (e if k = 0), the letters of the steps between them and
-    their names, the running product of those letters, and the first
-    failure.  A sample i <= floor((D-1)/l) snaps to a prefix of length
-    ceil(i*l - 1/2) <= D-1, so w's state extends the state of w[:-1] by the
-    samples in (floor((D-1)/l), k], at most ceil(1/l) of them, each on one
-    of w's last two vertices.  States are keyed by the word, not by its
+    that sample (e if k = 0), the names of the steps between them, the
+    running product of those steps, and the first failure.  A sample
+    i <= floor((D-1)/l) snaps to a prefix of length ceil(i*l - 1/2) <= D-1,
+    so w's state extends the state of w[:-1] by the samples in
+    (floor((D-1)/l), k], at most ceil(1/l) of them, each on one of w's last
+    two vertices.  States are keyed by the word, not by its
     vertex, so a witness word need not extend the witness of its prefix.
     The ball comes in BFS order, so only the states of the current and two
     previous word lengths are kept: in the submonoid pipeline a witness's
@@ -241,9 +241,9 @@ class _Walk:
         self.report, self.inp, self.far = report, inp, inp.far
         self.names: dict[Word, str] = {}  # u -> format_word(u), for each u a step finds
         e = inp.monoid.identity
-        # word -> (vertex, chain element, letters, names, product, failure);
-        # a failure is (step, reason, is_cover), and a cover failure is final
-        self.states: dict[Word, tuple] = {(): (e, e, [], [], e, None)}
+        # word -> (vertex, chain element, step names, product, failure); a
+        # failure is (step, reason, is_cover), and a cover failure is final
+        self.states: dict[Word, tuple] = {(): (e, e, [], e, None)}
         self.longest = 0  # the longest word whose state was asked for
         self.inverses = [t and inp.gamma.monoid.exact_quotient(t, e)  # t⁻¹, and ε for t = ε
                          for t in inp.representatives if report.ball.contains(Vertex(t))]
@@ -265,31 +265,30 @@ class _Walk:
 
     def _extend(self, state: tuple, w: Word) -> tuple:
         """The state of w from the state of w[:-1]."""
-        before, last, letters, names, product, failure = state
+        before, last, names, product, failure = state
         ambient, D = self.inp.gamma.monoid, len(w)
         vertex = ambient.successors(before)[ambient.generators.index(w[-1])]
         if failure is not None and failure[2]:
-            return vertex, last, letters, names, product, failure
+            return vertex, last, names, product, failure
         p, q = self.report.l.numerator, self.report.l.denominator
         samples = range((D - 1) * q // p + 1, D * q // p + 1)
         if samples:
-            letters, names = list(letters), list(names)  # the prefix's lists stay as they are
+            names = list(names)  # the prefix's list stays as it is
         for i in samples:
             v = vertex if -((q - 2 * i * p) // (2 * q)) == D else before  # ceil(i*l - 1/2)
             cover = self._cover(v)
             if cover is None:
-                return vertex, last, letters, names, product, (i, "no covering translate for sample vertex", True)
+                return vertex, last, names, product, (i, "no covering translate for sample vertex", True)
             if failure is None:
                 u = self._step(last, cover)
                 if u is None:
                     reason = f"no contact element carries {format_word(last)} to {format_word(cover)}"
                     failure = (i - 1, reason, False)
                 else:
-                    letters.append(u)
                     names.append(self.names[u])
                     product = self.inp.monoid.multiply(product, u) if u else product  # p*ε = p on normal forms
             last = cover
-        return vertex, last, letters, names, product, failure
+        return vertex, last, names, product, failure
 
     def state(self, w: Word) -> tuple:
         """The state of the word w, extending the longest prefix kept."""
@@ -312,7 +311,7 @@ class _Walk:
         inp = self.inp
         w = shortest_word(inp.gamma.monoid, inp.monoid.identity, m, self.far)
         state = self.state(w)
-        _, last, _, _, _, failure = state
+        _, last, _, _, failure = state
         if failure is None:
             u = self._step(last, m)
             if u is not None:
@@ -340,7 +339,7 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
         except FactorizationFailed as exc:
             witnesses.append({"m": format_word(m), "step": exc.step, "reason": exc.detail})
             continue
-        _, _, _, names, product, _ = state
+        _, _, names, product, _ = state
         if u:
             product = oracle.multiply(product, u)
         bound = len(w) / l + 1

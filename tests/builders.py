@@ -1,5 +1,5 @@
 """Test-side builders of small stock monoids (among them the bicyclic and
-zero monoids, which the CLI builds from spec documents), a copier of
+zero monoids, named after themselves), a copier of
 records, the sample points of a cell set, and the translates of an
 extraction's ball with the covering search that the generation walk once
 made over them and the claim loops that extraction once ran on them.  Also
@@ -16,22 +16,22 @@ from typing import Callable
 from monoidgeo import (
     INF,
     ZERO,
+    BicyclicMonoid,
     EdgePoint,
     ExtNonNeg,
     FiniteGroup,
     HorizonTooSmall,
     PropertyReport,
-    RewritingMonoid,
     SemimetricSpace,
     SpecValidationError,
     SubmonoidOracle,
     TruncatedDistance,
     Vertex,
+    ZeroMonoid,
     format_word,
     word_distance,
 )
 from monoidgeo.cayley import Translates
-from monoidgeo.monoids import _stock_rules
 
 
 def replaced(record, **changes):
@@ -103,16 +103,14 @@ def claim_loops(report, inp, separations):
     return c1, c2, len(steps)
 
 
-def bicyclic_monoid() -> RewritingMonoid:
-    """The bicyclic monoid <p, q | pq = ε>, with its fast path."""
-    rules = sorted(_stock_rules("bicyclic", "p", "q"))
-    return RewritingMonoid(["p", "q"], rules, fast_path="bicyclic", name="bicyclic")
+def bicyclic_monoid() -> BicyclicMonoid:
+    """The bicyclic monoid <p, q | pq = ε>, with its closed forms."""
+    return BicyclicMonoid("p", "q", name="bicyclic")
 
 
-def zero_monoid() -> RewritingMonoid:
-    """<a, z | az = za = zz = z>: z is a left and right zero, with its fast path."""
-    rules = sorted(_stock_rules("zero", "a", "z"))
-    return RewritingMonoid(["a", "z"], rules, fast_path="zero", name="zero")
+def zero_monoid() -> ZeroMonoid:
+    """<a, z | az = za = zz = z>: z is a left and right zero, with its closed forms."""
+    return ZeroMonoid("a", "z", name="zero")
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:

@@ -1,5 +1,6 @@
 """Word distances, the five-case Cayley distance, cell sets, balls."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from monoidgeo import (
     shortest_word,
     word_distance,
 )
+from monoidgeo.cli import parse_monoid_spec
 from builders import apply_translation, bicyclic_monoid, cyclic_group, zero_monoid
 
 F1 = FreeMonoid(1, ["a"])
@@ -341,3 +343,27 @@ def test_inclusion_qi_fixtures(oracle):
     g = GammaOracle(oracle, 8)
     report = check_inclusion_qi(g, 8, sample_depth=3)
     assert report.passed, report.to_json()
+
+
+def edge_points_outside_unit_balls(gamma, depth):
+    """The reference for the edge points `check qi` does not sample: each
+    point at offset 1/3, 1/2 or 2/3 on an edge out of the depth ball whose
+    distance to or from its base vertex is not known to be at most 1."""
+    one, out = ExtNonNeg.finite(1), []
+    for m in gamma.monoid.elements_up_to(depth):
+        for s in gamma.monoid.generators:
+            for mu in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+                p = EdgePoint(m, s, mu)
+                if gamma.known_distance(Vertex(m), p) > one or gamma.known_distance(p, Vertex(m)) > one:
+                    out.append(p)
+    return out
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_every_edge_point_lies_in_the_unit_ball_of_its_base(name):
+    # The CLI's default sample depth, at the default horizon.
+    oracle = parse_monoid_spec(os.path.join(FIXTURES, name))[0]
+    assert edge_points_outside_unit_balls(GammaOracle(oracle, 8), 4) == []

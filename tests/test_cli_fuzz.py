@@ -43,7 +43,6 @@ SM_RADII = (["1/2", "1"], ["0", "-1", "4", "1/0", "x"])
 DEPTHS = (["0", "1", "2", "3"], ["-1", "x"])
 THRESHOLDS = (["1", "2", "8"], ["0", "-1", "x"])
 SIDES = (["left", "right"], ["up"])
-SEEDS = (["7"], ["-1", "x"])
 KINDS = (["out", "in", "strong"], ["round"])
 WHATS = (["axioms", "qi", "quasimetric", "cancellative", "fgt", "unitary", "action"], ["other"])
 COMMANDS = (["dist", "ball", "check", "svarc-milnor", "submonoid", "free-product"], ["bogus"])
@@ -73,7 +72,7 @@ def command_lines(draw) -> list[str]:
         return "".join(draw(st.lists(st.sampled_from(letters), max_size=3))) or "ε"
 
     argv = [] if broken and draw(st.integers(0, 3)) == 0 else ["--monoid", spec]
-    argv += ["--horizon", pick(HORIZONS)] + maybe("--seed", SEEDS)
+    argv += ["--horizon", pick(HORIZONS)]
     argv += ["--timing"] if draw(st.booleans()) else []
     argv += maybe("--json", ([JSON_FILE], [JSON_DIR]))
     command = pick(COMMANDS)
@@ -102,7 +101,8 @@ def command_lines(draw) -> list[str]:
 
 # Any mix of the CLI's tokens, after a horizon of at most 3.  Every integer
 # token is at most 3, so a later --horizon keeps it there, and the tokens
-# hold no --json, which would write its next token as a path.
+# hold no --json, which would write its next token as a path.  `--seed` is
+# not an option, so a soup that holds it exits 2.
 TOKENS = (
     ["dist", "ball", "check", "svarc-milnor", "submonoid", "free-product", "--monoid", "--seed", "--timing",
      "-R", "--radius", "--lambda", "--mu", "--side", "--threshold", "--depth", "out", "in",
@@ -129,7 +129,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_contract(argv: list[str]) -> None:
+def _check_contract(argv: list[str]) -> int:
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     if code == 2:
@@ -137,6 +137,7 @@ def _check_contract(argv: list[str]) -> None:
     else:
         doc = json.loads(out)
         assert doc["exit_code"] == code, argv
+    return code
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -149,4 +150,5 @@ def test_command_lines_keep_the_exit_contract(out_dir, argv):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(token_soups)
 def test_token_soups_keep_the_exit_contract(argv):
-    _check_contract(argv)
+    code = _check_contract(argv)
+    assert code == 2 or "--seed" not in argv, argv

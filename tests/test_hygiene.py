@@ -2,8 +2,8 @@
 ``check_axioms`` keeps the positional arguments the benchmark reads,
 every one-letter right product goes through the oracle's out-edge table,
 importing the CLI loads no ``dataclasses`` machinery, the generation
-certificates build no cell set, and extraction takes no set distance of its
-own.
+certificates build no cell set, extraction takes no set distance of its
+own, and the README's spec schema names exactly the keys the loader reads.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -17,6 +17,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -394,3 +395,23 @@ def test_set_distance_check_flags_planted_uses(tmp_path):
     assert _cell_set_uses(str(path), ("extract_generators", "run_pipeline"), SET_DISTANCE_NAMES)[-1] == (
         "run_pipeline: missing"
     )
+
+
+def _schema_keys(readme: str) -> set[str]:
+    """The keys named in the first jsonc block after the spec heading."""
+    section = readme.split("## Monoid spec documents", 1)[1]
+    block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+    return set(re.findall(r'"(\w+)":', block))
+
+
+def test_readme_spec_schema_names_the_keys_the_loader_reads():
+    from monoidgeo.monoids import _SPEC_TYPES
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        keys = _schema_keys(fh.read())
+    assert keys == set(_SPEC_TYPES) | {"type", "group"}
+
+
+def test_schema_key_check_reads_only_the_spec_block():
+    readme = '{"a": 1}\n## Monoid spec documents\n```jsonc\n{"type": "t", "b": [1]}\n```\n{"c": 2}\n'
+    assert _schema_keys(readme) == {"type", "b"}

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from monoidgeo import (
     INF,
+    BicyclicMonoid,
     ExtNonNeg,
     FreeMonoid,
     FreeProductMonoid,
@@ -20,6 +21,7 @@ from monoidgeo import (
     SpecValidationError,
     SubmonoidOracle,
     TableMonoid,
+    ZeroMonoid,
     check_cancellative,
     check_finite_geometric_type,
     check_left_unitary,
@@ -514,9 +516,18 @@ def test_spec_rewriting_string_rules():
         )
 
 
-def test_spec_rewriting_requires_confluence_flag():
-    with pytest.raises(SpecValidationError):
-        from_spec_dict({"type": "rewriting", "generators": ["p", "q"], "rules": [["pq", ""]]})
+# The keys that rewriting specs once carried: each loads the oracle its rules give.
+OLD_KEYS = [{}, {"confluent": True}, {"confluent": False}, {"fast_path": "bicyclic"},
+            {"confluent": True, "fast_path": "zero"}, {"fast_path": "other"}]
+
+
+def test_rewriting_spec_needs_no_confluent_key():
+    # Confluence is decided from the critical pairs, so the key is not read.
+    m = from_spec_dict({"type": "rewriting", "generators": ["a", "b"], "rules": [["ba", "ab"]]})
+    assert m.normal_form(("b", "a", "b", "a")) == ("a", "a", "b", "b")
+    for keys in OLD_KEYS:
+        with pytest.raises(SpecValidationError, match="aab: bb ≠ a"):
+            from_spec_dict({"type": "rewriting", "generators": ["a", "b"], "rules": [["aa", "b"], ["ab", ""]], **keys})
 
 
 @pytest.mark.parametrize(
@@ -540,31 +551,51 @@ def test_spec_unknown_type():
         from_spec_dict({"type": "unknown"})
 
 
-def test_fast_path_tag_needs_the_stock_presentation():
-    rewriting = {"type": "rewriting", "confluent": True}
-    off_stock = [
-        {"generators": ["p", "q"], "rules": [["pp", ""]], "fast_path": "bicyclic"},
-        {"generators": ["p", "q"], "rules": [["qp", ""]], "fast_path": "bicyclic"},
-        {"generators": ["p", "q"], "rules": [["pq", ""], ["qq", "q"]], "fast_path": "bicyclic"},
-        {"generators": ["p", "q", "r"], "rules": [["pq", ""]], "fast_path": "bicyclic"},
-        {"generators": ["p", "q"], "rules": [["pq", ""]], "fast_path": "zero"},
-        {"generators": ["a", "z"], "rules": [["az", "z"], ["za", "z"]], "fast_path": "zero"},
-        {"generators": ["z", "a"], "rules": [["az", "z"], ["za", "z"], ["zz", "z"]], "fast_path": "zero"},
+def test_stock_presentations_load_with_their_closed_forms():
+    # The stock rules, in any order and over any generator names, read with
+    # the generators in order; the closed forms answer as on p, q and a, z.
+    stock = [
+        (BicyclicMonoid, bicyclic_monoid(), ["x", "y"], [["xy", ""]]),
+        (BicyclicMonoid, bicyclic_monoid(), ["x", "y"], [["xy", ""], [["x", "y"], []]]),
+        (ZeroMonoid, zero_monoid(), ["u", "o"], [["oo", "o"], ["uo", "o"], ["ou", "o"]]),
     ]
-    for doc in off_stock:
-        with pytest.raises(SpecValidationError):
-            from_spec_dict({**rewriting, **doc})
-    # The stock rules, in any order and over any generator names.
-    m = from_spec_dict(
-        {**rewriting, "generators": ["x", "y"], "rules": [["xy", ""]], "fast_path": "bicyclic"}
-    )
-    assert m.exact_quotient(("x",), ()) == ("y",)
-    m = from_spec_dict(
-        {**rewriting, "generators": ["u", "o"], "rules": [["oo", "o"], ["uo", "o"], ["ou", "o"]],
-         "fast_path": "zero"}
-    )
-    assert m.exact_quotient(("u",), ("o",)) == ("o",)
-    assert m.exact_quotient(("o",), ("u",)) is None
+    for cls, reference, generators, rules in stock:
+        names = dict(zip(reference.generators, generators))
+
+        def rename(w):
+            return None if w is None else tuple(names[g] for g in w)
+
+        ball = reference.elements_up_to(3)
+        for keys in OLD_KEYS:
+            m = from_spec_dict({"type": "rewriting", "generators": generators, "rules": rules, **keys})
+            assert type(m) is cls and m.generators == tuple(generators), keys
+            for x in ball:
+                for y in ball:
+                    assert m.exact_quotient(rename(x), rename(y)) == rename(reference.exact_quotient(x, y))
+    m = from_spec_dict({"type": "rewriting", "generators": ["x", "y"], "rules": [["xy", ""]]})
+    assert m.exact_quotient(("x",), ()) == ("y",) and m.exact_quotient(("y",), ()) is None
+    m = from_spec_dict({"type": "rewriting", "generators": ["u", "o"], "rules": [["oo", "o"], ["uo", "o"], ["ou", "o"]]})
+    assert m.exact_quotient(("u",), ("o",)) == ("o",) and m.exact_quotient(("o",), ("u",)) is None
+
+
+def test_off_stock_rules_load_without_closed_forms_whatever_their_tag():
+    off_stock = [
+        (["p", "q"], [["pp", ""]]),
+        (["p", "q"], [["qp", ""]]),
+        (["p", "q", "r"], [["pq", ""]]),
+        (["a", "z"], [["az", "z"], ["za", "z"]]),
+        (["z", "a"], [["az", "z"], ["za", "z"], ["zz", "z"]]),
+    ]
+    for generators, rules in off_stock:
+        for keys in OLD_KEYS:
+            m = from_spec_dict({"type": "rewriting", "generators": generators, "rules": rules, **keys})
+            assert type(m) is RewritingMonoid, (generators, rules, keys)
+            assert m.exact_quotient((), ()) is NotImplemented
+            assert m.left_divisor_candidates((), 1) is None
+    # pq -> ε with qq -> q is off the stock too, but it does not load at all.
+    for keys in OLD_KEYS:
+        with pytest.raises(SpecValidationError, match="pqq: q ≠ ε"):
+            from_spec_dict({"type": "rewriting", "generators": ["p", "q"], "rules": [["pq", ""], ["qq", "q"]], **keys})
 
 
 _SPECS = [
