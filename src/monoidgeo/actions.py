@@ -19,7 +19,7 @@ from typing import Sequence
 from .cayley import EdgePoint, GammaOracle, Translates, Vertex
 from .errors import HorizonTooSmall
 from .extnum import ZERO, ExtNonNeg
-from .monoids import MonoidOracle, PropertyReport, SubmonoidOracle, Word, check_cancellative, format_word
+from .monoids import MonoidOracle, PropertyReport, Word, check_cancellative, format_word
 
 
 def check_action_laws(monoid: MonoidOracle) -> PropertyReport:
@@ -68,7 +68,7 @@ def check_cobounded(
     uncovered = []
     for t in representatives:
         candidates = sorted(gamma.in_ball_cellset(t, Fraction(math.floor(radius)), horizon).vertices)
-        covers = [translates[m] for m in candidates if not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)]
+        covers = [translates[m] for m in candidates if oracle.contains(m)]
         if not any(t in mB.vertices for mB in covers):
             uncovered.append(str(Vertex(t)))
         for s in gamma.monoid.generators:
@@ -109,10 +109,10 @@ def check_idealistic(monoid: MonoidOracle, horizon: int) -> PropertyReport:
     """The idealistic condition for `monoid` translating Gamma on the left,
     with the identity vertex x0 as basepoint: a finite d(m x0, n x0) forces
     n into mM.  It holds by definition, as d(m x0, n x0) < inf iff n = m*t
-    for some t in Gamma's monoid N.  For the submonoid M = ends_in_e of a
-    free product, t is in M since M is left unitary by
-    SubmonoidOracle.left_unitary_theorem."""
+    for some t in Gamma's monoid N.  A submonoid M that names a
+    left_unitary_theorem, as M = ends_in_e of a free product does, has t in
+    M by it."""
     basis = "theorem: d(m x0, n x0) < inf iff n = m*t for some t in N"
-    if isinstance(monoid, SubmonoidOracle):
+    if monoid.left_unitary_theorem is not None:
         basis += f", and t is in M since M is left unitary ({monoid.left_unitary_theorem})"
     return PropertyReport("idealistic", "pass", horizon, [], artifacts={"basis": basis})

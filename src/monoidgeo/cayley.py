@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -278,7 +279,7 @@ class CellSet:
         self._segments: Optional[tuple[Segment, ...]] = tuple(sorted(out, key=lambda g: (g.element, g.gen, g.lo)))
         self._edges: Optional[dict[tuple[Word, str], tuple[tuple[int, int], ...]]] = None
         self._scale = 1
-        self._sources: Optional[tuple[MonoidOracle, list[tuple]]] = None
+        self._sources: Optional[tuple[weakref.ref, list[tuple]]] = None
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -367,9 +368,11 @@ class CellSet:
         """``_entries`` as a source with no edge shared, over L, cached for
         the last oracle asked.  Targets are not cached: they take no
         products, and a cache on every translate costs more memory than
-        the loop costs time."""
-        if self._sources is None or self._sources[0] is not oracle:
-            self._sources = (oracle, self._entries(oracle, (), 1))
+        the loop costs time.  The oracle is held weakly: a report keeps its
+        ball until it is encoded, and must not keep the oracle's fields and
+        interned words alive with it."""
+        if self._sources is None or self._sources[0]() is not oracle:
+            self._sources = (weakref.ref(oracle), self._entries(oracle, (), 1))
         return self._sources[1]
 
     def edge_bounds(self, edge: tuple[Word, str]) -> list[tuple[Fraction, Fraction]]:
@@ -381,13 +384,7 @@ class CellSet:
         return {
             "vertices": sorted(f"v:{format_word(v)}" for v in self.vertices),
             "segments": [
-                {
-                    "base": format_word(s.element),
-                    "gen": s.gen,
-                    "lo": [s.lo.numerator, s.lo.denominator],
-                    "hi": [s.hi.numerator, s.hi.denominator],
-                }
-                for s in self.segments
+                {"base": format_word(s.element), "gen": s.gen, "lo": s.lo, "hi": s.hi} for s in self.segments
             ],
         }
 

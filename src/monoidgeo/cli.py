@@ -95,14 +95,14 @@ def _run(args) -> tuple[int, dict]:
     if horizon < 1:
         raise MonoidGeoError("horizon must be >= 1")
     gamma = GammaOracle(oracle, horizon)
-    result: dict = {}
+    result: object = {}
     exit_code = 0
 
     if args.command == "dist":
         x = oracle.parse_word(args.x)
         y = oracle.parse_word(args.y)
         d = word_distance(oracle, x, y, horizon)
-        result = {"x": format_word(x), "y": format_word(y), "distance": d.to_json()}
+        result = {"x": format_word(x), "y": format_word(y), "distance": d}
         if d.is_known and not d.value.is_infinite:
             result["witness"] = format_word(shortest_word(oracle, x, y, horizon))
 
@@ -111,9 +111,9 @@ def _run(args) -> tuple[int, dict]:
         cells = gamma.ball_cellset(center, args.radius, args.kind)
         result = {
             "center": format_word(center),
-            "radius": [args.radius.numerator, args.radius.denominator],
+            "radius": args.radius,
             "kind": args.kind,
-            "ball": cells.to_json(),
+            "ball": cells,
         }
 
     elif args.command == "check":
@@ -124,7 +124,7 @@ def _run(args) -> tuple[int, dict]:
             vertices, points = _sample_for_axioms(oracle, depth)
             word_report = check_axioms(WordMetricSpace(oracle, horizon), vertices)
             gamma_report = check_axioms(gamma, points)
-            result = {"word_metric": word_report.to_json(), "gamma": gamma_report.to_json()}
+            result = {"word_metric": word_report, "gamma": gamma_report}
             exit_code = 0 if word_report.passed and gamma_report.passed else 1
         elif args.what == "qi":
             report = check_inclusion_qi(gamma, horizon, sample_depth=depth)
@@ -143,18 +143,14 @@ def _run(args) -> tuple[int, dict]:
             laws = check_action_laws(oracle)
             depth = min(depth, 3)
             iso = check_isometric_embedding_action(oracle, oracle.elements_up_to(depth), depth, horizon, horizon)
-            result = {"action_laws": laws.to_json(), "isometric_embedding": iso.to_json()}
+            result = {"action_laws": laws, "isometric_embedding": iso}
             exit_code = 0 if laws.passed and iso.passed else 1
         if args.what not in ("axioms", "action"):
-            result, exit_code = report.to_json(), 0 if report.passed else 1
+            result, exit_code = report, 0 if report.passed else 1
 
     elif args.command == "svarc-milnor":
         out = run_pipeline(SmInput(oracle, gamma, args.radius, horizon))
-        result = {
-            "extraction": out["report"].to_json(),
-            "generation": out["generation"].to_json(),
-            "qi": out["qi"].to_json(),
-        }
+        result = {"extraction": out["report"], "generation": out["generation"], "qi": out["qi"]}
         exit_code = 0 if out["passed"] else 1
 
     elif args.command in ("submonoid", "free-product"):
@@ -162,7 +158,7 @@ def _run(args) -> tuple[int, dict]:
             raise MonoidGeoError(f"{args.command} pipeline needs a free_product monoid spec")
         run = run_submonoid_theorem if args.command == "submonoid" else run_free_product
         report = run(oracle, horizon)
-        result = report.to_json()
+        result = report
         exit_code = 0 if report.passed else 1
 
     doc = {
@@ -173,8 +169,8 @@ def _run(args) -> tuple[int, dict]:
             "monoid": spec_doc,
             "horizon": horizon,
             "flags": {
-                k: ([v.numerator, v.denominator] if isinstance(v, Fraction) else v)
-                for k, v in sorted(vars(args).items())
+                k: v
+                for k, v in vars(args).items()
                 if k not in ("command", "monoid", "horizon", "json_path", "timing") and v is not None
             },
         },
@@ -186,10 +182,13 @@ def _run(args) -> tuple[int, dict]:
 
 def _encode(doc) -> str:
     """The text of ``json.dumps(doc, sort_keys=True, ensure_ascii=False,
-    indent=2)``, built in one recursive pass into a list of pieces; the
-    stdlib encodes with an indent in pure Python, one generator per level,
-    and writes a list of ints or strings one piece per item, where a list
-    whose items are all plain ints or all plain strings is one join here."""
+    indent=2)``, built in one recursive pass into a list of pieces, where a
+    Fraction is the list ``[numerator, denominator]`` and an object with a
+    ``to_json`` method is what that method returns.  This is the one place
+    that turns reports, distances and exact constants into text.  The stdlib
+    encodes with an indent in pure Python, one generator per level, and
+    writes a list of ints or strings one piece per item, where a list whose
+    items are all plain ints or all plain strings is one join here."""
     pieces: list[str] = []
     add = pieces.append
 
@@ -199,10 +198,6 @@ def _encode(doc) -> str:
             add(encode_basestring(o))
         elif type(o) is int:
             add(int.__repr__(o))
-        elif not isinstance(o, (list, tuple, dict)):
-            add(json.dumps(o))  # None, a bool, a float (the --timing duration) or a TypeError
-        elif not o:
-            add("{}" if isinstance(o, dict) else "[]")
         elif isinstance(o, dict):
             for i, (k, v) in enumerate(sorted(o.items())):
                 if not isinstance(k, str):
@@ -211,15 +206,22 @@ def _encode(doc) -> str:
                     k = json.dumps(k)
                 add(("," if i else "{") + inner + encode_basestring(k) + ": ")
                 enc(v, inner)
-            add(pad + "}")
-        elif (kinds := set(map(type, o))) == {int} or kinds == {str}:
-            scalar = int.__repr__ if kinds == {int} else encode_basestring
-            add("[" + inner + ("," + inner).join(map(scalar, o)) + pad + "]")
+            add(pad + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            if (kinds := set(map(type, o))) == {int} or kinds == {str}:
+                scalar = int.__repr__ if kinds == {int} else encode_basestring
+                add("[" + inner + ("," + inner).join(map(scalar, o)) + pad + "]")
+            else:
+                for i, x in enumerate(o):
+                    add(("," if i else "[") + inner)
+                    enc(x, inner)
+                add(pad + "]" if o else "[]")
+        elif isinstance(o, Fraction):
+            add("[" + inner + int.__repr__(o.numerator) + "," + inner + int.__repr__(o.denominator) + pad + "]")
+        elif hasattr(o, "to_json"):  # a report, a cell set or a distance
+            enc(o.to_json(), pad)
         else:
-            for i, x in enumerate(o):
-                add(("," if i else "[") + inner)
-                enc(x, inner)
-            add(pad + "]")
+            add(json.dumps(o))  # None, a bool, a float (the --timing duration) or a TypeError
 
     enc(doc, "\n")
     return "".join(pieces)

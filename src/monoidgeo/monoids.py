@@ -11,7 +11,6 @@ word-length balls and reported as ``holds_at_horizon``.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -53,6 +52,9 @@ class MonoidOracle:
     generators: tuple[str, ...] = ()
     # The theorem that makes every element left-cancellable, if the class has one.
     cancellation_theorem: Optional[str] = None
+    # Why s in M and s*t in M force t in M, if M is a submonoid that needs one
+    # (check_left_unitary, check_idealistic).
+    left_unitary_theorem: Optional[str] = None
 
     @property
     def identity(self) -> Word:
@@ -63,6 +65,11 @@ class MonoidOracle:
 
     def multiply(self, u: Word, v: Word) -> Word:
         return self.normal_form(tuple(u) + tuple(v))
+
+    def contains(self, m: Word) -> bool:
+        """Whether the normal form m, a word of this oracle's generators, is
+        one of its elements: always, unless a submonoid narrows it."""
+        return True
 
     # -- optional structural fast paths -----------------------------------
 
@@ -630,7 +637,6 @@ class SubmonoidOracle(MonoidOracle):
     generating set is exactly what the extraction pipeline discovers.
     """
 
-    # Why s in M and s*t in M force t in M (check_left_unitary, check_idealistic).
     left_unitary_theorem = "normal form theorem for free products: s*t ends in t's last group letter"
 
     def __init__(self, parent: FreeProductMonoid):
@@ -677,27 +683,14 @@ class PropertyReport:
         return self.verdict in ("pass", "holds_at_horizon")
 
     def to_json(self) -> dict:
-        def enc(v):
-            if type(v) is str or type(v) is int:
-                return v
-            if hasattr(v, "to_json"):  # distances and nested reports encode themselves
-                return v.to_json()
-            if isinstance(v, Fraction):
-                return [v.numerator, v.denominator]
-            if isinstance(v, dict):
-                return {k: enc(x) for k, x in v.items()}
-            if type(v) is list and set(map(type, v)) == {str}:  # a factorization's letters
-                return v
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            return v if isinstance(v, (str, int, bool, type(None))) else str(v)
-
+        """The report's fields as they are: `cli._encode` writes the
+        distances, Fractions and nested reports among them."""
         return {
             "property": self.property,
             "verdict": self.verdict,
             "horizon": self.horizon,
-            "witnesses": enc(self.witnesses),
-            "artifacts": enc(self.artifacts),
+            "witnesses": self.witnesses,
+            "artifacts": self.artifacts,
         }
 
 

@@ -106,8 +106,8 @@ class Violation(Frozen):
         return {
             "points": [str(p) for p in self.points],
             "inequality": self.inequality,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
         }
 
 
@@ -128,7 +128,7 @@ class ViolationReport:
         return {
             "check": self.check,
             "verdict": self.verdict,
-            "violations": [v.to_json() for v in self.violations],
+            "violations": self.violations,
         }
 
 

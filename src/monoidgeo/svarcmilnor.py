@@ -97,25 +97,22 @@ class SmReport:
         C = 5 * self.ball_radius  # the radius of the reference out-ball C
         return {
             "S": [format_word(s) for s in self.generators],
-            "B": self.ball.to_json(),
-            "R": [self.ball_radius.numerator, self.ball_radius.denominator],
-            "C": {
-                "kind": "out_ball",
-                "radius": [C.numerator, C.denominator],
-            },
+            "B": self.ball,
+            "R": self.ball_radius,
+            "C": {"kind": "out_ball", "radius": C},
             "Q": {
-                "translates": [{"m": format_word(m), "separation": sep.to_json()}
+                "translates": [{"m": format_word(m), "separation": sep}
                                for m, sep in self.separations.items() if sep != ZERO],
                 "basis": "theorem: d(B, mB) >= d(e, m) - 2R, so an m past the ball of radius ceil(3R) - 1"
                          f" = {math.ceil(3 * self.ball_radius) - 1} has separation >= R and cannot lower r;"
                          " each m of that ball is within 5R of e, so mB touches C",
             },
-            "r": [self.r.numerator, self.r.denominator],
-            "l": [self.l.numerator, self.l.denominator],
-            "lambda": self.lam.to_json(),
-            "claim1": self.claim1.to_json(),
-            "claim2": self.claim2.to_json(),
-            "hypotheses": {k: v.to_json() for k, v in self.hypotheses.items()},
+            "r": self.r,
+            "l": self.l,
+            "lambda": self.lam,
+            "claim1": self.claim1,
+            "claim2": self.claim2,
+            "hypotheses": self.hypotheses,
         }
 
 
@@ -261,7 +258,7 @@ class _Walk:
         """The first v·t⁻¹ in M over the t⁻¹ in `inverses`, or None."""
         oracle, multiply = self.inp.monoid, self.inp.gamma.monoid.multiply
         covers = (multiply(v, inverse) if inverse else v for inverse in self.inverses)
-        return next((m for m in covers if not isinstance(oracle, SubmonoidOracle) or oracle.contains(m)), None)
+        return next((m for m in covers if oracle.contains(m)), None)
 
     def _extend(self, state: tuple, w: Word) -> tuple:
         """The state of w from the state of w[:-1]."""
@@ -347,12 +344,12 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
         factorizations[name] = {
             "letters": names + [walk.names[u]],
             "length": length,
-            "bound": [bound.numerator, bound.denominator],
+            "bound": bound,
         }
         if not (product == m and length <= bound):
             witnesses.append(
                 {"m": name, "product": format_word(product), "length": length,
-                 "bound": [bound.numerator, bound.denominator]}
+                 "bound": bound}
             )
     return PropertyReport(
         "generation_bound",
@@ -388,7 +385,6 @@ def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport)
     in some hB, so d(h, x) <= R and d(x, h) <= R, as B lies in the strong
     R-ball about e and left translation by h maps paths to paths.
     """
-    l, lam = report.l, report.lam
     witnesses = [
         {"q": w["m"], "inequality": "d_S(m1,m2) <= (1/l) d(f(m1),f(m2)) + 1"}
         for w in generation.witnesses
@@ -398,11 +394,7 @@ def verify_qi_bounds(report: SmReport, inp: SmInput, generation: PropertyReport)
         "fail" if witnesses else "pass",
         inp.horizon,
         witnesses,
-        artifacts={
-            "l": [l.numerator, l.denominator],
-            "lambda": lam,
-            "coverage_radius": [inp.radius.numerator, inp.radius.denominator],
-        },
+        artifacts={"l": report.l, "lambda": report.lam, "coverage_radius": inp.radius},
     )
 
 
@@ -465,8 +457,8 @@ def run_submonoid_theorem(N: FreeProductMonoid, horizon: int) -> PropertyReport:
             "qi": result["qi"],
             "S": [format_word(s) for s in report.generators],
             "lambda": report.lam,
-            "r": [report.r.numerator, report.r.denominator],
-            "l": [report.l.numerator, report.l.denominator],
+            "r": report.r,
+            "l": report.l,
         },
     )
 
@@ -510,9 +502,9 @@ def run_free_product(N: FreeProductMonoid, horizon: int) -> PropertyReport:
             "basis": [format_word(b) for b in basis],
             "basis_size": len(basis),
             "expected_basis_size": len(N.free_letters) * len(group_names),
-            "realized_lambda": [realized_lambda.numerator, realized_lambda.denominator],
-            "realized_eps": [0, 1],
-            "realized_mu": [realized_mu.numerator, realized_mu.denominator],
+            "realized_lambda": realized_lambda,
+            "realized_eps": Fraction(0),
+            "realized_mu": realized_mu,
             "submonoid": sub,
         },
     )

@@ -300,9 +300,9 @@ def test_criterion_5_free_product_bases():
         if a["basis_size"] != expected_size:
             ok = False
             detail.append(f"rank {rank}: basis size {a['basis_size']} != {expected_size}")
-        if Fraction(*a["realized_lambda"]) > 2 or Fraction(*a["realized_eps"]) != 0 or Fraction(*a["realized_mu"]) != 1:
+        if a["realized_lambda"] > 2 or a["realized_eps"] != 0 or a["realized_mu"] != 1:
             ok = False
-            detail.append(f"rank {rank}: constants {a['realized_lambda']}/{a['realized_eps']}/{a['realized_mu']}")
+            detail.append(f"rank {rank}: constants {a['realized_lambda']}, {a['realized_eps']}, {a['realized_mu']}")
         n = FreeProductMonoid(rank, cyclic_group(2))
         basis = [n.parse_word(b) for b in a["basis"]]
         if not _basis_factorizations_unique(n, basis, 6):

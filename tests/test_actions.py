@@ -27,6 +27,7 @@ from monoidgeo import (
     run_pipeline,
 )
 from monoidgeo.cayley import Translates
+from monoidgeo.cli import _encode
 from builders import (
     ActionOracle,
     PairwiseSpace,
@@ -247,6 +248,6 @@ def test_idealistic_fails_for_free_monoid_in_free_group():
 def test_property_report_json_encodes_exact_values():
     # The QI report carries lambda, the basepoint displacement of a contact element.
     out = run_pipeline(SmInput(F1, GammaOracle(F1, 8), Fraction(1), 8))
-    doc = out["qi"].to_json()
+    doc = json.loads(_encode(out["qi"]))
     assert doc["artifacts"]["lambda"] == {"kind": "exact", "num": 1, "den": 1}
     assert doc["artifacts"]["l"] == [1, 4]

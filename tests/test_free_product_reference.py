@@ -167,7 +167,7 @@ def test_realized_lambda_matches_the_pair_loop(name, h):
     assert out.verdict == "pass"
     lam, witnesses = reference_realized_lambda(PRODUCTS[name](), h)
     assert witnesses == []
-    assert out.artifacts["realized_lambda"] == [lam.numerator, lam.denominator]
+    assert out.artifacts["realized_lambda"] == lam
 
 
 def test_neither_pipeline_searches_for_left_unitarity(monkeypatch):
@@ -266,9 +266,9 @@ def test_read_off_matches_the_former_loops(name, h):
     witnesses += reference_m_ball_scan(N, images, h, in_m)
     mu, density_witnesses = reference_density(N, h, in_m)
     assert witnesses + density_witnesses == []
-    assert out.artifacts["realized_lambda"] == [lam.numerator, lam.denominator]
-    assert out.artifacts["realized_eps"] == [0, 1]
-    assert out.artifacts["realized_mu"] == [mu.numerator, mu.denominator]
+    assert out.artifacts["realized_lambda"] == lam
+    assert out.artifacts["realized_eps"] == 0
+    assert out.artifacts["realized_mu"] == mu
 
 
 def _reasons(witnesses: list) -> set:

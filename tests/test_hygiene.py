@@ -3,7 +3,9 @@
 every one-letter right product goes through the oracle's out-edge table,
 importing the CLI loads no ``dataclasses`` machinery, the generation
 certificates build no cell set, extraction takes no set distance of its
-own, and the README's spec schema names exactly the keys the loader reads.
+own, the README's spec schema names exactly the keys the loader reads, and
+no module spells a Fraction out as ``[numerator, denominator]``, which is
+``cli._encode``'s to write.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -415,3 +417,39 @@ def test_readme_spec_schema_names_the_keys_the_loader_reads():
 def test_schema_key_check_reads_only_the_spec_block():
     readme = '{"a": 1}\n## Monoid spec documents\n```jsonc\n{"type": "t", "b": [1]}\n```\n{"c": 2}\n'
     assert _schema_keys(readme) == {"type", "b"}
+
+
+def _fraction_spellings(path: str) -> list[str]:
+    """Each two-item list ``[x.numerator, x.denominator]``: a Fraction written
+    out by hand, where ``cli._encode`` writes the one wire format for it."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.List)
+        and [getattr(e, "attr", None) for e in node.elts] == ["numerator", "denominator"]
+    ]
+    return [f"line {n}" for n in sorted(lines)]
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_reports_pass_fractions_to_the_encoder_as_they_are(module):
+    assert _fraction_spellings(os.path.join(PACKAGE, module)) == []
+
+
+FRACTION_SPELLINGS = """\
+def report(r, l, bound):
+    a = [r.numerator, r.denominator]
+    b = [l.denominator, l.numerator]
+    p, q = l.numerator, l.denominator
+    c = [r.numerator, r.denominator, 1]
+    return {"r": a, "bound": [bound.numerator,
+                              bound.denominator]}
+"""
+
+
+def test_fraction_spelling_check_flags_planted_lists(tmp_path):
+    path = tmp_path / "fraction_spellings.py"
+    path.write_text(FRACTION_SPELLINGS, encoding="utf-8")
+    assert _fraction_spellings(str(path)) == ["line 2", "line 6"]

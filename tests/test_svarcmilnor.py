@@ -1,9 +1,11 @@
 """Generating-set extraction and its verifiers on the stock fixtures."""
 
+import gc
 import io
 import json
 import os
 import sys
+import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -72,7 +74,7 @@ def test_f1_q_translates(f1_result):
     r = f1_result["report"]
     # translates separated from B in the ball of radius ceil(3R) - 1 = 2
     assert {format_word(m): sep for m, sep in q_translates(r)} == {"aa": ExtNonNeg.of(1)}
-    assert r.to_json()["C"] == {"kind": "out_ball", "radius": [5, 1]}
+    assert r.to_json()["C"] == {"kind": "out_ball", "radius": Fraction(5)}
     assert "radius ceil(3R) - 1 = 2 has separation >= R" in r.to_json()["Q"]["basis"]
     # The rest of the radius-5 out-ball's separated translates, which Q
     # listed before, are as far as ever and no closer than R.
@@ -101,7 +103,7 @@ def test_f1_generation_bound(f1_result):
     facts = gen.artifacts["factorizations"]
     # a^3: distance 3, l = 1/4 -> k = 12 subdivision steps, 13 letters
     assert facts["aaa"]["length"] == 13
-    assert facts["aaa"]["bound"] == [13, 1]
+    assert facts["aaa"]["bound"] == Fraction(13)
     # the factorization letters multiply back (spot check via the library)
     inp = make_input(F1)
     rep = f1_result["report"]
@@ -114,7 +116,7 @@ def test_f1_generation_bound(f1_result):
 def test_f1_qi_bounds(f1_result):
     qi = f1_result["qi"]
     assert qi.verdict == "pass"
-    assert qi.artifacts["l"] == [1, 4]
+    assert qi.artifacts["l"] == Fraction(1, 4)
 
 
 def test_z3_pipeline():
@@ -338,9 +340,22 @@ def test_free_product_r1():
     a = out.artifacts
     assert a["basis"] == ["f", "gf"]
     assert a["basis_size"] == 2 == a["expected_basis_size"]
-    assert a["realized_lambda"] == [2, 1]
-    assert a["realized_eps"] == [0, 1]
-    assert a["realized_mu"] == [1, 1]
+    assert a["realized_lambda"] == Fraction(2)
+    assert a["realized_eps"] == Fraction(0)
+    assert a["realized_mu"] == Fraction(1)
+
+
+def test_a_report_does_not_keep_its_oracle_alive():
+    # The CLI encodes report objects after the run, so whatever they hold
+    # is alive while the text is built: the ball must not hold the oracle,
+    # with its distance fields and interned words, through its cached
+    # source entries.
+    N = FreeProductMonoid(1, cyclic_group(2))
+    out, oracle = run_free_product(N, 6), weakref.ref(N)
+    assert out.artifacts["submonoid"].artifacts["sm_report"].ball._source_entries(N)
+    del N
+    gc.collect()
+    assert oracle() is None and out.passed
 
 
 def test_free_product_basis_letters_multiply_injectively():
