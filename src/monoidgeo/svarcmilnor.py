@@ -347,10 +347,7 @@ def verify_generation_bound(report: SmReport, inp: SmInput) -> PropertyReport:
             "bound": bound,
         }
         if not (product == m and length <= bound):
-            witnesses.append(
-                {"m": name, "product": format_word(product), "length": length,
-                 "bound": bound}
-            )
+            witnesses.append({"m": name, "product": format_word(product), "length": length, "bound": bound})
     return PropertyReport(
         "generation_bound",
         "fail" if witnesses else "pass",
