@@ -28,24 +28,26 @@ offset each side reaches there.  Two points on one edge are |mu - nu| apart
 instead, so offsets from an edge both sides lie on are never paired with
 each other; interval gaps cover those pairs.
 
-Offsets are exact ints over one common denominator L, the lcm of the offset
-denominators in play.  A point or set call reads word distances through a
+Offsets are exact ints over 2L, for the lcm L of the offset denominators
+in play, and ``_encoded`` gives each word distance as an int, even when
+known and odd when only a bound, so every minimum over the cases is a plain
+min of codes plus offsets.  A point or set call reads the codes through a
 memo of its own, one lookup per pair of base vertices.  A table takes one
-word distance per pair of base vertices, not per pair of points: it builds
-one integer row per source base over the target bases, and each point's
-row is the least of its sources' rows shifted by their offsets.
+code per pair of base vertices, not per pair of points: it builds one row
+per source base over the target bases, and each point's row is the least of
+its sources' rows shifted by their offsets.
 
-Cell sets keep their cells in ints as well: each edge's merged bounds over
-the set's own denominator, beside the Fraction segments that describe the
-set.  A translate mB takes one product m·v per distinct base v of B and
+Cell sets store their cells in ints alone: each edge's merged bounds over
+the set's own denominator; the Fraction segments are a view, built when
+read.  A translate mB takes one product m·v per distinct base v of B and
 keeps B's integer bounds; when m identifies no two bases, as a
-left-cancellable m never does, nothing is merged, checked or sorted again,
-and its Fraction segments are built only when read.  Membership is a lookup
-of the point's edge and an integer comparison.  A set distance reads each
-set's entries, base -> least offset, from its integer bounds, scaled to a
-common L; a source set caches its own, the ones that take products, for
-use against every set it shares no edge with.  Only a shared edge makes it
-key the entries on that edge and scan the same-edge gaps.
+left-cancellable m never does, nothing is merged, checked or sorted again.
+Membership is a lookup of the point's edge and an integer comparison.  A
+set distance reads each set's entries, base -> least offset, from its
+integer bounds, scaled to a common 2L; a source set caches its own, the
+ones that take products, for use against every set it shares no edge with.
+Only a shared edge makes it key the entries on that edge and scan the
+same-edge gaps.
 """
 
 from __future__ import annotations
@@ -150,57 +152,58 @@ CayleyPoint = Union[Vertex, EdgePoint]
 # ---------------------------------------------------------------------------
 
 # Sources and targets are flat (base, edge, offset) entries, offsets ints over
-# one common denominator L that the caller chooses.  An entry carries the edge
-# its point lies on, or None, and two entries that carry the same edge are
-# never paired: points on one edge are |mu - nu| apart instead.
+# 2L for one common denominator L that the caller chooses.  An entry carries
+# the edge its point lies on, or None, and two entries that carry the same
+# edge are never paired: points on one edge are |mu - nu| apart instead.
+
+
+def _encoded(oracle: MonoidOracle, s: Word, t: Word, scale: int, horizon: int) -> Optional[int]:
+    """2*L*d(s, t), plus 1 when d(s, t) is only known to exceed that value,
+    or None when it is a known infinity; L is ``scale``.
+
+    Every five-case minimum keeps truncated_min's order: least value first,
+    and a known value before an unknown bound of the same size.  A known
+    value is even and a bound odd, so a plain min of these codes, with
+    offsets over 2L added, keeps that order, and ``_truncated`` reads the
+    least one back; None, above every code, is left out of the min.
+    """
+    d = word_distance(oracle, s, t, horizon)
+    v = d.value.frac  # word distances and horizons are whole numbers
+    return None if v is None else 2 * scale * v.numerator + (not d.is_known)
 
 
 def _base_pair_distance(
     oracle: MonoidOracle, sources, targets, best: Optional[int], scale: int, horizon: int
-) -> tuple[Optional[int], bool]:
-    """The least of ``best`` and L*d(s, t) + a + b over sources (s, e, a) and
-    targets (t, f, b) with e None or e != f, where L is ``scale``; and
-    whether that least value is known.
-
-    ``best`` is a known starting minimum (a same-edge gap) or None, and a
-    least value of None is infinity.  Adding a known finite offset keeps the
-    order and kind of truncated distances, so each pair of bases costs one
-    word distance, read through a memo: (s, t) -> (L*d(s, t) or None, known).
-    """
-    # Running minimum in truncated_min's order: least value first (None is
-    # infinity), and a known value before an unknown bound of the same size.
-    best_known = best is not None
+) -> Optional[int]:
+    """The least of ``best`` (a same-edge gap, or None) and _encoded(s, t) +
+    a + b over sources (s, e, a) and targets (t, f, b) with e None or e != f,
+    offsets over 2L where L is ``scale``; None, a known infinity, if none.
+    Each pair of bases costs one word distance, read through a memo."""
     memo: dict = {}
     for s, s_edge, a in sources:
         for t, t_edge, b in targets:
             if s_edge is not None and s_edge == t_edge:
                 continue
-            d = memo.get((s, t))
-            if d is None:
-                w = word_distance(oracle, s, t, horizon)
-                # Word distances and horizons are whole numbers.
-                v = w.value.frac
-                d = memo[s, t] = (None if v is None else v.numerator * scale, w.is_known)
-            value, known = d
-            if value is None:
-                # A known infinity; an unknown bound is always finite.
-                if best is None:
-                    best_known = True
-                continue
-            value += a + b
-            if best is None or value < best or (value == best and known and not best_known):
-                best, best_known = value, known
-    return best, best_known
+            d = memo.get((s, t), memo)  # the memo itself marks a missing pair
+            if d is memo:
+                d = memo[s, t] = _encoded(oracle, s, t, scale, horizon)
+            if d is not None:
+                d += a + b
+                if best is None or d < best:
+                    best = d
+    return best
 
 
-def _truncated(best: Optional[int], known: bool, scale: int) -> TruncatedDistance:
-    value = INF if best is None else ExtNonNeg(Fraction(best, scale))
-    return TruncatedDistance.known(value) if known else TruncatedDistance.unknown_above(value)
+def _truncated(best: Optional[int], scale: int) -> TruncatedDistance:
+    """The distance a least code stands for: even is known, odd a bound."""
+    if best is None:
+        return _KNOWN_INF
+    return TruncatedDistance("unknown_above" if best & 1 else "known", ExtNonNeg(Fraction(best >> 1, scale)))
 
 
 def _target(p: CayleyPoint, scale: int) -> tuple:
     """A vertex n is reached at (n, None, 0), an edge point (n, y, nu) at
-    (n, (n, y), nu)."""
+    (n, (n, y), nu), offsets over ``scale``."""
     if isinstance(p, Vertex):
         return (p.element, None, 0)
     return (p.element, (p.element, p.gen), p.mu.numerator * (scale // p.mu.denominator))
@@ -223,14 +226,14 @@ def _gap(sources: tuple, target: tuple) -> Optional[int]:
 
 
 def gamma_distance(oracle: MonoidOracle, p: CayleyPoint, q: CayleyPoint, horizon: int) -> TruncatedDistance:
-    """d(p, q), from p's sources to q's target over the lcm of their offset
-    denominators."""
+    """d(p, q), from p's sources to q's target, offsets over 2L for the lcm L
+    of their offset denominators."""
     if isinstance(p, Vertex) and isinstance(q, Vertex):
         return word_distance(oracle, p.element, q.element, horizon)
     scale = math.lcm(*(r.mu.denominator for r in (p, q) if isinstance(r, EdgePoint)))
-    sources, target = _sources(oracle, p, scale), _target(q, scale)
-    best, known = _base_pair_distance(oracle, sources, (target,), _gap(sources, target), scale, horizon)
-    return _truncated(best, known, scale)
+    sources, target = _sources(oracle, p, 2 * scale), _target(q, 2 * scale)
+    best = _base_pair_distance(oracle, sources, (target,), _gap(sources, target), scale, horizon)
+    return _truncated(best, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -253,37 +256,26 @@ class Segment(Frozen):
 class CellSet:
     """Finitely many vertices plus edge segments, read as a closed region.
 
-    ``vertices`` and ``segments`` describe it with Fraction bounds.  Beside
-    them each set keeps its cells in ints, built on first use: ``_edges``
-    maps an edge (m, s) to its merged bounds as sorted (lo, hi) pairs over
-    the set's own denominator ``_scale``, the lcm of its bound denominators.
-    A translate is made from those ints alone and builds its Fraction
-    segments only when they are read.
+    The segments are stored in ints alone: ``_edges`` maps an edge (m, s)
+    to its merged bounds, sorted (lo, hi) pairs over the set's own
+    denominator ``_scale``, the lcm of the given bounds' denominators.
+    ``segments``, the Fraction view, is built from them on first read.
     """
 
     def __init__(self, vertices: Iterable[Word] = (), segments: Iterable[Segment] = ()):
         self.vertices = frozenset(vertices)
-        merged: dict[tuple[Word, str], list[list[Fraction]]] = {}
-        for seg in segments:
-            merged.setdefault((seg.element, seg.gen), []).append([seg.lo, seg.hi])
-        out: list[Segment] = []
-        for (m, s), intervals in merged.items():
-            intervals.sort()
-            acc = [intervals[0]]
-            for lo, hi in intervals[1:]:
-                if lo <= acc[-1][1]:
-                    acc[-1][1] = max(acc[-1][1], hi)
-                else:
-                    acc.append([lo, hi])
-            out.extend(Segment(m, s, lo, hi) for lo, hi in acc)
-        self._segments: Optional[tuple[Segment, ...]] = tuple(sorted(out, key=lambda g: (g.element, g.gen, g.lo)))
-        self._edges: Optional[dict[tuple[Word, str], tuple[tuple[int, int], ...]]] = None
-        self._scale = 1
+        segments = tuple(segments)
+        L = self._scale = math.lcm(*(f.denominator for g in segments for f in (g.lo, g.hi)))
+        self._edges = _merged(
+            ((g.element, g.gen), g.lo.numerator * L // g.lo.denominator, g.hi.numerator * L // g.hi.denominator)
+            for g in segments
+        )
+        self._segments: Optional[tuple[Segment, ...]] = None
         self._sources: Optional[tuple[weakref.ref, list[tuple]]] = None
 
     @property
     def segments(self) -> tuple[Segment, ...]:
-        """The segments, sorted by edge and lower bound."""
+        """The segments, merged and sorted by edge and lower bound."""
         if self._segments is None:
             L = self._scale
             self._segments = tuple(
@@ -293,21 +285,8 @@ class CellSet:
             )
         return self._segments
 
-    def _cells(self) -> dict[tuple[Word, str], tuple[tuple[int, int], ...]]:
-        """``_edges``, read off the segments on first use."""
-        if self._edges is None:
-            segments = self._segments
-            L = self._scale = math.lcm(*(f.denominator for seg in segments for f in (seg.lo, seg.hi)))
-            edges: dict = {}
-            for seg in segments:
-                edges.setdefault((seg.element, seg.gen), []).append(
-                    (seg.lo.numerator * (L // seg.lo.denominator), seg.hi.numerator * (L // seg.hi.denominator))
-                )
-            self._edges = {edge: tuple(bounds) for edge, bounds in edges.items()}
-        return self._edges
-
     def __bool__(self) -> bool:
-        return bool(self.vertices) or bool(self._cells())
+        return bool(self.vertices) or bool(self._edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -320,28 +299,29 @@ class CellSet:
         return hash((self.vertices, self.segments))
 
     def translate(self, oracle: MonoidOracle, m: Word) -> "CellSet":
-        """mB: one product m*v per distinct base v, with the offsets kept.
+        """mB: one product m*v per distinct base v, with the integer bounds
+        kept over B's own denominator.
 
         When m is injective on the bases, as every left-cancellable m is,
         the bounds of each edge are already merged and stay valid, so the
-        edges are relabelled as they are.  Otherwise the constructor merges
-        the segments that now share an edge.
+        edges are relabelled as they are.  Otherwise the bounds of the edges
+        that now coincide are merged as the constructor merges them.
         """
-        edges = self._cells()
+        edges = self._edges
         image = {v: oracle.multiply(m, v) for v in self.vertices.union(v for v, _ in edges)}
-        vertices = map(image.__getitem__, self.vertices)
+        mB = CellSet(map(image.__getitem__, self.vertices))
+        mB._scale = self._scale
         if len(set(image.values())) < len(image):
-            return CellSet(vertices, (Segment(image[s.element], s.gen, s.lo, s.hi) for s in self.segments))
-        mB = CellSet(vertices)
-        mB._segments, mB._scale = None, self._scale
-        mB._edges = {(image[v], s): bounds for (v, s), bounds in edges.items()}
+            mB._edges = _merged(((image[v], s), lo, hi) for (v, s), bounds in edges.items() for lo, hi in bounds)
+        else:
+            mB._edges = {(image[v], s): bounds for (v, s), bounds in edges.items()}
         return mB
 
     def contains(self, p: CayleyPoint) -> bool:
         """Membership in the closed region (segment endpoints included)."""
         if isinstance(p, Vertex):
             return p.element in self.vertices
-        bounds = self._cells().get((p.element, p.gen))
+        bounds = self._edges.get((p.element, p.gen))
         if bounds is None:
             return False
         # lo/L <= n/d <= hi/L, cross-multiplied.
@@ -356,7 +336,7 @@ class CellSet:
         carry that edge; the others carry None."""
         L = self._scale
         entries = dict.fromkeys(((v, None) for v in self.vertices), 0)
-        for (m, s), bounds in self._cells().items():
+        for (m, s), bounds in self._edges.items():
             edge = (m, s) if (m, s) in shared else None
             _offer(entries, m, edge, bounds[0][0] * factor)
             if oracle is not None:
@@ -365,19 +345,19 @@ class CellSet:
         return [(*key, a) for key, a in entries.items()]
 
     def _source_entries(self, oracle: MonoidOracle) -> list[tuple]:
-        """``_entries`` as a source with no edge shared, over L, cached for
+        """``_entries`` as a source with no edge shared, over 2L, cached for
         the last oracle asked.  Targets are not cached: they take no
         products, and a cache on every translate costs more memory than
         the loop costs time.  The oracle is held weakly: a report keeps its
         ball until it is encoded, and must not keep the oracle's fields and
         interned words alive with it."""
         if self._sources is None or self._sources[0]() is not oracle:
-            self._sources = (weakref.ref(oracle), self._entries(oracle, (), 1))
+            self._sources = (weakref.ref(oracle), self._entries(oracle, (), 2))
         return self._sources[1]
 
     def edge_bounds(self, edge: tuple[Word, str]) -> list[tuple[Fraction, Fraction]]:
         """The merged bounds of the set's segments on one edge (m, s)."""
-        bounds = self._cells().get(edge, ())
+        bounds = self._edges.get(edge, ())
         return [(Fraction(lo, self._scale), Fraction(hi, self._scale)) for lo, hi in bounds]
 
     def to_json(self) -> dict:
@@ -387,6 +367,19 @@ class CellSet:
                 {"base": format_word(s.element), "gen": s.gen, "lo": s.lo, "hi": s.hi} for s in self.segments
             ],
         }
+
+
+def _merged(bounds: Iterable[tuple[tuple[Word, str], int, int]]) -> dict:
+    """Integer bounds (edge, lo, hi) as ``CellSet._edges``: each edge's
+    bounds sorted, and merged where they overlap or touch."""
+    edges: dict = {}
+    for edge, lo, hi in sorted(bounds):
+        merged = edges.setdefault(edge, [])
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return {edge: tuple(merged) for edge, merged in edges.items()}
 
 
 class Translates(dict):
@@ -415,15 +408,15 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
     target (m, lo), as the points at its ends would.  Two points on one edge
     are |mu - nu| apart instead, which the interval gaps bound from below;
     so offsets from an edge on which both sets have segments keep that edge.
-    Each set's entries are over its own L, scaled to the lcm of the two; a
-    source set that shares no edge and needs no scaling reads its cached
-    entries.
+    Each set's entries are over its own L, scaled to 2L for the lcm L of the
+    two; a source set that shares no edge and needs no more scaling reads
+    its cached entries.
     """
     if not A or not B:
-        return TruncatedDistance.known(INF)
-    a_edges, b_edges = A._cells(), B._cells()
+        return _KNOWN_INF
+    a_edges, b_edges = A._edges, B._edges
     scale = math.lcm(A._scale, B._scale)
-    fa, fb = scale // A._scale, scale // B._scale
+    fa, fb = 2 * scale // A._scale, 2 * scale // B._scale
     shared = a_edges.keys() & b_edges.keys()
     # Same-edge overlaps need the interior: |mu - nu| is convex, so interval
     # intersection (distance 0) is not visible from endpoints alone.
@@ -436,9 +429,9 @@ def gamma_set_distance(oracle: MonoidOracle, A: CellSet, B: CellSet, horizon: in
         ),
         default=None,
     )
-    sources = A._source_entries(oracle) if not shared and fa == 1 else A._entries(oracle, shared, fa)
-    best, known = _base_pair_distance(oracle, sources, B._entries(None, shared, fb), least_gap, scale, horizon)
-    return _truncated(best, known, scale)
+    sources = A._source_entries(oracle) if not shared and fa == 2 else A._entries(oracle, shared, fa)
+    best = _base_pair_distance(oracle, sources, B._entries(None, shared, fb), least_gap, scale, horizon)
+    return _truncated(best, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +455,18 @@ class GammaOracle(SemimetricSpace):
     def distance_rows(self, sample: Sequence[CayleyPoint]) -> tuple[list[list[int]], int, int]:
         """The rows over the lcm L of the sample's offset denominators.
 
-        Each point is reduced to its sources and its target once.  Each
-        distinct source base s gets one row over the distinct target bases
-        t, one word distance each: 2*L*d(s, t), plus 1 when that is only a
-        bound, so that a plain min keeps truncated_min's order (least value
-        first, known before unknown on a tie).  Gathered at the sample's
-        targets (t, f, b), with 2b added, it gives each point's row as the
-        elementwise least, over the point's sources (s, e, a), of that row
-        plus 2a.  Only a target on the point's own edge goes through
-        ``_base_pair_distance``, for the same-edge gap.
+        Each point is reduced to its sources and its target once, offsets
+        over 2L.  Each distinct source base s gets one row of ``_encoded``
+        codes over the distinct target bases t, one word distance each.
+        Gathered at the sample's targets (t, f, b), with b added, it gives
+        each point's row as the elementwise least, over the point's sources
+        (s, e, a), of that row plus a.  Only a target on the point's own
+        edge goes through ``_base_pair_distance``, for the same-edge gap.
         """
         monoid, horizon = self.monoid, self.horizon
         scale = math.lcm(*(p.mu.denominator for p in sample if isinstance(p, EdgePoint)))
-        targets = [_target(q, scale) for q in sample]
-        sources = [_sources(monoid, p, scale) for p in sample]
+        targets = [_target(q, 2 * scale) for q in sample]
+        sources = [_sources(monoid, p, 2 * scale) for p in sample]
         columns: dict[Word, int] = {}
         on_edge: dict[tuple, list[int]] = {}
         for k, (t, edge, _) in enumerate(targets):
@@ -483,32 +474,25 @@ class GammaOracle(SemimetricSpace):
             if edge is not None:
                 on_edge.setdefault(edge, []).append(k)
         at = [columns[t] for t, _, _ in targets]
-        doubled = [2 * b for _, _, b in targets]
+        offsets = [b for _, _, b in targets]
         base_rows: dict[Word, list] = {}  # None for a known infinity
         for s, _, _ in (entry for entries in sources for entry in entries):
             if s not in base_rows:
-                row = base_rows[s] = []
-                for t in columns:
-                    d = word_distance(monoid, s, t, horizon)
-                    v = d.value.frac  # word distances and horizons are whole
-                    row.append(None if v is None else 2 * scale * v.numerator + (not d.is_known))
-        # Infinity: even, and above every finite entry plus 2(a + b) <= 4L.
+                base_rows[s] = [_encoded(monoid, s, t, scale, horizon) for t in columns]
+        # Infinity: even, and above every finite entry plus a + b <= 4L.
         infinity = 2 * max((v for row in base_rows.values() for v in row if v is not None), default=0) + 4 * scale + 2
         gathered = {}
         for s, row in base_rows.items():
             row = [infinity if v is None else v for v in row]
-            gathered[s] = list(map(operator.add, map(row.__getitem__, at), doubled))
+            gathered[s] = list(map(operator.add, map(row.__getitem__, at), offsets))
         rows = []
         for p, entries in zip(sample, sources):
             row = None
             for s, _, a in entries:
-                shifted = map((2 * a).__add__, gathered[s])
+                shifted = map(a.__add__, gathered[s])
                 row = list(shifted) if row is None else list(map(min, row, shifted))
             for k in on_edge.get(entries[0][1], ()):
-                best, known = _base_pair_distance(
-                    monoid, entries, (targets[k],), _gap(entries, targets[k]), scale, horizon
-                )
-                row[k] = 2 * best + (not known)
+                row[k] = _base_pair_distance(monoid, entries, (targets[k],), _gap(entries, targets[k]), scale, horizon)
             if any(map((1).__and__, row)):
                 k = next(k for k, v in enumerate(row) if v & 1)
                 raise self._unknown(p, sample[k], Fraction(row[k] >> 1, scale))
@@ -613,7 +597,7 @@ class GammaOracle(SemimetricSpace):
 # ---------------------------------------------------------------------------
 
 
-def check_inclusion_qi(gamma: GammaOracle, horizon: int, sample_depth: Optional[int] = None):
+def check_inclusion_qi(gamma: GammaOracle, depth: int):
     """Edge points sit in strong 1-balls of their base vertices.
 
     On vertices, Γ's distance is d_S by definition (gamma_distance returns
@@ -622,10 +606,10 @@ def check_inclusion_qi(gamma: GammaOracle, horizon: int, sample_depth: Optional[
     points need none either: a point p at offset μ on an edge out of m is
     reached from m at the start of its own edge (`_target`) and leaves
     along that edge back to m (`_sources`), so d(m, p) <= μ and
-    d(p, m) <= μ, both known.  The report thus never has a violation."""
-    monoid = gamma.monoid
-    depth = min(horizon, sample_depth if sample_depth is not None else 4)
-    ball = monoid.elements_up_to(depth)
+    d(p, m) <= μ, both known.  The report thus never has a violation.
+    The vertices sampled are those within ``depth``, capped at Γ's horizon."""
+    monoid, horizon = gamma.monoid, gamma.horizon
+    ball = monoid.elements_up_to(min(horizon, depth))
     for x in ball:
         for y in ball:
             if not word_distance(monoid, x, y, horizon).is_known:

@@ -127,7 +127,7 @@ def _run(args) -> tuple[int, dict]:
             result = {"word_metric": word_report, "gamma": gamma_report}
             exit_code = 0 if word_report.passed and gamma_report.passed else 1
         elif args.what == "qi":
-            report = check_inclusion_qi(gamma, horizon, sample_depth=depth)
+            report = check_inclusion_qi(gamma, depth)
         elif args.what == "quasimetric":
             sample = oracle.elements_up_to(depth)
             report = check_quasi_metric(WordMetricSpace(oracle, horizon), sample, args.lam, args.mu)

@@ -87,7 +87,7 @@ def test_criterion_2_inclusion_qi():
     ok = True
     detail = []
     for name, oracle in fixtures():
-        report = check_inclusion_qi(GammaOracle(oracle, 8), 8)
+        report = check_inclusion_qi(GammaOracle(oracle, 8), 4)
         if report.violations:
             ok = False
             detail.append(f"{name}: {len(report.violations)} mismatches")

@@ -341,7 +341,7 @@ def test_explicit_horizon_zero_is_not_the_default():
 )
 def test_inclusion_qi_fixtures(oracle):
     g = GammaOracle(oracle, 8)
-    report = check_inclusion_qi(g, 8, sample_depth=3)
+    report = check_inclusion_qi(g, 3)
     assert report.passed, report.to_json()
 
 

@@ -11,15 +11,22 @@ the pointwise ``reference_set_distance`` give; so must those of the
 out-ball of radius R (n3 cannot build a strong ball).  On the out-balls of
 zero and bicyclic some translates identify bases, and their segments must
 merge as the constructor merges them.
+
+``former_segments`` is the former merge of ``CellSet.__init__``, over
+Fraction bounds.  On random segment lists the constructor's integer merge
+must give the same segments, membership, edge bounds and JSON.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidgeo import CellSet, EdgePoint, GammaOracle, HorizonTooSmall, Segment, gamma_set_distance
+from monoidgeo import CellSet, EdgePoint, GammaOracle, HorizonTooSmall, Segment, Vertex, gamma_set_distance
 from monoidgeo.cayley import Translates
+from monoidgeo.cli import _encode
+from monoidgeo.monoids import format_word
 from builders import sample_points
 from test_distance_field import ORACLES
 from test_gamma_table_reference import FIXTURES, load
@@ -155,3 +162,75 @@ def test_translate_merges_segments_on_identified_bases():
     assert pB.vertices == {("p",)}
     assert pB.segments == (Segment(("p",), "p", Fraction(0), Fraction(3, 4)),)
     assert pB.contains(EdgePoint(("p",), "p", Fraction(5, 8)))
+
+
+# ---------------------------------------------------------------------------
+# The constructor's integer merge against the Fraction merge it replaced
+# ---------------------------------------------------------------------------
+
+
+def former_segments(segments) -> tuple[Segment, ...]:
+    """The former ``CellSet.__init__``: each edge's Fraction bounds sorted
+    and merged where they overlap or touch, sorted by edge and lower bound."""
+    merged: dict = {}
+    for seg in segments:
+        merged.setdefault((seg.element, seg.gen), []).append([seg.lo, seg.hi])
+    out = []
+    for (m, s), intervals in merged.items():
+        intervals.sort()
+        acc = [intervals[0]]
+        for lo, hi in intervals[1:]:
+            if lo <= acc[-1][1]:
+                acc[-1][1] = max(acc[-1][1], hi)
+            else:
+                acc.append([lo, hi])
+        out.extend(Segment(m, s, lo, hi) for lo, hi in acc)
+    return tuple(sorted(out, key=lambda g: (g.element, g.gen, g.lo)))
+
+
+EDGES = (((), "a"), ((), "b"), (("a",), "a"))
+closed_offsets = st.sampled_from((1, 2, 3, 4, 5, 6, 12)).flatmap(
+    lambda den: st.integers(min_value=0, max_value=den).map(lambda k: Fraction(k, den))
+)
+
+
+@st.composite
+def segment_lists(draw):
+    """Vertices and segments on a few edges, bounds over mixed denominators,
+    in shuffled order; after a drawn segment may come one that touches its
+    upper end and one nested inside it."""
+    segments = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        m, s = draw(st.sampled_from(EDGES))
+        lo, hi = sorted((draw(closed_offsets), draw(closed_offsets)))
+        segments.append(Segment(m, s, lo, hi))
+        if draw(st.booleans()):
+            segments.append(Segment(m, s, hi, max(hi, draw(closed_offsets))))
+        if draw(st.booleans()):
+            segments.append(Segment(m, s, lo + (hi - lo) / 3, hi - (hi - lo) / 4))
+    vertices = draw(st.lists(st.sampled_from([(), ("a",), ("b",)]), max_size=2))
+    return vertices, draw(st.permutations(segments))
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_lists())
+def test_integer_merge_matches_the_former_fraction_merge(case):
+    vertices, segments = case
+    cells, former = CellSet(vertices, segments), former_segments(segments)
+    assert cells.segments == former
+    assert all(isinstance(f, Fraction) for g in cells.segments for f in (g.lo, g.hi))
+    ends = {f for g in segments for f in (g.lo, g.hi)} | {Fraction(k, 60) for k in range(61)}
+    reference = SimpleNamespace(vertices=frozenset(vertices), segments=former)
+    for m, s in EDGES:
+        assert cells.edge_bounds((m, s)) == [(g.lo, g.hi) for g in former if (g.element, g.gen) == (m, s)]
+        for mu in sorted(f for f in ends if 0 < f < 1):
+            x = EdgePoint(m, s, mu)
+            assert cells.contains(x) == former_contains(reference, x), x
+    for v in ((), ("a",), ("b",), ("b", "a")):
+        assert cells.contains(Vertex(v)) == (v in vertices)
+    assert _encode(cells) == _encode(
+        {
+            "vertices": sorted(f"v:{format_word(v)}" for v in set(vertices)),
+            "segments": [{"base": format_word(g.element), "gen": g.gen, "lo": g.lo, "hi": g.hi} for g in former],
+        }
+    )

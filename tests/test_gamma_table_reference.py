@@ -8,15 +8,18 @@ are the former Fraction evaluators of ``monoidgeo.cayley``, and
 They are kept here as the specification: the integer kernel must give the
 same answers, kind included, and ``GammaOracle.distance_rows``, built from
 rows of base vertices, the same table, raising at the same first unknown
-pair with the same text.
+pair with the same text.  A plain min of ``_encoded`` codes plus offsets,
+decoded by ``_truncated``, must be ``truncated_min`` of the distances plus
+those offsets, and the reference kernel's answer.
 """
 
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoidgeo import (
     INF,
@@ -31,6 +34,7 @@ from monoidgeo import (
     WordMetricSpace,
     cayley,
     check_axioms,
+    truncated_min,
     word_distance,
 )
 from monoidgeo.cli import parse_monoid_spec
@@ -153,23 +157,24 @@ def _integer_rows(d: dict, n: int) -> tuple[list[list[int]], int]:
 
 def per_pair_rows(gamma: GammaOracle, sample) -> tuple[list[list[int]], int, int]:
     """The former ``GammaOracle.distance_rows``: each point reduced to its
-    sources and its target once, then one kernel call per pair of points."""
+    sources and its target once, offsets over 2L, then one kernel call per
+    pair of points, its code decoded: even is known, odd a bound."""
     scale = math.lcm(*(p.mu.denominator for p in sample if isinstance(p, EdgePoint)))
-    targets = [cayley._target(q, scale) for q in sample]
+    targets = [cayley._target(q, 2 * scale) for q in sample]
     rows = []
     for p in sample:
-        sources = cayley._sources(gamma.monoid, p, scale)
+        sources = cayley._sources(gamma.monoid, p, 2 * scale)
         row = []
         for q, target in zip(sample, targets):
-            best, known = cayley._base_pair_distance(
+            best = cayley._base_pair_distance(
                 gamma.monoid, sources, (target,), cayley._gap(sources, target), scale, gamma.horizon
             )
-            if not known:
+            if best is not None and best & 1:
                 raise HorizonTooSmall(
                     f"d({gamma.format_point(p)}, {gamma.format_point(q)}) "
-                    f"only known to exceed {Fraction(best, scale)}"
+                    f"only known to exceed {Fraction(best >> 1, scale)}"
                 )
-            row.append(best)
+            row.append(None if best is None else best >> 1)
         rows.append(row)
     return SemimetricSpace._with_sentinel(rows, scale)
 
@@ -475,3 +480,52 @@ def test_point_tie_keeps_the_known_value():
     expected = gamma_distance(z5, q, Vertex(()), 0)
     assert expected == TruncatedDistance.unknown_above(half)
     assert cayley.gamma_distance(z5, q, Vertex(()), 0) == expected
+
+
+# ---------------------------------------------------------------------------
+# The encoding
+# ---------------------------------------------------------------------------
+
+KNOWN, UNKNOWN = TruncatedDistance.known, TruncatedDistance.unknown_above
+word_distances = st.one_of(
+    st.integers(min_value=0, max_value=4).map(KNOWN),
+    st.integers(min_value=0, max_value=4).map(UNKNOWN),
+    st.just(KNOWN(INF)),
+)
+
+
+@st.composite
+def shifted_distances(draw):
+    """A denominator L and word distances, each with an offset over L in
+    [0, 2L], a source's and a target's together."""
+    L = draw(st.integers(min_value=1, max_value=6))
+    offsets = st.integers(min_value=0, max_value=2 * L)
+    return L, draw(st.lists(st.tuples(word_distances, offsets), min_size=1, max_size=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(shifted_distances())
+@example((1, [(UNKNOWN(1), 0), (KNOWN(1), 0)]))  # a tie: the known value wins
+@example((2, [(UNKNOWN(0), 3), (KNOWN(1), 1)]))  # 3/2 both, after offsets
+@example((3, [(KNOWN(1), 2), (UNKNOWN(1), 0)]))  # the bound is less
+@example((1, [(KNOWN(INF), 0)]))
+@example((2, [(KNOWN(INF), 0), (UNKNOWN(2), 4), (KNOWN(INF), 1)]))
+def test_plain_min_of_codes_is_truncated_min(case):
+    L, items = case
+    distances = {(i, "t"): d for i, (d, _) in enumerate(items)}
+    expected = truncated_min(TruncatedDistance(d.kind, d.value + Fraction(b, L)) for d, b in items)
+
+    def table(oracle, s, t, horizon):
+        return distances[s, t]
+
+    with mock.patch.object(cayley, "word_distance", table):
+        codes = [cayley._encoded(None, i, "t", L, 0) for i in range(len(items))]
+        least = min((c + 2 * b for c, (_, b) in zip(codes, items) if c is not None), default=None)
+        sources = [(i, None, 2 * b) for i, (_, b) in enumerate(items)]
+        kernel = cayley._base_pair_distance(None, sources, [("t", None, 0)], None, L, 0)
+    with mock.patch.dict(globals(), word_distance=table):
+        sources = {i: {None: Fraction(b, L)} for i, (_, b) in enumerate(items)}
+        reference = _base_pair_distance(None, sources, {"t": {None: _AT_VERTEX}}, None, 0)
+    assert kernel == least
+    assert cayley._truncated(least, L) == reference == expected
+    assert cayley._truncated(None, L) == truncated_min([])

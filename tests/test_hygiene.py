@@ -5,7 +5,8 @@ importing the CLI loads no ``dataclasses`` machinery, the generation
 certificates build no cell set, extraction takes no set distance of its
 own, the README's spec schema names exactly the keys the loader reads, and
 no module spells a Fraction out as ``[numerator, denominator]``, which is
-``cli._encode``'s to write.
+``cli._encode``'s to write, and the five-case kernel and Γ's table read
+word distances only through the one encoding of their order.
 
 The traced benchmark wraps every public function and public method of the
 ``monoidgeo`` modules in a span named ``<module>.<name>`` and flags a run as
@@ -453,3 +454,69 @@ def test_fraction_spelling_check_flags_planted_lists(tmp_path):
     path = tmp_path / "fraction_spellings.py"
     path.write_text(FRACTION_SPELLINGS, encoding="utf-8")
     assert _fraction_spellings(str(path)) == ["line 2", "line 6"]
+
+
+# Every five-case minimum keeps truncated_min's order through one encoding,
+# cayley._encoded; the kernel and the table must not read a word distance
+# and rank known values and bounds by hand.
+ENCODED_READERS = ("_base_pair_distance", "GammaOracle.distance_rows")
+
+
+def _direct_word_distances(path: str, definitions=ENCODED_READERS) -> list[str]:
+    """Each ``word_distance`` call inside the named definitions (``f`` or
+    ``Class.f``), each of them that calls no ``_encoded`` or is missing, and
+    each line of the module that names ``best_known``."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source, path)
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions.update((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+    found = []
+    for name in definitions:
+        if name not in functions:
+            found.append(f"{name}: missing")
+            continue
+        calls = [n for n in ast.walk(functions[name]) if isinstance(n, ast.Call)]
+        called = [(getattr(c.func, "id", None) or getattr(c.func, "attr", None), c.lineno) for c in calls]
+        found += [f"{name}: word_distance (line {line})" for f, line in called if f == "word_distance"]
+        if all(f != "_encoded" for f, _ in called):
+            found.append(f"{name}: no _encoded")
+    lines = enumerate(source.splitlines(), 1)
+    return found + [f"best_known (line {i})" for i, line in lines if "best_known" in line]
+
+
+def test_five_case_minima_read_word_distances_through_the_encoding():
+    assert _direct_word_distances(os.path.join(PACKAGE, "cayley.py")) == []
+
+
+DIRECT_READS = """\
+def _encoded(oracle, s, t, scale, horizon):
+    return word_distance(oracle, s, t, horizon)
+
+
+def _base_pair_distance(oracle, sources, targets, best, scale, horizon):
+    best_known = best is not None
+    d = cayley.word_distance(oracle, sources[0], targets[0], horizon)
+    return min(best, d), best_known
+
+
+class GammaOracle:
+    def distance_rows(self, sample):
+        return [[_encoded(self.monoid, p, q, 1, 8) for q in sample] for p in sample]
+"""
+
+
+def test_encoding_check_flags_planted_reads(tmp_path):
+    path = tmp_path / "direct_reads.py"
+    path.write_text(DIRECT_READS, encoding="utf-8")
+    assert _direct_word_distances(str(path), ENCODED_READERS + ("GammaOracle.absent",)) == [
+        "_base_pair_distance: word_distance (line 7)",
+        "_base_pair_distance: no _encoded",
+        "GammaOracle.absent: missing",
+        "best_known (line 6)",
+        "best_known (line 8)",
+    ]
